@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice, takewhile
 from pathlib import Path
 
 from .fp import Prime
@@ -60,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _jobs(value: str) -> int:
+    jobs = int(value)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="medialq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,19 +87,19 @@ def _build_parser() -> _Parser:
     add_group_args(p_enum, ["zp2", "cyclic"])
     p_enum.add_argument("--tables", action="store_true", help="embed Cayley tables")
     p_enum.add_argument("--format", choices=["jsonl", "text"], default="jsonl")
-    p_enum.add_argument("--jobs", type=int, default=1)
+    p_enum.add_argument("--jobs", type=_jobs, default=1)
 
     p_export = sub.add_parser("export", help="write one Cayley-table text file per representative")
     add_group_args(p_export, ["zp2", "cyclic"])
     p_export.add_argument("--out", required=True)
-    p_export.add_argument("--jobs", type=int, default=1)
+    p_export.add_argument("--jobs", type=_jobs, default=1)
 
     p_verify = sub.add_parser("verify", help="report Latin/medial/idempotent status of stored tables")
     p_verify.add_argument("--in", dest="infile", required=True)
 
     p_cross = sub.add_parser("crosscheck", help="validate the enumerator against the brute-force oracle")
     add_group_args(p_cross, ["zp2", "cyclic"])
-    p_cross.add_argument("--jobs", type=int, default=1)
+    p_cross.add_argument("--jobs", type=_jobs, default=1)
 
     p_interp = sub.add_parser("interpolate", help="interpolate count polynomials from the first N primes")
     p_interp.add_argument("--series", required=True, choices=["zp2", "order-p2", "cyclic", "cyclic-k"])
@@ -119,14 +127,13 @@ def _group(args):
     return Cyclic(p, args.k)
 
 
-def _first_primes(count: int) -> list:
-    primes = []
+def _primes():
+    """The primes in ascending order, without end."""
     candidate = 2
-    while len(primes) < count:
+    while True:
         if all(candidate % q for q in range(2, int(candidate ** 0.5) + 1)):
-            primes.append(Prime(candidate))
+            yield Prime(candidate)
         candidate += 1
-    return primes
 
 
 def _check_line(name: str, closed: int, enumerated) -> bool:
@@ -269,7 +276,7 @@ def _cmd_interpolate(args) -> int:
     if series in ("zp2", "order-p2"):
         if args.primes > 5:
             raise UsageError("series over (Z_p)^2 is enumerated up to p = 11 (5 primes)")
-        for p in _first_primes(args.primes):
+        for p in islice(_primes(), args.primes):
             vec = enumerate_forms(ElemAbelianRank2(p)).total
             if series == "order-p2":
                 vec += enumerate_forms(Cyclic(p, 2)).total
@@ -277,12 +284,13 @@ def _cmd_interpolate(args) -> int:
     else:
         if args.k < 1:
             raise UsageError("--k must be >= 1")
-        for p in _first_primes(args.primes):
-            if p ** args.k > MAX_ENUM_CYCLIC_ORDER:
-                raise UsageError(
-                    f"cyclic order {p ** args.k} exceeds the enumeration bound "
-                    f"{MAX_ENUM_CYCLIC_ORDER}"
-                )
+        supported = list(takewhile(lambda p: p ** args.k <= MAX_ENUM_CYCLIC_ORDER, _primes()))
+        if args.primes > len(supported):
+            raise UsageError(
+                f"series cyclic with k = {args.k} is enumerated up to the bound "
+                f"p^k <= {MAX_ENUM_CYCLIC_ORDER} ({len(supported)} primes)"
+            )
+        for p in supported[: args.primes]:
             points.append((int(p), enumerate_forms(Cyclic(p, args.k)).total))
     poly = interpolate_count_polynomial(points)
     print("points: " + " ".join(f"({x}, {y})" for x, y in points))

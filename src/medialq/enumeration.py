@@ -17,10 +17,13 @@ itself, never from per-case algebraic shortcuts.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .fp import Prime
 from .gl2 import (
@@ -28,6 +31,10 @@ from .gl2 import (
     Automorphism,
     Mat2,
     Unit,
+    _commutant,
+    _entries,
+    _mul,
+    _raw,
     centralizer,
     commutes,
     conj_class_reps,
@@ -79,27 +86,6 @@ class EnumerationReport:
             raise ValueError("report total disagrees with triples/tallies")
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
-def _raw(f: Automorphism):
-    return f.value if isinstance(f, Unit) else f
-
-
 def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism):
     """The endomorphism 1 - phi - psi, as a residue or a (possibly singular) matrix."""
     if isinstance(G, Cyclic):
@@ -120,10 +106,13 @@ def reps_x(G: GroupSpec) -> tuple:
 
 @lru_cache(maxsize=None)
 def _assert_commutative(members: tuple) -> bool:
-    for i, A in enumerate(members):
-        for B in members[i + 1 :]:
-            if A.mul(B) != B.mul(A):
-                raise ValueError(f"centralizer is not commutative: {A} vs {B}")
+    """Raise unless every pair of the matrices commutes; every pair is multiplied."""
+    x = _entries(members)
+    products = _mul(x[:, None], x[None, :], members[0].p)  # [i, j] = members[i] members[j]
+    clash = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))
+    if clash.size:
+        i, j = clash[0]  # the first failing pair in row-major order, so i < j
+        raise ValueError(f"centralizer is not commutative: {members[i]} vs {members[j]}")
     return True
 
 
@@ -164,37 +153,51 @@ def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     base = centralizer(phi)
     if psi.is_scalar():
         return base
-    return tuple(B for B in base if B.mul(psi) == psi.mul(B))
+    return _commutant(base, _entries(base), psi)
 
 
-_ORBIT_CACHE: dict = {}
+_ACTION_CHUNK = 1 << 14  # action-array entries held at a time by _orbit_reps
 
 
-def _orbit_reps(G: GroupSpec, stab: tuple, cosets: CosetList) -> tuple:
-    """Orbit representatives of stab acting on the given coset list.
+@lru_cache(maxsize=None)
+def _orbit_reps(G: GroupSpec, maps: tuple, cosets: CosetList) -> tuple:
+    """Orbit representatives of a stabilizer acting on the given coset list.
 
-    Orbits are computed by union-find over all (stabilizer element, coset)
-    pairs; each orbit is represented by its least coset representative in
-    element order, and the zero coset's orbit comes first.
+    The stabilizer comes as the maps `G.apply` takes (multipliers or
+    matrices), so the cache key hashes plain integers for the cyclic family.
+
+    The action is taken in blocks of stabilizer elements: row s of a block
+    holds, for every coset representative r, the coset of h_s(r).  Every
+    coset carries a label, the least coset position known to share its
+    orbit.  Each block joins the labels of r and h_s(r) by min-label
+    propagation -- labels pulled and pushed along every edge, then shortened
+    through themselves -- run to a fixed point.  The result is the
+    connected-component partition of the whole action graph, whether or not
+    the maps are closed under products and inverses, in memory bounded by the
+    block size.  Each orbit is represented by its least coset representative
+    in element order (coset positions follow element order), and the zero
+    coset's orbit comes first.
     """
-    key = (stab, cosets.representatives, tuple(cosets.coset_index.items()))
-    cached = _ORBIT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    uf = _UnionFind(len(cosets))
-    index = cosets.coset_index
-    for h in stab:
-        m = _raw(h)
-        for i, r in enumerate(cosets.representatives):
-            uf.union(i, index[G.apply(m, r)])
-    roots: dict = {}
-    for i, r in enumerate(cosets.representatives):
-        root = uf.find(i)
-        if root not in roots or G.index(r) < G.index(roots[root]):
-            roots[root] = r
-    result = tuple(sorted(roots.values(), key=G.index))
-    _ORBIT_CACHE[key] = result
-    return result
+    n = len(cosets)
+    labels = np.arange(n, dtype=np.int32)
+    step = max(1, _ACTION_CHUNK // n)
+    for s in range(0, len(maps), step):
+        image = cosets.coset_of[G.index_action(maps[s : s + step], cosets.rep_index)]
+        # Indices and values all get the block's full shape: numpy 2.4 returns
+        # garbage from ufunc.at when int32 values are broadcast implicitly.
+        a, b = np.broadcast_to(labels, image.shape), labels[image]
+        joined = np.arange(n, dtype=np.int32)
+        while True:
+            new = joined.copy()
+            np.minimum.at(new, a, joined[b])
+            np.minimum.at(new, b, joined[a])
+            new = new[new]
+            if (new == joined).all():
+                break
+            joined = new
+        labels = joined[labels]
+    roots = np.flatnonzero(labels == np.arange(n)).tolist()
+    return tuple(cosets.representatives[i] for i in roots)
 
 
 def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
@@ -204,7 +207,7 @@ def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     cosets = quotient_cosets(G, _one_minus(G, phi, psi))
     if len(cosets) == 1:
         return (G.zero,)
-    return _orbit_reps(G, stabilizer(G, phi, psi), cosets)
+    return _orbit_reps(G, tuple(map(_raw, stabilizer(G, phi, psi))), cosets)
 
 
 def _rank2_tag(phi_kind: str, psi_kind, rank: int) -> str:
@@ -245,7 +248,8 @@ def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
     """Full representative-triple list for G, with per-case tallies.
 
     Work may be partitioned across the phi representatives (`jobs` worker
-    processes); the output is identical at any job count.
+    processes at most, see `pool_size`); the output is identical at any job
+    count.
     """
     if isinstance(G, Cyclic):
         keys = list(units(G.p, G.k))
@@ -255,9 +259,10 @@ def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
         keys = list(range(len(conj_class_reps(G.p))))
         worker = _rank2_triples
         tallies = {tag: 0 for tag in CASE_TAGS_RANK2}
-    if jobs > 1:
+    workers = pool_size(jobs, len(keys))
+    if workers > 1:
         _warm_caches(G)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(worker, [G] * len(keys), keys))
     else:
         chunks = [worker(G, key) for key in keys]
@@ -265,6 +270,13 @@ def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
     for t in triples:
         tallies[t.case_tag] += 1
     return EnumerationReport(G, triples, tallies)
+
+
+def pool_size(jobs: int, items: int) -> int:
+    """Worker processes to start: min(jobs, CPU count, work items); jobs must be >= 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return max(1, min(jobs, os.cpu_count() or 1, items))
 
 
 def _warm_caches(G: GroupSpec):
@@ -301,6 +313,11 @@ def closed_form_order_p2(p: int) -> int:
     return 2 * p ** 4 - p ** 3 - p ** 2 - 3 * p - 1
 
 
+# count_composite factors by trial division, up to sqrt(n) steps: about a
+# million at this cap, a fraction of a second.
+MAX_COMPOSITE_ORDER = 10 ** 12
+
+
 def factorize(n: int) -> list:
     factors = []
     d = 2
@@ -325,6 +342,8 @@ def count_composite(n: int) -> int:
     """
     if n < 1:
         raise ValueError("order must be >= 1")
+    if n > MAX_COMPOSITE_ORDER:
+        raise ValueError(f"order {n} exceeds the supported cap {MAX_COMPOSITE_ORDER}")
     result = 1
     for p, k in factorize(n):
         if k == 1:

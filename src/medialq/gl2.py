@@ -6,10 +6,13 @@ companion matrices of irreducible quadratics -- are generated here together
 with their centralizer subgroups.
 
 Centralizers are always computed by brute-force filtering of the full
-GL(2, p) element list.  The closed-form parametrizations of those subgroups
-(`parametrized_centralizer`) are kept separately so the test suite can
-assert that filter and formula agree element for element: the formulas are
-checked facts, not trusted input.
+GL(2, p) element list, and the conjugacy partition by conjugating every
+representative by every element.  Both run on integer arrays of matrix
+entries (one row per matrix, columns m00, m01, m10, m11) and hand back the
+`Mat2` objects of `gl2_elements`.  The closed-form parametrizations of those
+subgroups (`parametrized_centralizer`) are kept separately so the test suite
+can assert that filter and formula agree element for element: the formulas
+are checked facts, not trusted input.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
+
+import numpy as np
 
 from .fp import Prime, fp_inv, is_irreducible_quadratic
 
@@ -130,6 +135,48 @@ class Unit:
 Automorphism = Union[Unit, Mat2]
 
 
+def _raw(f: Automorphism):
+    """The multiplier of a unit, or the matrix itself: what `G.apply` takes."""
+    return f.value if isinstance(f, Unit) else f
+
+
+def _entries(mats) -> np.ndarray:
+    """Entries of a sequence of matrices as an (n, 4) int32 array, row-major per matrix.
+
+    int32 suffices: every product below reduces mod p after at most
+    2 (p-1)^2 < 2^31 for p up to MAX_PRIME.
+    """
+    return np.array([m.entries for m in mats], dtype=np.int32).reshape(-1, 4)
+
+
+def _mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Matrix products of entry arrays x, y of shape (..., 4), broadcast, reduced mod p."""
+    a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    e, f, g, h = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    return np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), axis=-1) % p
+
+
+def _inv(x: np.ndarray, p: int) -> np.ndarray:
+    """Inverses of invertible entry arrays of shape (..., 4), mod p."""
+    a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    det_inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int32)
+    di = det_inv[(a * d - b * c) % p]
+    return np.stack((di * d, -di * b, -di * c, di * a), axis=-1) % p
+
+
+def _codes(x: np.ndarray, p: int) -> np.ndarray:
+    """One integer per entry row: the entries read as base-p digits, m00 first."""
+    x = x.astype(np.int64)
+    return ((x[..., 0] * p + x[..., 1]) * p + x[..., 2]) * p + x[..., 3]
+
+
+def _commutant(members: tuple, x: np.ndarray, A: Mat2) -> tuple:
+    """The members B (entry rows x) with AB = BA, in their given order."""
+    a = np.array(A.entries, dtype=np.int32)
+    keep = (_mul(a, x, A.p) == _mul(x, a, A.p)).all(axis=-1)
+    return tuple(members[i] for i in np.flatnonzero(keep).tolist())
+
+
 @dataclass(frozen=True)
 class ConjClassRep:
     """One conjugacy-class representative of GL(2, p).
@@ -205,6 +252,14 @@ def gl2_elements(p: int) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _gl2_entries(p: int) -> np.ndarray:
+    """Entry rows of gl2_elements(p), in the same order."""
+    x = _entries(gl2_elements(p))
+    x.setflags(write=False)
+    return x
+
+
 def gl2_order(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
@@ -214,7 +269,7 @@ def centralizer(A: Mat2) -> tuple:
     """The subgroup {B in GL(2,p) : AB = BA}, by brute-force filter."""
     if A.det() == 0:
         raise ValueError(f"{A} is singular; centralizers are taken in GL(2,p)")
-    return tuple(B for B in gl2_elements(A.p) if A.mul(B) == B.mul(A))
+    return _commutant(gl2_elements(A.p), _gl2_entries(A.p), A)
 
 
 def parametrized_centralizer(rep: ConjClassRep) -> tuple:
@@ -254,17 +309,25 @@ def conjugacy_partition(p: int) -> tuple:
     """
     p = Prime(p)
     gl = gl2_elements(p)
-    pairs = [(h, h.inv()) for h in gl]
+    x = _gl2_entries(p)
+    x_inv = _inv(x, p)
+    position = np.full(p ** 4, -1, dtype=np.int32)
+    position[_codes(x, p)] = np.arange(len(gl), dtype=np.int32)
     classes = []
-    covered: set = set()
+    covered = np.zeros(len(gl), dtype=bool)
     for rep in conj_class_reps(p):
         R = rep.matrix()
-        cls = frozenset(h.mul(R).mul(hi) for h, hi in pairs)
-        if covered & cls:
+        conjugated = _mul(_mul(x, _entries([R])[0], p), x_inv, p)  # h R h^-1 for every h
+        conjugates = position[_codes(conjugated, p)]
+        if (conjugates < 0).any():
+            raise ValueError(f"a conjugate of {R} is singular")
+        cls = np.zeros(len(gl), dtype=bool)
+        cls[conjugates] = True
+        if (covered & cls).any():
             raise ValueError(f"representative {R} is conjugate to an earlier one")
         covered |= cls
-        classes.append(cls)
-    if len(covered) != len(gl):
+        classes.append(frozenset(gl[i] for i in np.flatnonzero(cls).tolist()))
+    if not covered.all():
         raise ValueError("conjugacy classes of the representatives do not cover GL(2,p)")
     return tuple(classes)
 

@@ -10,9 +10,13 @@ that order, which makes enumeration output reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 from .fp import Prime
+from .gl2 import _entries
 
 Element = Union[int, tuple]
 
@@ -60,6 +64,16 @@ class Cyclic:
     def apply(self, m: int, a: int) -> int:
         """Image of a under the endomorphism x -> m*x (m need not be a unit)."""
         return (m * a) % self.order
+
+    def index_add(self, a, b) -> np.ndarray:
+        """Index of a + b for element-index arrays a and b (broadcast)."""
+        return (np.asarray(a) + np.asarray(b)) % self.order
+
+    def index_action(self, ms, idx) -> np.ndarray:
+        """Indices of m*g for every multiplier m in ms (rows) and element index g in idx (columns)."""
+        n = self.order
+        m = np.array([x % n for x in ms], dtype=np.int64)
+        return m[:, None] * np.asarray(idx, dtype=np.int64)[None, :] % n
 
     def __str__(self) -> str:
         return f"Z_{self.p}^{self.k}" if self.k > 1 else f"Z_{self.p}"
@@ -116,6 +130,31 @@ class ElemAbelianRank2:
         x, y = a
         return ((m.m00 * x + m.m01 * y) % p, (m.m10 * x + m.m11 * y) % p)
 
+    def index_add(self, a, b) -> np.ndarray:
+        """Index of a + b for element-index arrays a and b (broadcast)."""
+        p = self.p
+        a, b = np.asarray(a), np.asarray(b)
+        return (a // p + b // p) % p * p + (a + b) % p
+
+    def index_action(self, ms, idx) -> np.ndarray:
+        """Indices of m(g) for every matrix m in ms (rows) and element index g in idx (columns).
+
+        int32 suffices: every intermediate is below 2p^2 <= 2^31 for p up to MAX_PRIME.
+        """
+        p = self.p
+        e = _entries(ms)
+        idx = np.asarray(idx, dtype=np.int32)
+        x, y = idx // p, idx % p
+        out = e[:, 0, None] * x
+        out += e[:, 1, None] * y
+        out %= p
+        out *= p
+        low = e[:, 2, None] * x
+        low += e[:, 3, None] * y
+        low %= p
+        out += low
+        return out
+
     def __str__(self) -> str:
         return f"(Z_{self.p})^2"
 
@@ -130,14 +169,60 @@ class CosetList:
     `representatives` holds one element per coset, chosen greedily in the
     deterministic element order (so the zero coset always comes first), and
     `coset_index` maps every group element to the position of its coset.
+    `rep_index` and `coset_of` are the same data at index level: the element
+    index of each representative, and the coset position of each element
+    index.
     """
 
     representatives: tuple
     subgroup_order: int
     coset_index: dict
+    rep_index: np.ndarray
+    coset_of: np.ndarray
 
     def __len__(self) -> int:
         return len(self.representatives)
+
+
+@lru_cache(maxsize=None)
+def _add_table(G: GroupSpec) -> np.ndarray:
+    """Index-level addition table of G: row a, column b holds the index of a + b."""
+    idx = np.arange(G.order, dtype=np.int32)
+    table = G.index_add(idx[:, None], idx[None, :])
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _image(G: GroupSpec, M) -> bytes:
+    """Im(M) as a byte mask over element indices, M applied to every element."""
+    mask = np.zeros(G.order, dtype=bool)
+    mask[G.index_action((M,), np.arange(G.order))[0]] = True
+    return mask.tobytes()
+
+
+@lru_cache(maxsize=None)
+def _cosets(G: GroupSpec, image: bytes) -> CosetList:
+    """Greedy coset list of the element set `image` (a byte mask) in G."""
+    els = G.elements()
+    members = np.flatnonzero(np.frombuffer(image, dtype=bool))
+    add = _add_table(G)
+    reps = []
+    coset_index: dict = {}
+    coset_of = np.full(G.order, -1, dtype=np.int32)
+    for g in range(G.order):
+        if els[g] in coset_index:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        coset = add[g, members]
+        coset_of[coset] = idx
+        for h in coset.tolist():
+            coset_index[els[h]] = idx
+    rep_index = np.array(reps, dtype=np.int32)
+    for a in (rep_index, coset_of):
+        a.setflags(write=False)
+    return CosetList(tuple(els[g] for g in reps), len(members), coset_index, rep_index, coset_of)
 
 
 def quotient_cosets(G: GroupSpec, M) -> CosetList:
@@ -145,20 +230,12 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
 
     The image subgroup is computed by exhaustive application of M; structural
     shortcuts (gcd for cyclic groups, column spaces for matrices) are used
-    only as cross-check properties in the tests.
+    only as cross-check properties in the tests.  Images are memoised per
+    endomorphism and coset lists per image subgroup, so the list returned for
+    one subgroup is the same object every time.
     """
-    els = G.elements()
-    image_set = {G.apply(M, g) for g in els}
-    image = [g for g in els if g in image_set]
-    reps = []
-    coset_index: dict = {}
-    for g in els:
-        if g in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for im in image:
-            coset_index[G.add(g, im)] = idx
-    if len(reps) * len(image) != G.order:
+    cosets = _cosets(G, _image(G, M))
+    # Im(M) is a subgroup, so its translates cover G, each element once.
+    if len(cosets) * cosets.subgroup_order != G.order or len(cosets.coset_index) != G.order:
         raise ValueError(f"{M!r} is not an endomorphism of {G}")
-    return CosetList(tuple(reps), len(image), coset_index)
+    return cosets

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
+from .enumeration import pool_size
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable
@@ -230,8 +231,9 @@ def classify(tables, jobs: int = 1) -> list:
     for idx, fp in enumerate(prints):
         buckets.setdefault(fp, []).append((idx, tables[idx].rows))
     work = list(buckets.values())
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = pool_size(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_classify_bucket, work))
     else:
         results = [_classify_bucket(w) for w in work]

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gl2 import Automorphism, Mat2, Unit, commutes
-from .groups import Cyclic, GroupSpec
+from .gl2 import Automorphism, Mat2, Unit, _raw, commutes
+from .groups import Cyclic, GroupSpec, _add_table
 
 
 @dataclass(frozen=True)
@@ -62,33 +62,12 @@ class CayleyTable:
                 raise ValueError("table entries must be indices in [0, n)")
 
 
-def _raw(f: Automorphism):
-    return f.value if isinstance(f, Unit) else f
-
-
-_ADD_INDEX_CACHE: dict = {}
-
-
-def _add_index(G: GroupSpec) -> np.ndarray:
-    """Index-level addition table of G (cached per group)."""
-    table = _ADD_INDEX_CACHE.get(G)
-    if table is None:
-        els = G.elements()
-        idx = {g: i for i, g in enumerate(els)}
-        table = np.array(
-            [[idx[G.add(a, b)] for b in els] for a in els], dtype=np.intp
-        )
-        table.setflags(write=False)
-        _ADD_INDEX_CACHE[G] = table
-    return table
-
-
 def build_table(form: AffineForm) -> CayleyTable:
     """Cayley table of x*y = phi(x) + psi(y) + c in the group's element order."""
     G = form.group
     els = G.elements()
     idx = {g: i for i, g in enumerate(els)}
-    add = _add_index(G)
+    add = _add_table(G)
     pv = np.array([idx[G.apply(_raw(form.phi), g)] for g in els], dtype=np.intp)
     qv = np.array([idx[G.apply(_raw(form.psi), g)] for g in els], dtype=np.intp)
     rows = add[add[pv[:, None], qv[None, :]], idx[form.c]]

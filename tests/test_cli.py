@@ -169,3 +169,42 @@ def test_interpolate_zp2_small(capsys):
 def test_interpolate_too_many_primes(capsys):
     code, _, _ = run(capsys, "interpolate", "--series", "zp2", "--primes", "9")
     assert code == EXIT_USAGE
+
+
+def test_jobs_below_one_is_rejected(tmp_path, capsys):
+    out_dir = tmp_path / "never"
+    for command in (
+        ["enumerate", "--group", "zp2", "--p", "2"],
+        ["export", "--group", "zp2", "--p", "2", "--out", str(out_dir)],
+        ["crosscheck", "--group", "zp2", "--p", "2"],
+    ):
+        for jobs in ("0", "-4"):
+            code, out, err = run(capsys, *command, "--jobs", jobs)
+            assert code == EXIT_USAGE
+            assert "--jobs" in err and ">= 1" in err
+            assert out == ""
+    assert not out_dir.exists()
+
+
+def test_count_huge_composite_fails_fast(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, _, err = run(capsys, "count", "--group", "n", "--n", "1000000000000000003")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_USAGE
+    assert "exceeds the supported cap 1000000000000" in err
+
+
+def test_interpolate_cyclic_names_the_enumeration_bound(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, _, err = run(capsys, "interpolate", "--series", "cyclic", "--primes", "30000")
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_USAGE
+    assert "p^k <= 300 (62 primes)" in err
+    assert "32768" not in err
+    code, _, err = run(capsys, "interpolate", "--series", "cyclic", "--k", "2", "--primes", "8")
+    assert code == EXIT_USAGE
+    assert "k = 2" in err and "(7 primes)" in err  # 2, 3, 5, 7, 11, 13, 17: 17^2 = 289

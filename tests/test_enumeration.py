@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from medialq import enumeration
 from medialq.enumeration import (
     CASE_TAGS_RANK2,
+    MAX_COMPOSITE_ORDER,
     Polynomial,
     closed_form_cyclic,
     closed_form_order_p2,
@@ -14,6 +16,7 @@ from medialq.enumeration import (
     interpolate_count_polynomial,
     jsonl_record,
     orbit_reps_c,
+    pool_size,
     reps_x,
     reps_y,
     stabilizer,
@@ -249,3 +252,53 @@ def test_group_labels_and_jsonl_records():
     record9 = jsonl_record(Z9, triple9)
     assert isinstance(record9["phi"], int)
     assert record9["c"] == [0]
+
+
+def test_count_composite_caps_the_order():
+    import time
+
+    n = 30030 ** 2 * 17 * 19  # square-free part times squares of 2 .. 13, below the cap
+    assert count_composite(n) == count_composite(30030 ** 2) * 271 * 341
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="prime 999999999989 exceeds"):
+        count_composite(999999999989)  # the largest prime below the cap: full trial division
+    assert time.perf_counter() - start < 2
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        count_composite(MAX_COMPOSITE_ORDER + 1)
+    with pytest.raises(ValueError, match="exceeds the supported cap"):
+        count_composite(1000000000000000003)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_size_is_clamped(monkeypatch):
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    RecordingPool.sizes = []
+    seq = enumerate_forms(V3)
+    assert enumerate_forms(V3, jobs=10 ** 6).triples == seq.triples  # 8 phi reps, 3 CPUs
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    V2 = ElemAbelianRank2(Prime(2))
+    assert enumerate_forms(V2, jobs=50).triples == enumerate_forms(V2).triples  # 3 phi reps
+    assert RecordingPool.sizes == [3, 3]
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+    assert pool_size(8, 100) == 1
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            enumerate_forms(V3, jobs=jobs)

@@ -213,3 +213,32 @@ def test_every_small_medial_square_is_affine():
         assert len(classes) == expected_classes[n]
         assignment = assign_to_classes(classes, reps)
         assert sorted(assignment) == list(range(len(classes)))
+
+
+def test_classify_pool_size_is_clamped(monkeypatch):
+    from medialq import enumeration, oracle
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    tables = [build_table(f) for f in all_affine_forms(V2)]
+    buckets = len({fingerprint(t) for t in tables})
+    seq = classify(tables)
+    assert classify(tables, jobs=10 ** 6) == seq
+    assert sizes == [min(64, buckets)]
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        classify(tables, jobs=0)
