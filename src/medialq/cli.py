@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice, takewhile
+from itertools import takewhile
 from pathlib import Path
 
 from .fp import Prime
@@ -27,7 +27,7 @@ from .enumeration import (
     jsonl_record,
 )
 from .groups import Cyclic, ElemAbelianRank2
-from .oracle import all_affine_forms, assign_to_classes, classify
+from .oracle import CLASSIFY_ORDER_CAP, all_affine_forms, assign_to_classes, classify
 from .quasigroup import (
     AffineForm,
     build_table,
@@ -45,8 +45,6 @@ EXIT_MISMATCH = 2
 # Bounds for the automatic enumeration cross-check in `count`.
 MAX_ENUM_CYCLIC_ORDER = 300
 MAX_ENUM_ZP2_PRIME = 11
-
-ORACLE_ORDER_CAP = 9
 
 
 class UsageError(Exception):
@@ -102,7 +100,7 @@ def _build_parser() -> _Parser:
     p_cross.add_argument("--jobs", type=_jobs, default=1)
 
     p_interp = sub.add_parser("interpolate", help="interpolate count polynomials from the first N primes")
-    p_interp.add_argument("--series", required=True, choices=["zp2", "order-p2", "cyclic", "cyclic-k"])
+    p_interp.add_argument("--series", required=True, choices=["zp2", "order-p2", "cyclic"])
     p_interp.add_argument("--k", type=int, default=1)
     p_interp.add_argument("--primes", type=int, required=True)
 
@@ -118,9 +116,16 @@ def _prime(value) -> Prime:
         raise UsageError(str(exc))
 
 
+def _no_exponent(args, where: str):
+    # --k defaults to 1; any other value would be silently ignored here.
+    if args.k != 1:
+        raise UsageError(f"--k applies only to cyclic groups, not to {where}")
+
+
 def _group(args):
     p = _prime(args.p)
     if args.group == "zp2":
+        _no_exponent(args, "--group zp2")
         return ElemAbelianRank2(p)
     if args.k < 1:
         raise UsageError("--k must be >= 1")
@@ -146,9 +151,13 @@ def _check_line(name: str, closed: int, enumerated) -> bool:
 
 
 def _cmd_count(args) -> int:
+    if args.group != "cyclic":
+        _no_exponent(args, f"--group {args.group}")
     if args.group == "n":
         if args.n is None:
             raise UsageError("--n is required with --group n")
+        if args.p is not None:
+            raise UsageError("--p does not apply to --group n, whose order is --n")
         total = count_composite(args.n)  # ValueError for exponents >= 3
         parts = " * ".join(
             f"mq({p}^{k})" if k > 1 else f"mq({p})" for p, k in factorize(args.n)
@@ -157,6 +166,8 @@ def _cmd_count(args) -> int:
         if parts:
             print(f"  = {parts}")
         return EXIT_OK
+    if args.n is not None:
+        raise UsageError(f"--n applies only to --group n, not to --group {args.group}")
 
     p = _prime(args.p)
     ok = True
@@ -187,6 +198,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.tables and args.format == "text":
+        raise UsageError("--tables needs --format jsonl: the text format prints no tables")
     G = _group(args)
     report = enumerate_forms(G, jobs=args.jobs)
     for triple in report.triples:
@@ -235,9 +248,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     G = _group(args)
-    if G.order > ORACLE_ORDER_CAP:
+    if G.order > CLASSIFY_ORDER_CAP:
         raise UsageError(
-            f"group of order {G.order} exceeds the oracle cap {ORACLE_ORDER_CAP}"
+            f"group of order {G.order} exceeds the oracle cap {CLASSIFY_ORDER_CAP}"
         )
     report = enumerate_forms(G, jobs=args.jobs)
     forms = all_affine_forms(G)
@@ -271,27 +284,28 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_interpolate(args) -> int:
     if args.primes < 1:
         raise UsageError("--primes must be >= 1")
-    series = "cyclic" if args.series == "cyclic-k" else args.series
-    points = []
-    if series in ("zp2", "order-p2"):
-        if args.primes > 5:
-            raise UsageError("series over (Z_p)^2 is enumerated up to p = 11 (5 primes)")
-        for p in islice(_primes(), args.primes):
-            vec = enumerate_forms(ElemAbelianRank2(p)).total
-            if series == "order-p2":
-                vec += enumerate_forms(Cyclic(p, 2)).total
-            points.append((int(p), vec))
-    else:
+    if args.series == "cyclic":
         if args.k < 1:
             raise UsageError("--k must be >= 1")
+        name, bound = f"cyclic with k = {args.k}", f"p^k <= {MAX_ENUM_CYCLIC_ORDER}"
         supported = list(takewhile(lambda p: p ** args.k <= MAX_ENUM_CYCLIC_ORDER, _primes()))
-        if args.primes > len(supported):
-            raise UsageError(
-                f"series cyclic with k = {args.k} is enumerated up to the bound "
-                f"p^k <= {MAX_ENUM_CYCLIC_ORDER} ({len(supported)} primes)"
-            )
-        for p in supported[: args.primes]:
-            points.append((int(p), enumerate_forms(Cyclic(p, args.k)).total))
+    else:
+        _no_exponent(args, f"--series {args.series}")
+        name, bound = args.series, f"p <= {MAX_ENUM_ZP2_PRIME}"
+        supported = list(takewhile(lambda p: p <= MAX_ENUM_ZP2_PRIME, _primes()))
+    if args.primes > len(supported):
+        raise UsageError(
+            f"series {name} is enumerated up to the bound {bound} ({len(supported)} primes)"
+        )
+    points = []
+    for p in supported[: args.primes]:
+        if args.series == "cyclic":
+            total = enumerate_forms(Cyclic(p, args.k)).total
+        else:
+            total = enumerate_forms(ElemAbelianRank2(p)).total
+            if args.series == "order-p2":
+                total += enumerate_forms(Cyclic(p, 2)).total
+        points.append((int(p), total))
     poly = interpolate_count_polynomial(points)
     print("points: " + " ".join(f"({x}, {y})" for x, y in points))
     print(f"f(x) = {poly}")
@@ -314,10 +328,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

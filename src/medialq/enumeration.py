@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .gl2 import (
     SCALAR,
     Automorphism,
     Mat2,
-    Unit,
     _commutant,
     _entries,
     _mul,
@@ -41,7 +40,7 @@ from .gl2 import (
     conjugacy_partition,
     units,
 )
-from .groups import CosetList, Cyclic, ElemAbelianRank2, GroupSpec, quotient_cosets
+from .groups import CosetList, Cyclic, GroupSpec, quotient_cosets
 
 CASE_TAG_CYCLIC = "cyclic"
 
@@ -93,6 +92,12 @@ def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism):
     return Mat2.identity(G.p) - phi - psi
 
 
+@lru_cache(maxsize=None)
+def _kinds(p: int) -> dict:
+    """Kind of each conjugacy-class representative of GL(2, p), keyed on its matrix."""
+    return {rep.matrix(): rep.kind for rep in conj_class_reps(p)}
+
+
 def reps_x(G: GroupSpec) -> tuple:
     """Conjugacy-class representatives of Aut(G).
 
@@ -101,7 +106,7 @@ def reps_x(G: GroupSpec) -> tuple:
     """
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
-    return tuple(rep.matrix() for rep in conj_class_reps(G.p))
+    return tuple(_kinds(G.p))
 
 
 @lru_cache(maxsize=None)
@@ -129,11 +134,10 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
         if phi not in units(G.p, G.k):
             raise ValueError(f"{phi} is not a designated representative")
         return units(G.p, G.k)
-    by_matrix = {rep.matrix(): rep for rep in conj_class_reps(G.p)}
-    rep = by_matrix.get(phi)
-    if rep is None:
+    kind = _kinds(G.p).get(phi)
+    if kind is None:
         raise ValueError(f"{phi} is not a designated representative")
-    if rep.kind == SCALAR:
+    if kind == SCALAR:
         conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
         return reps_x(G)
     members = centralizer(phi)
@@ -210,37 +214,27 @@ def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     return _orbit_reps(G, tuple(map(_raw, stabilizer(G, phi, psi))), cosets)
 
 
-def _rank2_tag(phi_kind: str, psi_kind, rank: int) -> str:
-    if phi_kind == SCALAR:
+def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:
+    """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi."""
+    if isinstance(G, Cyclic):
+        return CASE_TAG_CYCLIC
+    kinds = _kinds(G.p)
+    rank = _one_minus(G, phi, psi).rank()
+    if kinds[phi] == SCALAR:
         state = "regular" if rank == 2 else "singular"
-        return f"case1.scalar-{psi_kind}.{state}"
-    if phi_kind == "distinct":
+        return f"case1.scalar-{kinds[psi]}.{state}"
+    if kinds[phi] == "distinct":
         return "case2.distinct-diag." + {2: "regular", 1: "rank1", 0: "rank0"}[rank]
-    if phi_kind == "jordan":
+    if kinds[phi] == "jordan":
         return "case3.jordan." + {2: "regular", 1: "rank1", 0: "rank0"}[rank]
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
-def _rank2_triples(G: ElemAbelianRank2, rep_index: int) -> list:
-    reps = conj_class_reps(G.p)
-    rep = reps[rep_index]
-    phi = rep.matrix()
-    psis = reps_y(G, phi)
-    kinds = {r.matrix(): r.kind for r in reps}
-    out = []
-    for psi in psis:
-        rank = _one_minus(G, phi, psi).rank()
-        tag = _rank2_tag(rep.kind, kinds.get(psi), rank)
-        for c in orbit_reps_c(G, phi, psi):
-            out.append(RepresentativeTriple(phi, psi, c, tag))
-    return out
-
-
-def _cyclic_triples(G: Cyclic, phi: Unit) -> list:
+def _triples(G: GroupSpec, phi: Automorphism) -> list:
     out = []
     for psi in reps_y(G, phi):
-        for c in orbit_reps_c(G, phi, psi):
-            out.append(RepresentativeTriple(phi, psi, c, CASE_TAG_CYCLIC))
+        tag = _case_tag(G, phi, psi)
+        out.extend(RepresentativeTriple(phi, psi, c, tag) for c in orbit_reps_c(G, phi, psi))
     return out
 
 
@@ -251,21 +245,13 @@ def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
     processes at most, see `pool_size`); the output is identical at any job
     count.
     """
-    if isinstance(G, Cyclic):
-        keys = list(units(G.p, G.k))
-        worker = _cyclic_triples
-        tallies = {CASE_TAG_CYCLIC: 0}
-    else:
-        keys = list(range(len(conj_class_reps(G.p))))
-        worker = _rank2_triples
-        tallies = {tag: 0 for tag in CASE_TAGS_RANK2}
-    workers = pool_size(jobs, len(keys))
-    if workers > 1:
-        _warm_caches(G)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(worker, [G] * len(keys), keys))
-    else:
-        chunks = [worker(G, key) for key in keys]
+    keys = reps_x(G)
+    tags = (CASE_TAG_CYCLIC,) if isinstance(G, Cyclic) else CASE_TAGS_RANK2
+    tallies = dict.fromkeys(tags, 0)
+    # Fills the caches forked workers inherit: the first rank-2
+    # representative is scalar, so this runs the conjugacy partition.
+    reps_y(G, keys[0])
+    chunks = parallel_map(partial(_triples, G), keys, jobs)
     triples = tuple(t for chunk in chunks for t in chunk)
     for t in triples:
         tallies[t.case_tag] += 1
@@ -279,13 +265,14 @@ def pool_size(jobs: int, items: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, items))
 
 
-def _warm_caches(G: GroupSpec):
-    # Forked workers inherit warmed lru_caches instead of re-deriving them.
-    if isinstance(G, Cyclic):
-        units(G.p, G.k)
-    else:
-        conj_class_reps(G.p)
-        conjugacy_partition(G.p)
+def parallel_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in order, on `pool_size(jobs, len(items))` processes."""
+    items = list(items)
+    workers = pool_size(jobs, len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def closed_form_cyclic(p: int, k: int) -> int:

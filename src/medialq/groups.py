@@ -167,16 +167,13 @@ class CosetList:
     """Cosets of an image subgroup Im(M) inside G.
 
     `representatives` holds one element per coset, chosen greedily in the
-    deterministic element order (so the zero coset always comes first), and
-    `coset_index` maps every group element to the position of its coset.
-    `rep_index` and `coset_of` are the same data at index level: the element
-    index of each representative, and the coset position of each element
-    index.
+    deterministic element order (so the zero coset always comes first).
+    `rep_index` holds the element index of each representative, and
+    `coset_of` the coset position of each element index.
     """
 
     representatives: tuple
     subgroup_order: int
-    coset_index: dict
     rep_index: np.ndarray
     coset_of: np.ndarray
 
@@ -208,21 +205,15 @@ def _cosets(G: GroupSpec, image: bytes) -> CosetList:
     members = np.flatnonzero(np.frombuffer(image, dtype=bool))
     add = _add_table(G)
     reps = []
-    coset_index: dict = {}
     coset_of = np.full(G.order, -1, dtype=np.int32)
     for g in range(G.order):
-        if els[g] in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        coset = add[g, members]
-        coset_of[coset] = idx
-        for h in coset.tolist():
-            coset_index[els[h]] = idx
+        if coset_of[g] < 0:
+            coset_of[add[g, members]] = len(reps)
+            reps.append(g)
     rep_index = np.array(reps, dtype=np.int32)
     for a in (rep_index, coset_of):
         a.setflags(write=False)
-    return CosetList(tuple(els[g] for g in reps), len(members), coset_index, rep_index, coset_of)
+    return CosetList(tuple(els[g] for g in reps), len(members), rep_index, coset_of)
 
 
 def quotient_cosets(G: GroupSpec, M) -> CosetList:
@@ -236,6 +227,6 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
     """
     cosets = _cosets(G, _image(G, M))
     # Im(M) is a subgroup, so its translates cover G, each element once.
-    if len(cosets) * cosets.subgroup_order != G.order or len(cosets.coset_index) != G.order:
+    if len(cosets) * cosets.subgroup_order != G.order or (cosets.coset_of < 0).any():
         raise ValueError(f"{M!r} is not an endomorphism of {G}")
     return cosets

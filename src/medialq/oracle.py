@@ -10,11 +10,10 @@ cross-validation, not a tautology.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
-from .enumeration import pool_size
+from .enumeration import parallel_map
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable
@@ -182,19 +181,14 @@ def all_affine_forms(G: GroupSpec) -> list:
     if G.order > CLASSIFY_ORDER_CAP:
         raise ValueError(f"group of order {G.order} exceeds the cap {CLASSIFY_ORDER_CAP}")
     els = G.elements()
-    forms = []
-    if isinstance(G, Cyclic):
-        auts = units(G.p, G.k)
-        for phi in auts:
-            for psi in auts:
-                forms.extend(AffineForm(G, phi, psi, c) for c in els)
-    else:
-        auts = gl2_elements(G.p)
-        for phi in auts:
-            for psi in auts:
-                if commutes(phi, psi):
-                    forms.extend(AffineForm(G, phi, psi, c) for c in els)
-    return forms
+    auts = units(G.p, G.k) if isinstance(G, Cyclic) else gl2_elements(G.p)
+    return [
+        AffineForm(G, phi, psi, c)
+        for phi in auts
+        for psi in auts
+        if commutes(phi, psi)
+        for c in els
+    ]
 
 
 def _classify_bucket(args):
@@ -230,13 +224,7 @@ def classify(tables, jobs: int = 1) -> list:
     buckets: dict = {}
     for idx, fp in enumerate(prints):
         buckets.setdefault(fp, []).append((idx, tables[idx].rows))
-    work = list(buckets.values())
-    workers = pool_size(jobs, len(work))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_classify_bucket, work))
-    else:
-        results = [_classify_bucket(w) for w in work]
+    results = parallel_map(_classify_bucket, buckets.values(), jobs)
     merged = sorted(
         (first, rows, count)
         for bucket_classes in results

@@ -65,13 +65,10 @@ class CayleyTable:
 def build_table(form: AffineForm) -> CayleyTable:
     """Cayley table of x*y = phi(x) + psi(y) + c in the group's element order."""
     G = form.group
-    els = G.elements()
-    idx = {g: i for i, g in enumerate(els)}
     add = _add_table(G)
-    pv = np.array([idx[G.apply(_raw(form.phi), g)] for g in els], dtype=np.intp)
-    qv = np.array([idx[G.apply(_raw(form.psi), g)] for g in els], dtype=np.intp)
-    rows = add[add[pv[:, None], qv[None, :]], idx[form.c]]
-    return CayleyTable(len(els), tuple(tuple(int(v) for v in r) for r in rows))
+    pv, qv = G.index_action((_raw(form.phi), _raw(form.psi)), np.arange(G.order))
+    rows = add[add[pv[:, None], qv[None, :]], G.index(form.c)]
+    return CayleyTable(G.order, tuple(map(tuple, rows.tolist())))
 
 
 def is_latin(t: CayleyTable) -> bool:
@@ -86,15 +83,17 @@ def is_latin(t: CayleyTable) -> bool:
 def is_medial(t: CayleyTable) -> bool:
     """Exhaustive check of (x*y)*(u*v) == (x*u)*(y*v) over all n^4 quadruples.
 
-    The check is the naive one, merely vectorized: L[x,y,u,v] = (x*y)*(u*v)
-    is one gather, and (x*u)*(y*v) is the same gather with the middle axes
-    swapped.  Nothing about the table is assumed.
+    The check is the naive one, vectorized one x at a time so that memory
+    grows as n^3: A[y,u,v] = (x*y)*(u*v) is one gather, and (x*u)*(y*v) is
+    the same gather with the first two axes swapped.  Nothing about the
+    table is assumed; the first failing x ends the check.
     """
-    n = t.n
     src = np.asarray(t.rows, dtype=np.int16)
-    idx = np.asarray(t.rows, dtype=np.intp).ravel()
-    L = src[idx[:, None], idx[None, :]].reshape(n, n, n, n)
-    return bool((L == L.transpose(0, 2, 1, 3)).all())
+    for row in src:
+        A = src[row[:, None, None], src[None, :, :]]
+        if not (A == A.transpose(1, 0, 2)).all():
+            return False
+    return True
 
 
 def count_idempotents(t: CayleyTable) -> int:

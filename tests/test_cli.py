@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from medialq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from medialq.quasigroup import tables_from_text
 
@@ -208,3 +210,59 @@ def test_interpolate_cyclic_names_the_enumeration_bound(capsys):
     code, _, err = run(capsys, "interpolate", "--series", "cyclic", "--k", "2", "--primes", "8")
     assert code == EXIT_USAGE
     assert "k = 2" in err and "(7 primes)" in err  # 2, 3, 5, 7, 11, 13, 17: 17^2 = 289
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group", "zp2", "--p", "2", "--k", "5"],
+        ["export", "--group", "zp2", "--p", "2", "--k", "2", "--out", "{tmp}/never"],
+        ["crosscheck", "--group", "zp2", "--p", "2", "--k", "3"],
+        ["count", "--group", "zp2", "--p", "3", "--k", "2"],
+        ["count", "--group", "order-p2", "--p", "3", "--k", "3"],
+        ["count", "--group", "n", "--n", "12", "--k", "9"],
+        ["interpolate", "--series", "zp2", "--k", "7", "--primes", "2"],
+        ["interpolate", "--series", "order-p2", "--k", "2", "--primes", "2"],
+    ],
+)
+def test_exponent_without_a_cyclic_group_is_rejected(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_USAGE
+    assert "--k applies only to cyclic groups" in err
+    assert out == ""
+    assert not (tmp_path / "never").exists()
+
+
+def test_prime_with_group_n_is_rejected(capsys):
+    code, out, err = run(capsys, "count", "--group", "n", "--n", "12", "--p", "5")
+    assert code == EXIT_USAGE
+    assert "--p does not apply to --group n" in err
+    assert out == ""
+
+
+def test_order_without_group_n_is_rejected(capsys):
+    code, out, err = run(capsys, "count", "--group", "cyclic", "--p", "3", "--n", "7")
+    assert code == EXIT_USAGE
+    assert "--n applies only to --group n" in err
+    assert out == ""
+
+
+def test_tables_with_text_format_is_rejected(capsys):
+    code, out, err = run(
+        capsys, "enumerate", "--group", "zp2", "--p", "2", "--tables", "--format", "text"
+    )
+    assert code == EXIT_USAGE
+    assert "--tables needs --format jsonl" in err
+    assert out == ""
+
+
+def test_cyclic_k_alias_is_gone(capsys):
+    code, out, _ = run(capsys, "interpolate", "--series", "cyclic-k", "--primes", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+
+
+def test_rank2_series_names_its_bound(capsys):
+    code, _, err = run(capsys, "interpolate", "--series", "order-p2", "--primes", "6")
+    assert code == EXIT_USAGE
+    assert "p <= 11 (5 primes)" in err

@@ -296,7 +296,9 @@ def test_pool_size_is_clamped(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     V2 = ElemAbelianRank2(Prime(2))
     assert enumerate_forms(V2, jobs=50).triples == enumerate_forms(V2).triples  # 3 phi reps
-    assert RecordingPool.sizes == [3, 3]
+    Z27 = Cyclic(Prime(3), 3)
+    assert enumerate_forms(Z27, jobs=50).triples == enumerate_forms(Z27).triples  # 18 units
+    assert RecordingPool.sizes == [3, 3, 18]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert pool_size(8, 100) == 1
     for jobs in (0, -4):

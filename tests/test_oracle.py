@@ -216,7 +216,7 @@ def test_every_small_medial_square_is_affine():
 
 
 def test_classify_pool_size_is_clamped(monkeypatch):
-    from medialq import enumeration, oracle
+    from medialq import enumeration
 
     sizes = []
 
@@ -233,7 +233,7 @@ def test_classify_pool_size_is_clamped(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     tables = [build_table(f) for f in all_affine_forms(V2)]
     buckets = len({fingerprint(t) for t in tables})

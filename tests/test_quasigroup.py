@@ -1,6 +1,10 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit
@@ -168,3 +172,46 @@ def test_table_shape_validation():
         CayleyTable(2, ((0, 1),))
     with pytest.raises(ValueError):
         CayleyTable(2, ((0, 1), (1, 2)))
+
+
+def medial_n4(t):
+    """The earlier is_medial: the whole n^4 gather at once, kept as the reference."""
+    n = t.n
+    src = np.asarray(t.rows, dtype=np.int16)
+    idx = np.asarray(t.rows, dtype=np.intp).ravel()
+    L = src[idx[:, None], idx[None, :]].reshape(n, n, n, n)
+    return bool((L == L.transpose(0, 2, 1, 3)).all())
+
+
+@st.composite
+def affine_tables_with_an_edit(draw):
+    # x*y = a x + b y + c over Z_n, a and b any residues (the table need not
+    # be Latin), and a copy with one cell set to some other symbol
+    n = draw(st.integers(1, 12))
+    a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+    rows = [[(a * x + b * y + c) % n for y in range(n)] for x in range(n)]
+    table = CayleyTable(n, tuple(map(tuple, rows)))
+    x, y, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+    rows[x][y] = v
+    return table, CayleyTable(n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_tables_with_an_edit())
+def test_is_medial_agrees_with_the_n4_reference(case):
+    table, edited = case
+    assert is_medial(table) is medial_n4(table) is True
+    assert is_medial(edited) is medial_n4(edited)
+
+
+def test_is_medial_memory_grows_as_n_cubed():
+    # order 101: the n^4 reference would need about 200 MB for its gather alone
+    G = Cyclic(Prime(101), 1)
+    table = build_table(AffineForm(G, Unit(2, 101), Unit(3, 101), 5))
+    tracemalloc.start()
+    try:
+        assert is_medial(table) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
