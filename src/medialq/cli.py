@@ -46,6 +46,12 @@ EXIT_MISMATCH = 2
 MAX_ENUM_CYCLIC_ORDER = 300
 MAX_ENUM_ZP2_PRIME = 11
 
+# Bounds on what enumerate, export, crosscheck and verify accept, checked
+# before any work.
+MAX_ZP2_PRIME = 13
+MAX_CYCLIC_ORDER = 1024
+MAX_TABLE_ORDER = 81
+
 
 class UsageError(Exception):
     pass
@@ -126,10 +132,21 @@ def _group(args):
     p = _prime(args.p)
     if args.group == "zp2":
         _no_exponent(args, "--group zp2")
+        if p > MAX_ZP2_PRIME:
+            raise UsageError(f"--group zp2 is supported up to the bound p <= {MAX_ZP2_PRIME}")
         return ElemAbelianRank2(p)
     if args.k < 1:
         raise UsageError("--k must be >= 1")
+    # p >= 2, so any k at or above the bound's bit length exceeds it; this
+    # keeps p^k small when k is huge.
+    if p ** min(args.k, MAX_CYCLIC_ORDER.bit_length()) > MAX_CYCLIC_ORDER:
+        raise UsageError(f"--group cyclic is supported up to the bound p^k <= {MAX_CYCLIC_ORDER}")
     return Cyclic(p, args.k)
+
+
+def _check_table_order(n: int):
+    if n > MAX_TABLE_ORDER:
+        raise UsageError(f"tables of order {n} exceed the bound n <= {MAX_TABLE_ORDER}")
 
 
 def _primes():
@@ -201,6 +218,8 @@ def _cmd_enumerate(args) -> int:
     if args.tables and args.format == "text":
         raise UsageError("--tables needs --format jsonl: the text format prints no tables")
     G = _group(args)
+    if args.tables:
+        _check_table_order(G.order)
     report = enumerate_forms(G, jobs=args.jobs)
     for triple in report.triples:
         table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c)) if args.tables else None
@@ -219,6 +238,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_export(args) -> int:
     G = _group(args)
+    _check_table_order(G.order)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = enumerate_forms(G, jobs=args.jobs)
@@ -236,6 +256,8 @@ def _cmd_verify(args) -> int:
         tables = tables_from_text(text)
     except (OSError, ValueError) as exc:
         raise UsageError(str(exc))
+    for t in tables:
+        _check_table_order(t.n)
     for i, t in enumerate(tables):
         latin = "yes" if is_latin(t) else "no"
         medial = "yes" if is_medial(t) else "no"

@@ -199,8 +199,12 @@ def _image(G: GroupSpec, M) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _cosets(G: GroupSpec, image: bytes) -> CosetList:
-    """Greedy coset list of the element set `image` (a byte mask) in G."""
+def _cosets(G: GroupSpec, image: bytes) -> CosetList | None:
+    """Greedy coset list of the element set `image` (a byte mask) in G.
+
+    None when `image` is not a subgroup: then its greedy translates do not
+    partition G.  The check runs once per image, as the result is cached.
+    """
     els = G.elements()
     members = np.flatnonzero(np.frombuffer(image, dtype=bool))
     add = _add_table(G)
@@ -210,6 +214,9 @@ def _cosets(G: GroupSpec, image: bytes) -> CosetList:
         if coset_of[g] < 0:
             coset_of[add[g, members]] = len(reps)
             reps.append(g)
+    # A subgroup's translates cover G, each element once.
+    if len(reps) * len(members) != G.order or (coset_of < 0).any():
+        return None
     rep_index = np.array(reps, dtype=np.int32)
     for a in (rep_index, coset_of):
         a.setflags(write=False)
@@ -226,7 +233,6 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
     one subgroup is the same object every time.
     """
     cosets = _cosets(G, _image(G, M))
-    # Im(M) is a subgroup, so its translates cover G, each element once.
-    if len(cosets) * cosets.subgroup_order != G.order or (cosets.coset_of < 0).any():
+    if cosets is None:
         raise ValueError(f"{M!r} is not an endomorphism of {G}")
     return cosets

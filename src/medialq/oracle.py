@@ -1,9 +1,9 @@
 """Brute-force ground truth for "up to isomorphism".
 
-Isomorphism of Cayley tables is decided by backtracking over partial symbol
-bijections with invariant pre-filtering (fingerprints) and per-symbol
-signature pruning, plus forced propagation: once sigma is fixed on i and j
-it is forced on i*j.  Nothing in this module consults the affine theory --
+Isomorphism of Cayley tables is decided in one place, `_iso_search`, by
+backtracking over partial symbol bijections with invariant pre-filtering
+(fingerprints) and per-symbol signature pruning, plus forced propagation:
+once sigma is fixed on i and j it is forced on i*j.  Nothing in this module consults the affine theory --
 it works on raw tables -- so agreement with the enumerator is genuine
 cross-validation, not a tautology.
 """
@@ -16,7 +16,7 @@ from itertools import permutations
 from .enumeration import parallel_map
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
-from .quasigroup import AffineForm, CayleyTable
+from .quasigroup import AffineForm, CayleyTable, count_idempotents
 
 ISO_ORDER_CAP = 16
 CLASSIFY_ORDER_CAP = 9
@@ -68,12 +68,10 @@ def _cycle_lengths(f) -> tuple:
 
 def fingerprint(t: CayleyTable) -> Fingerprint:
     rows = t.rows
-    n = t.n
-    diag = [rows[i][i] for i in range(n)]
     return Fingerprint(
-        order=n,
-        idempotent_count=sum(1 for i in range(n) if diag[i] == i),
-        diagonal_cycle_type=_cycle_lengths(diag),
+        order=t.n,
+        idempotent_count=count_idempotents(t),
+        diagonal_cycle_type=_cycle_lengths([rows[i][i] for i in range(t.n)]),
         row_profile=tuple(sorted(_cycle_lengths(row) for row in rows)),
     )
 
@@ -88,16 +86,20 @@ def _signatures(rows) -> list:
     ]
 
 
-def _iso_search(s, t) -> bool:
+def _iso_search(s, sig_s, t, sig_t) -> bool:
+    """Whether row tuples s and t are isomorphic, given their `_signatures`.
+
+    Every isomorphism decision in this module is made here.
+    """
     n = len(s)
-    sig_s = _signatures(s)
-    sig_t = _signatures(t)
+    if n > ISO_ORDER_CAP:
+        raise ValueError(f"order {n} exceeds the exhaustive cap {ISO_ORDER_CAP}")
+    if s == t:
+        return True
     if sorted(sig_s) != sorted(sig_t):
         return False
     cand = [[v for v in range(n) if sig_t[v] == sig_s[i]] for i in range(n)]
     candset = [frozenset(c) for c in cand]
-    if any(not c for c in cand):
-        return False
     order = sorted(range(n), key=lambda i: len(cand[i]))
 
     m = [-1] * n
@@ -155,13 +157,7 @@ def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
     """Whether a bijection sigma exists with sigma(s[i][j]) = t[sigma(i)][sigma(j)]."""
     if s.n != t.n:
         return False
-    if s.n > ISO_ORDER_CAP:
-        raise ValueError(f"order {s.n} exceeds the exhaustive cap {ISO_ORDER_CAP}")
-    if s.rows == t.rows:
-        return True
-    if fingerprint(s) != fingerprint(t):
-        return False
-    return _iso_search(s.rows, t.rows)
+    return _iso_search(s.rows, _signatures(s.rows), t.rows, _signatures(t.rows))
 
 
 def relabel(t: CayleyTable, perm) -> CayleyTable:
@@ -191,18 +187,19 @@ def all_affine_forms(G: GroupSpec) -> list:
     ]
 
 
-def _classify_bucket(args):
+def _classify_bucket(indexed_rows):
     # One fingerprint bucket: greedy scan keeping the first table of each class.
-    indexed_rows = args
-    classes = []  # (first_index, rows, count)
+    # Signatures are computed here, per bucket, so at most one bucket's are held.
+    classes = []  # (first_index, rows, signatures, count)
     for idx, rows in indexed_rows:
-        for ci, (first, canon, count) in enumerate(classes):
-            if rows == canon or _iso_search(rows, canon):
-                classes[ci] = (first, canon, count + 1)
+        sig = _signatures(rows)
+        for ci, (first, canon, canon_sig, count) in enumerate(classes):
+            if _iso_search(rows, sig, canon, canon_sig):
+                classes[ci] = (first, canon, canon_sig, count + 1)
                 break
         else:
-            classes.append((idx, rows, 1))
-    return classes
+            classes.append((idx, rows, sig, 1))
+    return [(first, count) for first, _, _, count in classes]
 
 
 def classify(tables, jobs: int = 1) -> list:
@@ -225,24 +222,21 @@ def classify(tables, jobs: int = 1) -> list:
     for idx, fp in enumerate(prints):
         buckets.setdefault(fp, []).append((idx, tables[idx].rows))
     results = parallel_map(_classify_bucket, buckets.values(), jobs)
-    merged = sorted(
-        (first, rows, count)
-        for bucket_classes in results
-        for first, rows, count in bucket_classes
-    )
-    return [
-        IsoClass(CayleyTable(n, rows), count, prints[first])
-        for first, rows, count in merged
-    ]
+    merged = sorted(pair for bucket_classes in results for pair in bucket_classes)
+    return [IsoClass(tables[first], count, prints[first]) for first, count in merged]
 
 
 def assign_to_classes(classes, tables) -> list:
     """Index of the class each table belongs to; raises if one matches nothing."""
+    class_sigs = [_signatures(cls.canonical_member.rows) for cls in classes]
     result = []
     for t in tables:
         fp = fingerprint(t)
+        sig = _signatures(t.rows)
         for ci, cls in enumerate(classes):
-            if cls.fingerprint == fp and are_isomorphic(t, cls.canonical_member):
+            if cls.fingerprint == fp and _iso_search(
+                t.rows, sig, cls.canonical_member.rows, class_sigs[ci]
+            ):
                 result.append(ci)
                 break
         else:

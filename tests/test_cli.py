@@ -266,3 +266,82 @@ def test_rank2_series_names_its_bound(capsys):
     code, _, err = run(capsys, "interpolate", "--series", "order-p2", "--primes", "6")
     assert code == EXIT_USAGE
     assert "p <= 11 (5 primes)" in err
+
+
+def refuse_work(monkeypatch):
+    """Make every expensive step of the CLI fail the test if it is reached."""
+    from medialq import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an input over a bound")
+
+    for name in ("enumerate_forms", "build_table", "is_latin", "is_medial"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["enumerate", "--group", "zp2", "--p", "101"], "p <= 13"),
+        (["enumerate", "--group", "zp2", "--p", "17", "--jobs", "2"], "p <= 13"),
+        (["export", "--group", "zp2", "--p", "17", "--out", "{tmp}/never"], "p <= 13"),
+        (["enumerate", "--group", "cyclic", "--p", "2", "--k", "15"], "p^k <= 1024"),
+        (["enumerate", "--group", "cyclic", "--p", "2", "--k", "11"], "p^k <= 1024"),
+        (["enumerate", "--group", "cyclic", "--p", "1031"], "p^k <= 1024"),
+        (["enumerate", "--group", "cyclic", "--p", "3", "--k", "1000000000"], "p^k <= 1024"),
+        (["export", "--group", "cyclic", "--p", "2", "--k", "15", "--out", "{tmp}/never"],
+         "p^k <= 1024"),
+        (["enumerate", "--group", "cyclic", "--p", "2", "--k", "7", "--tables"], "n <= 81"),
+        (["export", "--group", "zp2", "--p", "11", "--out", "{tmp}/never"], "n <= 81"),
+        (["export", "--group", "cyclic", "--p", "83", "--out", "{tmp}/never"], "n <= 81"),
+    ],
+)
+def test_over_bound_input_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, argv, bound):
+    refuse_work(monkeypatch)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_USAGE
+    assert f"bound {bound}" in err
+    assert out == ""
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["enumerate", "--group", "zp2", "--p", "13"], 169),
+        (["enumerate", "--group", "cyclic", "--p", "2", "--k", "10"], 1024),
+        (["enumerate", "--group", "cyclic", "--p", "3", "--k", "6"], 729),
+        (["enumerate", "--group", "cyclic", "--p", "31", "--k", "2"], 961),
+        (["enumerate", "--group", "cyclic", "--p", "1021"], 1021),
+        (["enumerate", "--group", "cyclic", "--p", "3", "--k", "4", "--tables"], 81),
+        (["export", "--group", "cyclic", "--p", "3", "--k", "4", "--out", "{tmp}/out"], 81),
+    ],
+)
+def test_inputs_at_a_bound_are_admitted(tmp_path, capsys, monkeypatch, argv, order):
+    # the enumeration is replaced by an empty report, so nothing at the bound runs
+    from types import SimpleNamespace
+
+    from medialq import cli
+
+    groups = []
+
+    def empty_report(G, jobs=1):
+        groups.append(G)
+        return SimpleNamespace(triples=(), total=0)
+
+    monkeypatch.setattr(cli, "enumerate_forms", empty_report)
+    code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_OK
+    assert [G.order for G in groups] == [order]
+
+
+def test_verify_checks_every_order_before_printing(tmp_path, capsys, monkeypatch):
+    refuse_work(monkeypatch)
+    n = 82
+    big = "\n".join([str(n)] + [" ".join(str((i + j) % n) for j in range(n)) for i in range(n)])
+    path = tmp_path / "tables.txt"
+    path.write_text("2\n0 1\n1 0\n" + big + "\n")
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == EXIT_USAGE
+    assert "tables of order 82 exceed the bound n <= 81" in err
+    assert out == ""

@@ -1,13 +1,19 @@
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from medialq import oracle
+from medialq.cli import main
 from medialq.enumeration import enumerate_forms
 from medialq.fp import Prime
 from medialq.gl2 import gl2_elements
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import (
+    IsoClass,
     all_affine_forms,
     all_latin_squares,
     are_isomorphic,
@@ -16,7 +22,14 @@ from medialq.oracle import (
     fingerprint,
     relabel,
 )
-from medialq.quasigroup import AffineForm, CayleyTable, build_table, is_medial
+from medialq.quasigroup import (
+    AffineForm,
+    CayleyTable,
+    build_table,
+    is_medial,
+    tables_from_text,
+    to_text,
+)
 
 Z4 = Cyclic(Prime(2), 2)
 V2 = ElemAbelianRank2(Prime(2))
@@ -73,6 +86,8 @@ def test_order_cap_enforced():
     big = group_table(Cyclic(Prime(17), 1))
     with pytest.raises(ValueError, match="cap"):
         are_isomorphic(big, big)
+    with pytest.raises(ValueError, match="exhaustive cap"):
+        assign_to_classes([IsoClass(big, 1, fingerprint(big))], [big])
     with pytest.raises(ValueError, match="cap"):
         classify([group_table(Cyclic(Prime(11), 1))])
     with pytest.raises(ValueError):
@@ -135,7 +150,7 @@ def test_classify_small_groups():
     assert len(classes_v2) == 9
 
     # the canonical member of each class is the first input belonging to it
-    assert classes_v2[0].canonical_member == tables_v2[0]
+    assert classes_v2[0].canonical_member is tables_v2[0]
 
 
 def test_classify_deterministic_and_parallel():
@@ -159,6 +174,15 @@ def test_assign_to_classes_rejects_stranger():
     classes = classify(tables)
     with pytest.raises(ValueError):
         assign_to_classes(classes, [group_table(Z9)])
+    # a table whose fingerprint matches a class it is not isomorphic to
+    i, j = next(
+        (i, j)
+        for i in range(len(classes))
+        for j in range(i)
+        if classes[i].fingerprint == classes[j].fingerprint
+    )
+    with pytest.raises(ValueError, match="not isomorphic to any class member"):
+        assign_to_classes([classes[j]], [classes[i].canonical_member])
 
 
 def brute_isomorphic(s, t):
@@ -242,3 +266,121 @@ def test_classify_pool_size_is_clamped(monkeypatch):
     assert sizes == [min(64, buckets)]
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         classify(tables, jobs=0)
+
+
+def test_signatures_are_computed_once_per_table(monkeypatch, capsys):
+    calls = []
+    signatures = oracle._signatures
+
+    def counting(rows):
+        calls.append(len(rows))
+        return signatures(rows)
+
+    monkeypatch.setattr(oracle, "_signatures", counting)
+    tables = [build_table(f) for f in all_affine_forms(Z9)]
+    classes = classify(tables)
+    assert 0 < len(calls) <= len(tables)
+    calls.clear()
+    reps = rep_tables(Z9)
+    assign_to_classes(classes, reps)
+    assert 0 < len(calls) <= len(reps) + len(classes)
+    calls.clear()
+    # 3456 affine tables, then 68 representatives and 68 classes
+    assert main(["crosscheck", "--group", "zp2", "--p", "3"]) == 0
+    assert "68 = 68 OK" in capsys.readouterr().out
+    assert 0 < len(calls) <= 3456 + 68 + 68
+
+
+# ---------------------------------------------------------------- properties
+
+SMALL_GROUPS = [
+    Cyclic(Prime(p), k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+] + [V2, V3]
+
+
+@lru_cache(maxsize=None)
+def forms_of(G):
+    return all_affine_forms(G)
+
+
+@st.composite
+def affine_tables(draw, G=None):
+    # a random affine table over a group of order <= 9, or a copy with one cell changed
+    G = G or draw(st.sampled_from(SMALL_GROUPS))
+    forms = forms_of(G)
+    table = build_table(forms[draw(st.integers(0, len(forms) - 1))])
+    if not draw(st.booleans()):
+        return table
+    n = table.n
+    x, y = (draw(st.integers(0, n - 1)) for _ in range(2))
+    rows = [list(r) for r in table.rows]
+    rows[x][y] = (rows[x][y] + draw(st.integers(1, n - 1))) % n
+    return CayleyTable(n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_invariants_survive_relabelling(data):
+    G = data.draw(st.sampled_from(SMALL_GROUPS))
+    t = data.draw(affine_tables(G))
+    u = data.draw(affine_tables(G))
+    perm = data.draw(st.permutations(range(t.n)))
+    r = relabel(t, perm)
+    assert fingerprint(r) == fingerprint(t)
+    assert is_medial(r) == is_medial(t)
+    assert are_isomorphic(t, r) and are_isomorphic(r, t)
+    assert are_isomorphic(u, r) == are_isomorphic(u, t)
+    perm_u = data.draw(st.permutations(range(u.n)))
+    assert are_isomorphic(r, relabel(u, perm_u)) == are_isomorphic(t, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_classes_survive_relabelling_each_table(data):
+    G = data.draw(st.sampled_from(SMALL_GROUPS))
+    tables = data.draw(st.lists(affine_tables(G), min_size=1, max_size=12))
+    relabelled = [relabel(t, data.draw(st.permutations(range(t.n)))) for t in tables]
+    assert [c.members for c in classify(relabelled)] == [c.members for c in classify(tables)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(affine_tables())
+def test_text_round_trip(t):
+    assert tables_from_text(to_text(t)) == [t]
+
+
+@st.composite
+def corrupted_text(draw):
+    # a table's text with one defect: a token missing, a word, a symbol out
+    # of range, or an order below 1
+    t = draw(affine_tables())
+    tokens = to_text(t).split()
+    kind = draw(st.sampled_from(["drop", "word", "range", "order"]))
+    if kind == "drop":
+        del tokens[draw(st.integers(1, len(tokens) - 1))]
+    elif kind == "word":
+        word = draw(st.sampled_from(["x", "1.5", "-", "0x1"]))
+        tokens[draw(st.integers(0, len(tokens) - 1))] = word
+    elif kind == "range":
+        symbol = draw(st.sampled_from([-1, t.n, 10 ** 6]))
+        tokens[draw(st.integers(1, len(tokens) - 1))] = str(symbol)
+    else:
+        tokens[0] = str(draw(st.integers(-3, 0)))
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_text())
+def test_garbage_text_is_rejected(text):
+    with pytest.raises(ValueError):
+        tables_from_text(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+def test_any_text_parses_to_tables_or_raises_value_error(text):
+    try:
+        tables = tables_from_text(text)
+    except ValueError:
+        return
+    assert tables_from_text("".join(to_text(t) for t in tables)) == tables
