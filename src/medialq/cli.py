@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .fp import Prime
 from .enumeration import (
+    MAX_COMPOSITE_ORDER,
     closed_form_cyclic,
     closed_form_order_p2,
     closed_form_zp2,
@@ -128,6 +129,11 @@ def _no_exponent(args, where: str):
         raise UsageError(f"--k applies only to cyclic groups, not to {where}")
 
 
+def _power_within(p: int, k: int, bound: int) -> bool:
+    """Whether p^k <= bound; for p >= 2 any k of the bound's bit length or more exceeds it."""
+    return p ** min(k, bound.bit_length()) <= bound
+
+
 def _group(args):
     p = _prime(args.p)
     if args.group == "zp2":
@@ -137,11 +143,17 @@ def _group(args):
         return ElemAbelianRank2(p)
     if args.k < 1:
         raise UsageError("--k must be >= 1")
-    # p >= 2, so any k at or above the bound's bit length exceeds it; this
-    # keeps p^k small when k is huge.
-    if p ** min(args.k, MAX_CYCLIC_ORDER.bit_length()) > MAX_CYCLIC_ORDER:
+    if not _power_within(p, args.k, MAX_CYCLIC_ORDER):
         raise UsageError(f"--group cyclic is supported up to the bound p^k <= {MAX_CYCLIC_ORDER}")
     return Cyclic(p, args.k)
+
+
+def _file_io(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with an OSError from the file system reported as a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise UsageError(str(exc))
 
 
 def _check_table_order(n: int):
@@ -189,6 +201,8 @@ def _cmd_count(args) -> int:
     p = _prime(args.p)
     ok = True
     if args.group == "cyclic":
+        if not _power_within(p, args.k, MAX_COMPOSITE_ORDER):
+            raise UsageError(f"--group cyclic is counted up to the bound p^k <= {MAX_COMPOSITE_ORDER}")
         G = Cyclic(p, args.k)
         closed = closed_form_cyclic(p, args.k)
         enumerated = enumerate_forms(G).total if G.order <= MAX_ENUM_CYCLIC_ORDER else None
@@ -240,22 +254,17 @@ def _cmd_export(args) -> int:
     G = _group(args)
     _check_table_order(G.order)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _file_io(out.mkdir, parents=True, exist_ok=True)
     report = enumerate_forms(G, jobs=args.jobs)
     for i, triple in enumerate(report.triples):
         table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c))
-        path = out / f"{i:04d}_{triple.case_tag}.txt"
-        path.write_text(to_text(table))
+        _file_io((out / f"{i:04d}_{triple.case_tag}.txt").write_text, to_text(table))
     print(f"wrote {report.total} tables to {out}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    try:
-        text = Path(args.infile).read_text()
-        tables = tables_from_text(text)
-    except (OSError, ValueError) as exc:
-        raise UsageError(str(exc))
+    tables = tables_from_text(_file_io(Path(args.infile).read_text))
     for t in tables:
         _check_table_order(t.n)
     for i, t in enumerate(tables):
@@ -310,7 +319,7 @@ def _cmd_interpolate(args) -> int:
         if args.k < 1:
             raise UsageError("--k must be >= 1")
         name, bound = f"cyclic with k = {args.k}", f"p^k <= {MAX_ENUM_CYCLIC_ORDER}"
-        supported = list(takewhile(lambda p: p ** args.k <= MAX_ENUM_CYCLIC_ORDER, _primes()))
+        supported = list(takewhile(lambda p: _power_within(p, args.k, MAX_ENUM_CYCLIC_ORDER), _primes()))
     else:
         _no_exponent(args, f"--series {args.series}")
         name, bound = args.series, f"p <= {MAX_ENUM_ZP2_PRIME}"

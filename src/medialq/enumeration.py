@@ -30,9 +30,6 @@ from .gl2 import (
     SCALAR,
     Automorphism,
     Mat2,
-    _commutant,
-    _entries,
-    _mul,
     _raw,
     centralizer,
     commutes,
@@ -109,26 +106,14 @@ def reps_x(G: GroupSpec) -> tuple:
     return tuple(_kinds(G.p))
 
 
-@lru_cache(maxsize=None)
-def _assert_commutative(members: tuple) -> bool:
-    """Raise unless every pair of the matrices commutes; every pair is multiplied."""
-    x = _entries(members)
-    products = _mul(x[:, None], x[None, :], members[0].p)  # [i, j] = members[i] members[j]
-    clash = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))
-    if clash.size:
-        i, j = clash[0]  # the first failing pair in row-major order, so i < j
-        raise ValueError(f"centralizer is not commutative: {members[i]} vs {members[j]}")
-    return True
-
-
 def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
     """Conjugacy-class representatives of C(phi), conjugating inside C(phi).
 
     For scalar phi the centralizer is all of GL(2, p) and the global
     representative list is reused -- after checking (once per prime, via
     the brute-force partition) that it really is a transversal.  For the
-    other kinds C(phi) is verified to be commutative, so it is its own
-    transversal.
+    other kinds `centralizer` has verified C(phi) to be commutative, so it
+    is its own transversal.
     """
     if isinstance(G, Cyclic):
         if phi not in units(G.p, G.k):
@@ -140,9 +125,7 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
     if kind == SCALAR:
         conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
         return reps_x(G)
-    members = centralizer(phi)
-    _assert_commutative(members)
-    return members
+    return centralizer(phi)
 
 
 def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
@@ -151,13 +134,11 @@ def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
         raise ValueError("phi and psi do not commute")
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
-    if phi.is_scalar():
-        # scalars are central, so the intersection is just C(psi)
-        return centralizer(psi)
-    base = centralizer(phi)
-    if psi.is_scalar():
-        return base
-    return _commutant(base, _entries(base), psi)
+    if phi.det() == 0 or psi.det() == 0:
+        raise ValueError(f"phi = {phi} and psi = {psi} must both be invertible")
+    # A scalar phi is central, so this is C(psi).  Otherwise psi lies in C(phi),
+    # which `centralizer` checks to be commutative, so this is C(phi).
+    return centralizer(psi if phi.is_scalar() else phi)
 
 
 _ACTION_CHUNK = 1 << 14  # action-array entries held at a time by _orbit_reps

@@ -9,10 +9,10 @@ Centralizers are always computed by brute-force filtering of the full
 GL(2, p) element list, and the conjugacy partition by conjugating every
 representative by every element.  Both run on integer arrays of matrix
 entries (one row per matrix, columns m00, m01, m10, m11) and hand back the
-`Mat2` objects of `gl2_elements`.  The closed-form parametrizations of those
-subgroups (`parametrized_centralizer`) are kept separately so the test suite
-can assert that filter and formula agree element for element: the formulas
-are checked facts, not trusted input.
+`Mat2` objects of `gl2_elements`, built from those rows.  The closed-form
+parametrizations of those subgroups (`parametrized_centralizer`) are kept
+separately so the test suite can assert that filter and formula agree
+element for element: the formulas are checked facts, not trusted input.
 """
 
 from __future__ import annotations
@@ -170,11 +170,15 @@ def _codes(x: np.ndarray, p: int) -> np.ndarray:
     return ((x[..., 0] * p + x[..., 1]) * p + x[..., 2]) * p + x[..., 3]
 
 
-def _commutant(members: tuple, x: np.ndarray, A: Mat2) -> tuple:
-    """The members B (entry rows x) with AB = BA, in their given order."""
-    a = np.array(A.entries, dtype=np.int32)
-    keep = (_mul(a, x, A.p) == _mul(x, a, A.p)).all(axis=-1)
-    return tuple(members[i] for i in np.flatnonzero(keep).tolist())
+def _assert_commutative(members: tuple) -> bool:
+    """Raise unless every pair of the matrices commutes; every pair is multiplied."""
+    x = _entries(members)
+    products = _mul(x[:, None], x[None, :], members[0].p)  # [i, j] = members[i] members[j]
+    clash = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))
+    if clash.size:
+        i, j = clash[0]  # the first failing pair in row-major order, so i < j
+        raise ValueError(f"centralizer is not commutative: {members[i]} vs {members[j]}")
+    return True
 
 
 @dataclass(frozen=True)
@@ -238,26 +242,20 @@ def conj_class_reps(p: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def gl2_elements(p: int) -> tuple:
-    """All invertible 2x2 matrices over F_p, lexicographic by entries."""
+def _gl2_entries(p: int) -> np.ndarray:
+    """Entry rows of every invertible 2x2 matrix over F_p, lexicographic by entries."""
     p = Prime(p)
-    out = []
-    for m00 in range(p):
-        for m01 in range(p):
-            for m10 in range(p):
-                for m11 in range(p):
-                    m = Mat2(m00, m01, m10, m11, p)
-                    if m.det() != 0:
-                        out.append(m)
-    return tuple(out)
+    x = np.indices((p,) * 4, dtype=np.int32).reshape(4, -1).T
+    x = x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
+    x.setflags(write=False)
+    return x
 
 
 @lru_cache(maxsize=None)
-def _gl2_entries(p: int) -> np.ndarray:
-    """Entry rows of gl2_elements(p), in the same order."""
-    x = _entries(gl2_elements(p))
-    x.setflags(write=False)
-    return x
+def gl2_elements(p: int) -> tuple:
+    """All invertible 2x2 matrices over F_p, lexicographic by entries: `_gl2_entries` as `Mat2`."""
+    p = Prime(p)
+    return tuple(Mat2(*row, p) for row in _gl2_entries(p).tolist())
 
 
 def gl2_order(p: int) -> int:
@@ -266,10 +264,20 @@ def gl2_order(p: int) -> int:
 
 @lru_cache(maxsize=None)
 def centralizer(A: Mat2) -> tuple:
-    """The subgroup {B in GL(2,p) : AB = BA}, by brute-force filter."""
+    """The subgroup {B in GL(2,p) : AB = BA}, by brute-force filter.
+
+    For non-scalar A, every pair of members is also checked to commute.
+    """
     if A.det() == 0:
         raise ValueError(f"{A} is singular; centralizers are taken in GL(2,p)")
-    return _commutant(gl2_elements(A.p), _gl2_entries(A.p), A)
+    x = _gl2_entries(A.p)
+    a = np.array(A.entries, dtype=np.int32)
+    keep = (_mul(a, x, A.p) == _mul(x, a, A.p)).all(axis=-1)
+    gl = gl2_elements(A.p)
+    members = tuple(gl[i] for i in np.flatnonzero(keep).tolist())
+    if not A.is_scalar():
+        _assert_commutative(members)
+    return members
 
 
 def parametrized_centralizer(rep: ConjClassRep) -> tuple:

@@ -84,13 +84,13 @@ def is_medial(t: CayleyTable) -> bool:
     """Exhaustive check of (x*y)*(u*v) == (x*u)*(y*v) over all n^4 quadruples.
 
     The check is the naive one, vectorized one x at a time so that memory
-    grows as n^3: A[y,u,v] = (x*y)*(u*v) is one gather, and (x*u)*(y*v) is
-    the same gather with the first two axes swapped.  Nothing about the
-    table is assumed; the first failing x ends the check.
+    grows as n^3: A[y,u,v] = (x*y)*(u*v) reads the rows x*y at the columns
+    u*v, and (x*u)*(y*v) is A with the first two axes swapped.  Nothing
+    about the table is assumed; the first failing x ends the check.
     """
     src = np.asarray(t.rows, dtype=np.int16)
     for row in src:
-        A = src[row[:, None, None], src[None, :, :]]
+        A = src[row][:, src]
         if not (A == A.transpose(1, 0, 2)).all():
             return False
     return True

@@ -345,3 +345,104 @@ def test_verify_checks_every_order_before_printing(tmp_path, capsys, monkeypatch
     assert code == EXIT_USAGE
     assert "tables of order 82 exceed the bound n <= 81" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--group", "cyclic", "--p", "2", "--k", "40"],
+        ["count", "--group", "cyclic", "--p", "10007", "--k", "3"],
+        ["count", "--group", "cyclic", "--p", "2", "--k", "20000"],
+        ["count", "--group", "cyclic", "--p", "3", "--k", "10000000000"],
+    ],
+)
+def test_count_cyclic_over_its_bound_is_rejected_before_any_work(capsys, monkeypatch, argv):
+    from medialq import cli
+
+    refuse_work(monkeypatch)
+    monkeypatch.setattr(cli, "closed_form_cyclic", cli.enumerate_forms)  # now a refusing stub
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert "bound p^k <= 1000000000000" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "p, k", [(2, 39), (9973, 3)]  # 2^39 and 9973^3 are at most 10^12, 2^40 and 10007^3 above
+)
+def test_count_cyclic_at_its_bound_is_admitted(capsys, monkeypatch, p, k):
+    from medialq.enumeration import closed_form_cyclic
+
+    refuse_work(monkeypatch)  # orders above 300 are not enumerated
+    code, out, _ = run(capsys, "count", "--group", "cyclic", "--p", str(p), "--k", str(k))
+    assert code == EXIT_OK
+    assert out == f"mq(Z_{p}^{k}) = {closed_form_cyclic(p, k)}  [closed form; enumeration skipped]\n"
+
+
+class GuardedPrime(int):
+    """A prime whose power fails the test for an exponent above 64, before any big number exists."""
+
+    def __pow__(self, k, mod=None):
+        if k > 64:
+            raise AssertionError(f"{int(self)}^{k} was computed")
+        return pow(int(self), k, mod)
+
+
+def guard_primes(monkeypatch):
+    from medialq import cli
+
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    monkeypatch.setattr(cli, "_primes", lambda: (GuardedPrime(q) for q in small))
+
+
+@pytest.mark.parametrize(
+    "k, primes, supported", [("9", "1", 0), ("10000000000", "1", 0), ("5", "3", 2)]
+)
+def test_interpolate_cyclic_bounds_a_huge_exponent_before_any_power(
+    capsys, monkeypatch, k, primes, supported
+):
+    refuse_work(monkeypatch)
+    guard_primes(monkeypatch)
+    code, out, err = run(capsys, "interpolate", "--series", "cyclic", "--k", k, "--primes", primes)
+    assert code == EXIT_USAGE
+    assert f"p^k <= 300 ({supported} primes)" in err
+    assert out == ""
+
+
+def test_interpolate_cyclic_at_its_bound_is_admitted(capsys, monkeypatch):
+    from types import SimpleNamespace
+
+    from medialq import cli
+
+    orders = []
+
+    def empty_report(G, jobs=1):
+        orders.append(G.order)
+        return SimpleNamespace(triples=(), total=0)
+
+    guard_primes(monkeypatch)
+    monkeypatch.setattr(cli, "enumerate_forms", empty_report)
+    code, _, _ = run(capsys, "interpolate", "--series", "cyclic", "--k", "8", "--primes", "1")
+    assert code == EXIT_OK
+    assert orders == [256]
+
+
+def test_export_to_an_unusable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # --out names an existing file: rejected before the enumeration starts
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    with monkeypatch.context() as m:
+        refuse_work(m)
+        code, out, err = run(capsys, "export", "--group", "zp2", "--p", "2", "--out", str(taken))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and str(taken) in err
+    assert out == "" and "Traceback" not in err
+    # a table file that cannot be written: its name is taken by a directory
+    first = tmp_path / "first"
+    assert run(capsys, "export", "--group", "zp2", "--p", "2", "--out", str(first))[0] == EXIT_OK
+    blocked = tmp_path / "blocked"
+    (blocked / min(f.name for f in first.iterdir())).mkdir(parents=True)
+    code, out, err = run(capsys, "export", "--group", "zp2", "--p", "2", "--out", str(blocked))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and str(blocked) in err
+    assert out == ""

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from medialq import enumeration, gl2, groups
 from medialq.enumeration import (
-    _assert_commutative,
     _one_minus,
     _orbit_reps,
     enumerate_forms,
@@ -28,6 +27,7 @@ from medialq.enumeration import (
 from medialq.fp import Prime
 from medialq.gl2 import (
     Mat2,
+    _assert_commutative,
     _raw,
     centralizer,
     conj_class_reps,
@@ -181,9 +181,75 @@ def test_commutativity_check_names_the_first_failing_pair():
         if X.mul(Y) != Y.mul(X)
     )
     with pytest.raises(ValueError) as err:
-        _assert_commutative.__wrapped__(members)
+        _assert_commutative(members)
     assert str(err.value) == f"centralizer is not commutative: {first[0]} vs {first[1]}"
-    assert _assert_commutative.__wrapped__((I, A, Mat2(2, 2, 0, 2, 3))) is True
+    assert _assert_commutative((I, A, Mat2(2, 2, 0, 2, 3))) is True
+
+
+
+@st.composite
+def commuting_matrix_pairs(draw):
+    # phi is any 2x2 matrix over F_p, singular and scalar ones included, and
+    # psi any matrix commuting with it; neither need be a representative
+    p = draw(st.sampled_from([2, 3, 5]))
+    scalar = st.integers(0, p - 1).map(lambda a: Mat2(a, 0, 0, a, p))
+    anything = st.lists(st.integers(0, p - 1), min_size=4, max_size=4).map(
+        lambda e: Mat2(*e, p)
+    )
+    phi = draw(st.one_of(scalar, anything))
+    commutant = [
+        B
+        for e in np.ndindex((p,) * 4)
+        for B in [Mat2(*e, p)]
+        if B.mul(phi) == phi.mul(B)
+    ]
+    return ElemAbelianRank2(Prime(p)), phi, draw(st.sampled_from(commutant))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commuting_matrix_pairs())
+def test_stabilizer_is_the_brute_force_intersection_for_any_commuting_pair(case):
+    G, phi, psi = case
+    if phi.det() == 0 or psi.det() == 0:
+        with pytest.raises(ValueError, match="must both be invertible"):
+            stabilizer(G, phi, psi)
+    else:
+        assert stabilizer(G, phi, psi) == ref_stabilizer(G, phi, psi)
+
+
+@pytest.mark.parametrize("rep", conj_class_reps(3), ids=lambda r: f"{r.kind}-{r.a}-{r.b}")
+def test_stabilizer_rejects_a_singular_matrix_of_every_kind(rep):
+    # every singular matrix commuting with the representative, on either side
+    G, R = ElemAbelianRank2(Prime(3)), rep.matrix()
+    singular = [
+        S
+        for e in np.ndindex((3,) * 4)
+        for S in [Mat2(*e, 3)]
+        if S.det() == 0 and S.mul(R) == R.mul(S)
+    ]
+    assert Mat2.zero(3) in singular
+    for S in singular:
+        for phi, psi in ((R, S), (S, R), (S, S)):
+            with pytest.raises(ValueError, match="must both be invertible"):
+                stabilizer(G, phi, psi)
+
+
+def test_commutativity_is_checked_once_per_non_scalar_matrix(monkeypatch):
+    G = ElemAbelianRank2(Prime(5))
+    real, checked = gl2._assert_commutative, []
+
+    def counting(members):
+        checked.append(members)
+        return real(members)
+
+    monkeypatch.setattr(gl2, "_assert_commutative", counting)
+    centralizer.cache_clear()
+    enumerate_forms(G)
+    non_scalar = {A for pair in enumeration_pairs(G) for A in pair if not A.is_scalar()}
+    assert 0 < len(checked) <= len(non_scalar)
+    before = len(checked)
+    enumerate_forms(G)  # every centralizer is cached now, so nothing is checked again
+    assert len(checked) == before
 
 
 # ---------------------------------------------------------------- properties

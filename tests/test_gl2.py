@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from medialq.fp import Prime
 from medialq.gl2 import (
     ConjClassRep,
     Mat2,
@@ -163,3 +166,59 @@ def test_unit_rejects_non_coprime():
 
 def test_mat2_reduces_entries():
     assert Mat2(-1, 5, 3, 7, 3) == Mat2(2, 2, 0, 1, 3)
+
+
+def loop_gl2_elements(p):
+    """The earlier gl2_elements: one Mat2 per entry tuple, all p^4 of them, kept as the reference."""
+    out = []
+    for m00 in range(p):
+        for m01 in range(p):
+            for m10 in range(p):
+                for m11 in range(p):
+                    m = Mat2(m00, m01, m10, m11, p)
+                    if m.det() != 0:
+                        out.append(m)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gl2_elements_match_the_loop_and_build_no_singular_matrix(p, monkeypatch):
+    reference = loop_gl2_elements(p)
+    assert gl2_elements(p) == reference
+    built = []
+    post_init = Mat2.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Mat2, "__post_init__", counting)
+    assert gl2_elements.__wrapped__(Prime(p)) == reference
+    assert len(built) == gl2_order(p)  # one Mat2 per element, none for a singular matrix
+
+
+matrices = st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.lists(
+        st.lists(st.integers(-2 * p, 2 * p), min_size=4, max_size=4).map(lambda e: Mat2(*e, p)),
+        min_size=3,
+        max_size=3,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices)
+def test_mat2_laws(abc):
+    A, B, C = abc
+    p = A.p
+    I = Mat2.identity(p)
+    assert A.mul(B).mul(C) == A.mul(B.mul(C))
+    assert I.mul(A) == A == A.mul(I)
+    assert A.mul(B).det() == A.det() * B.det() % p
+    assert (A.rank() == 2) == (A.det() != 0)
+    if A.det() != 0:
+        assert A.inv().mul(A) == I == A.mul(A.inv())
+        assert A.inv().inv() == A
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            A.inv()

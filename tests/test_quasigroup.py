@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medialq.fp import Prime
-from medialq.gl2 import Mat2, Unit
+from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import all_affine_forms, all_latin_squares, relabel
 from medialq.quasigroup import (
@@ -215,3 +215,26 @@ def test_is_medial_memory_grows_as_n_cubed():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+@st.composite
+def affine_forms(draw):
+    # Z_p, Z_{p^2} or (Z_p)^2 for p <= 7, with phi any automorphism and psi
+    # any automorphism commuting with it
+    p = Prime(draw(st.sampled_from([2, 3, 5, 7])))
+    G = draw(st.sampled_from([Cyclic(p, 1), Cyclic(p, 2), ElemAbelianRank2(p)]))
+    if isinstance(G, Cyclic):
+        phi, psi = (draw(st.sampled_from(units(p, G.k))) for _ in range(2))
+    else:
+        phi = draw(st.sampled_from(gl2_elements(p)))
+        psi = draw(st.sampled_from(centralizer(phi)))
+    return AffineForm(G, phi, psi, draw(st.sampled_from(G.elements())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_forms())
+def test_random_affine_forms_build_latin_medial_tables(form):
+    table = build_table(form)
+    assert table.n == form.group.order
+    assert is_latin(table)
+    assert is_medial(table)
