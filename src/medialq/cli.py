@@ -264,10 +264,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tables = tables_from_text(_file_io(Path(args.infile).read_text))
-    for t in tables:
-        _check_table_order(t.n)
-    for i, t in enumerate(tables):
+    text = _file_io(Path(args.infile).read_text)
+    for i, t in enumerate(tables_from_text(text, max_order=MAX_TABLE_ORDER)):
         latin = "yes" if is_latin(t) else "no"
         medial = "yes" if is_medial(t) else "no"
         print(

@@ -419,5 +419,5 @@ def jsonl_record(G: GroupSpec, triple: RepresentativeTriple, table=None) -> dict
         "case_tag": triple.case_tag,
     }
     if table is not None:
-        record["table"] = [list(row) for row in table.rows]
+        record["table"] = table.cells.tolist()
     return record

@@ -273,9 +273,19 @@ def centralizer(A: Mat2) -> tuple:
     x = _gl2_entries(A.p)
     a = np.array(A.entries, dtype=np.int32)
     keep = (_mul(a, x, A.p) == _mul(x, a, A.p)).all(axis=-1)
-    gl = gl2_elements(A.p)
-    members = tuple(gl[i] for i in np.flatnonzero(keep).tolist())
-    if not A.is_scalar():
+    return _members(A.p, keep.tobytes(), not A.is_scalar())
+
+
+@lru_cache(maxsize=None)
+def _members(p: int, mask: bytes, commutative: bool) -> tuple:
+    """The elements of GL(2,p) whose entry rows a byte mask keeps.
+
+    Keyed on the mask, so a centralizer shared by many matrices is built,
+    and checked to commute if `commutative`, once.
+    """
+    gl = gl2_elements(p)
+    members = tuple(gl[i] for i in np.flatnonzero(np.frombuffer(mask, dtype=bool)).tolist())
+    if commutative:
         _assert_commutative(members)
     return members
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from .enumeration import parallel_map
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
@@ -165,11 +167,10 @@ def relabel(t: CayleyTable, perm) -> CayleyTable:
     n = t.n
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the symbols")
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows[perm[i]][perm[j]] = perm[t.rows[i][j]]
-    return CayleyTable(n, tuple(tuple(r) for r in rows))
+    sigma = np.asarray(perm)
+    cells = np.empty_like(t.cells)
+    cells[sigma[:, None], sigma[None, :]] = sigma[t.cells]
+    return CayleyTable(n, cells)
 
 
 def all_affine_forms(G: GroupSpec) -> list:

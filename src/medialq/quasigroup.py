@@ -7,7 +7,11 @@ diffed across runs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import islice
+from typing import Optional
 
 import numpy as np
 
@@ -40,26 +44,52 @@ class AffineForm:
         G.check(self.c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CayleyTable:
     """An n x n operation table over the symbols 0 .. n-1.
 
-    Construction validates shape and symbol range only; whether the table is
-    a Latin square (i.e. a quasigroup) is a separate question answered by
-    `is_latin`.
+    `cells` is a read-only (n, n) array of the smallest unsigned dtype that
+    holds n - 1; it may be given as any nested sequence of ints or integer
+    array.  Construction validates shape and symbol range only; whether the
+    table is a Latin square (i.e. a quasigroup) is a separate question
+    answered by `is_latin`.  `rows` is the same table as a tuple of row
+    tuples, derived on first use, for pure-Python indexing.
     """
 
     n: int
-    rows: tuple
+    cells: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or len(self.rows) != self.n:
+        n = self.n
+        if n < 1 or len(self.cells) != n:
             raise ValueError("table shape does not match its order")
-        for row in self.rows:
-            if len(row) != self.n or not all(
-                isinstance(v, int) and 0 <= v < self.n for v in row
-            ):
-                raise ValueError("table entries must be indices in [0, n)")
+        try:
+            a = np.asarray(self.cells)
+        except ValueError:  # ragged rows
+            a = None
+        if (
+            a is None
+            or a.shape != (n, n)
+            or a.dtype.kind not in "biu"
+            or a.min() < 0
+            or a.max() >= n
+        ):
+            raise ValueError("table entries must be indices in [0, n)")
+        cells = a.astype(np.min_scalar_type(n - 1))
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+
+    @cached_property
+    def rows(self) -> tuple:
+        return tuple(map(tuple, self.cells.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, CayleyTable):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.cells, other.cells)
+
+    def __hash__(self):
+        return hash((self.n, self.cells.tobytes()))
 
 
 def build_table(form: AffineForm) -> CayleyTable:
@@ -67,14 +97,13 @@ def build_table(form: AffineForm) -> CayleyTable:
     G = form.group
     add = _add_table(G)
     pv, qv = G.index_action((_raw(form.phi), _raw(form.psi)), np.arange(G.order))
-    rows = add[add[pv[:, None], qv[None, :]], G.index(form.c)]
-    return CayleyTable(G.order, tuple(map(tuple, rows.tolist())))
+    return CayleyTable(G.order, add[add[pv[:, None], qv[None, :]], G.index(form.c)])
 
 
 def is_latin(t: CayleyTable) -> bool:
     """True iff every row and every column is a permutation of 0 .. n-1."""
-    a = np.asarray(t.rows, dtype=np.int16)
-    want = np.arange(t.n, dtype=np.int16)
+    a = t.cells
+    want = np.arange(t.n, dtype=a.dtype)
     return bool(
         (np.sort(a, axis=1) == want).all() and (np.sort(a, axis=0) == want[:, None]).all()
     )
@@ -88,9 +117,9 @@ def is_medial(t: CayleyTable) -> bool:
     u*v, and (x*u)*(y*v) is A with the first two axes swapped.  Nothing
     about the table is assumed; the first failing x ends the check.
     """
-    src = np.asarray(t.rows, dtype=np.int16)
+    src = t.cells
     for row in src:
-        A = src[row][:, src]
+        A = np.take(src[row], src, axis=1)
         if not (A == A.transpose(1, 0, 2)).all():
             return False
     return True
@@ -98,31 +127,61 @@ def is_medial(t: CayleyTable) -> bool:
 
 def count_idempotents(t: CayleyTable) -> int:
     """Number of symbols i with i*i = i (an isomorphism invariant)."""
-    return sum(1 for i in range(t.n) if t.rows[i][i] == i)
+    return int(np.count_nonzero(t.cells.diagonal() == np.arange(t.n)))
+
+
+@lru_cache(maxsize=None)
+def _labels(n: int) -> tuple:
+    """Text of each symbol 0 .. n-1 followed by a space, and by a newline."""
+    spaced = np.array([f"{i} " for i in range(n)], dtype=object)
+    ended = np.array([f"{i}\n" for i in range(n)], dtype=object)
+    return spaced, ended
 
 
 def to_text(t: CayleyTable) -> str:
     """Bit-exact text form: 'n' line, then n rows of space-separated indices."""
-    lines = [str(t.n)]
-    lines.extend(" ".join(str(v) for v in row) for row in t.rows)
-    return "\n".join(lines) + "\n"
+    spaced, ended = _labels(t.n)
+    words = spaced[t.cells]
+    words[:, -1] = ended[t.cells[:, -1]]
+    return f"{t.n}\n" + "".join(words.ravel().tolist())
 
 
-def tables_from_text(text: str) -> list:
-    """Parse one or more concatenated text-format tables."""
-    tokens = text.split()
+_SPACE = re.compile(r"\s")  # the characters str.split() splits on
+
+
+def _tokens(text: str, chunk: int = 1 << 16):
+    """text.split(), lazily: one chunk at a time, each cut after a whitespace."""
+    start = 0
+    while start < len(text):
+        cut = _SPACE.search(text, min(start + chunk, len(text)))
+        end = cut.end() if cut else len(text)
+        yield from text[start:end].split()
+        start = end
+
+
+def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
+    """Parse one or more concatenated text-format tables.
+
+    A table whose order exceeds `max_order` is rejected as soon as its order
+    is read, before any of its cells.
+    """
+    tokens = _tokens(text)
     tables = []
-    pos = 0
-    while pos < len(tokens):
+    for token in tokens:
         try:
-            n = int(tokens[pos])
+            n = int(token)
         except ValueError:
-            raise ValueError(f"expected a table order, got {tokens[pos]!r}")
-        pos += 1
-        if n < 1 or pos + n * n > len(tokens):
+            raise ValueError(f"expected a table order, got {token!r}")
+        if max_order is not None and n > max_order:
+            raise ValueError(f"tables of order {n} exceed the bound n <= {max_order}")
+        # each cell takes at least one character, so no larger n can fit
+        fits = 1 <= n and n * n <= len(text)
+        words = list(islice(tokens, n * n)) if fits else []
+        if not fits or len(words) < n * n:
             raise ValueError(f"truncated table of order {n}")
-        flat = [int(v) for v in tokens[pos : pos + n * n]]
-        pos += n * n
-        rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-        tables.append(CayleyTable(n, rows))
+        try:
+            cells = np.fromiter(map(int, words), dtype=np.int64, count=n * n)
+        except OverflowError:
+            raise ValueError("table entries must be indices in [0, n)")
+        tables.append(CayleyTable(n, cells.reshape(n, n)))
     return tables

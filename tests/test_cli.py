@@ -347,6 +347,26 @@ def test_verify_checks_every_order_before_printing(tmp_path, capsys, monkeypatch
     assert out == ""
 
 
+def test_verify_rejects_an_oversized_table_as_its_order_is_read(tmp_path, capsys, monkeypatch):
+    from medialq import quasigroup
+
+    refuse_work(monkeypatch)
+    built = []
+    real = quasigroup.CayleyTable
+    monkeypatch.setattr(
+        quasigroup, "CayleyTable", lambda n, cells: built.append(n) or real(n, cells)
+    )
+    # the cells of the order-1000 table are words: parsing any of them would
+    # fail with another message
+    path = tmp_path / "tables.txt"
+    path.write_text("2\n0 1\n1 0\n1000\n" + "x " * 10 ** 6)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == EXIT_USAGE
+    assert "tables of order 1000 exceed the bound n <= 81" in err
+    assert out == ""
+    assert built == [2]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -244,9 +244,14 @@ def test_commutativity_is_checked_once_per_non_scalar_matrix(monkeypatch):
 
     monkeypatch.setattr(gl2, "_assert_commutative", counting)
     centralizer.cache_clear()
+    gl2._members.cache_clear()
     enumerate_forms(G)
     non_scalar = {A for pair in enumeration_pairs(G) for A in pair if not A.is_scalar()}
-    assert 0 < len(checked) <= len(non_scalar)
+    # once per distinct centralizer: matrices that share one share its check
+    distinct = {centralizer(A) for A in non_scalar}
+    assert len(distinct) < len(non_scalar)
+    assert len(set(checked)) == len(checked)
+    assert 0 < len(checked) <= len(distinct)
     before = len(checked)
     enumerate_forms(G)  # every centralizer is cached now, so nothing is checked again
     assert len(checked) == before

@@ -238,3 +238,156 @@ def test_random_affine_forms_build_latin_medial_tables(form):
     assert table.n == form.group.order
     assert is_latin(table)
     assert is_medial(table)
+
+
+# ------------------------------------------- the array table against the old per-cell code
+
+
+def ref_accepts(n, rows) -> bool:
+    """The earlier per-cell CayleyTable check, kept as the reference."""
+    try:
+        if n < 1 or len(rows) != n:
+            return False
+        return all(
+            len(row) == n and all(isinstance(v, int) and 0 <= v < n for v in row)
+            for row in rows
+        )
+    except TypeError:  # a row or the rows without a length
+        return False
+
+
+def ref_to_text(rows) -> str:
+    """The earlier per-cell to_text."""
+    lines = [str(len(rows))]
+    lines.extend(" ".join(str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def latin_plain(rows) -> bool:
+    full = set(range(len(rows)))
+    return all(set(row) == full for row in rows) and all(set(col) == full for col in zip(*rows))
+
+
+def medial_plain(rows) -> bool:
+    r = range(len(rows))
+    return all(
+        rows[rows[x][y]][rows[u][v]] == rows[rows[x][u]][rows[y][v]]
+        for x in r
+        for y in r
+        for u in r
+        for v in r
+    )
+
+
+def idempotents_plain(rows) -> int:
+    return sum(1 for i, row in enumerate(rows) if row[i] == i)
+
+
+@st.composite
+def random_tables(draw, max_order=100):
+    # any n x n table over 0 .. n-1, drawn cell by cell when small and from a
+    # seeded generator when large
+    n = draw(st.integers(1, max_order))
+    if n <= 6:
+        cells = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    else:
+        cells = np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(0, n, (n, n))
+    return CayleyTable(n, cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_tables())
+def test_to_text_prints_the_bytes_of_the_per_cell_join(t):
+    text = to_text(t)
+    assert text == ref_to_text(t.rows)
+    assert tables_from_text(text) == [t]
+    assert tables_from_text(text + text) == [t, t]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_tables())
+def test_a_table_is_its_rows_by_value(t):
+    same = CayleyTable(t.n, t.rows)
+    assert same == t and hash(same) == hash(t)
+    assert same.rows == t.rows == tuple(map(tuple, t.cells.tolist()))
+    assert t.cells.shape == (t.n, t.n) and not t.cells.flags.writeable
+    assert t.cells.dtype == np.min_scalar_type(t.n - 1)
+
+
+@st.composite
+def nested_inputs(draw):
+    # an order and a nested sequence near the shape of a table: ragged rows,
+    # negative values, values >= n, floats, strings, bools, rows that are
+    # strings or numbers, and wrong row counts
+    n = draw(st.integers(-1, 5))
+    width = st.integers(max(n, 0), max(n, 0)) | st.integers(0, 6)
+    value = (
+        st.integers(-2, max(n, 0) + 1)
+        | st.booleans()
+        | st.floats(allow_nan=True)
+        | st.text(max_size=2)
+        | st.integers(2 ** 62, 2 ** 70)
+    )
+    row = st.one_of(
+        width.flatmap(lambda w: st.lists(st.integers(0, max(n - 1, 0)), min_size=w, max_size=w)),
+        width.flatmap(lambda w: st.lists(value, min_size=w, max_size=w)),
+        st.text(max_size=max(n, 0)),
+        st.integers(0, 3),
+    )
+    count = st.integers(max(n, 0), max(n, 0)) | st.integers(0, 6)
+    rows = draw(count.flatmap(lambda c: st.lists(row, min_size=c, max_size=c)))
+    as_tuples = draw(st.booleans())
+    if as_tuples:
+        rows = tuple(tuple(r) if isinstance(r, list) else r for r in rows)
+    return n, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(nested_inputs())
+def test_cayley_table_accepts_what_the_per_cell_check_accepted(case):
+    n, rows = case
+    if ref_accepts(n, rows):
+        t = CayleyTable(n, rows)
+        assert t.rows == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(ValueError):
+            CayleyTable(n, rows)
+
+
+@st.composite
+def checked_tables(draw):
+    # a random table, an affine table over Z_n (Latin when a and b are
+    # units), a row-and-column isotope of Z_n, or one of these with a cell
+    # changed
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["random", "affine", "isotope"]))
+    if kind == "random":
+        rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    elif kind == "affine":
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        rows = [[(a * x + b * y + c) % n for y in range(n)] for x in range(n)]
+    else:
+        r, s, u = (draw(st.permutations(range(n))) for _ in range(3))
+        rows = [[u[(r[x] + s[y]) % n] for y in range(n)] for x in range(n)]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[x][y] = draw(st.integers(0, n - 1))
+    return CayleyTable(n, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(checked_tables())
+def test_checks_agree_with_plain_python(t):
+    rows = t.rows
+    assert is_latin(t) is latin_plain(rows)
+    assert is_medial(t) is medial_plain(rows)
+    assert count_idempotents(t) == idempotents_plain(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from("01 x\n\t　\x1c\x85"), max_size=40), st.integers(1, 8))
+def test_tokens_are_split_tokens_whatever_the_chunk(text, chunk):
+    from medialq.quasigroup import _tokens
+
+    assert list(_tokens(text, chunk)) == text.split()
