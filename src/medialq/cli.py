@@ -237,15 +237,11 @@ def _cmd_enumerate(args) -> int:
     report = enumerate_forms(G, jobs=args.jobs)
     for triple in report.triples:
         table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c)) if args.tables else None
+        record = jsonl_record(G, triple, table)
         if args.format == "jsonl":
-            print(json.dumps(jsonl_record(G, triple, table)))
+            print(json.dumps(record))
         else:
-            record = jsonl_record(G, triple, table)
-            line = (
-                f"{record['case_tag']} phi={record['phi']} "
-                f"psi={record['psi']} c={record['c']}"
-            )
-            print(line)
+            print(f"{record['case_tag']} phi={record['phi']} psi={record['psi']} c={record['c']}")
     print(f"total: {report.total}", file=sys.stderr)
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -30,7 +30,7 @@ from .gl2 import (
     SCALAR,
     Automorphism,
     Mat2,
-    _raw,
+    Subgroup,
     centralizer,
     commutes,
     conj_class_reps,
@@ -73,13 +73,14 @@ class EnumerationReport:
     group: GroupSpec
     triples: tuple
     tallies: dict
-    total: int = field(default=-1)
 
     def __post_init__(self):
-        if self.total == -1:
-            object.__setattr__(self, "total", len(self.triples))
-        if self.total != len(self.triples) or self.total != sum(self.tallies.values()):
+        if self.total != sum(self.tallies.values()):
             raise ValueError("report total disagrees with triples/tallies")
+
+    @property
+    def total(self) -> int:
+        return len(self.triples)
 
 
 def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism):
@@ -115,20 +116,17 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
     other kinds `centralizer` has verified C(phi) to be commutative, so it
     is its own transversal.
     """
-    if isinstance(G, Cyclic):
-        if phi not in units(G.p, G.k):
-            raise ValueError(f"{phi} is not a designated representative")
-        return units(G.p, G.k)
-    kind = _kinds(G.p).get(phi)
-    if kind is None:
+    if phi not in (units(G.p, G.k) if isinstance(G, Cyclic) else _kinds(G.p)):
         raise ValueError(f"{phi} is not a designated representative")
-    if kind == SCALAR:
+    if isinstance(G, Cyclic):
+        return units(G.p, G.k)
+    if _kinds(G.p)[phi] == SCALAR:
         conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
         return reps_x(G)
     return centralizer(phi)
 
 
-def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
+def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> Subgroup:
     """C(phi) & C(psi): every automorphism commuting with both."""
     if not commutes(phi, psi):
         raise ValueError("phi and psi do not commute")
@@ -145,11 +143,10 @@ _ACTION_CHUNK = 1 << 14  # action-array entries held at a time by _orbit_reps
 
 
 @lru_cache(maxsize=None)
-def _orbit_reps(G: GroupSpec, maps: tuple, cosets: CosetList) -> tuple:
+def _orbit_reps(G: GroupSpec, maps: Subgroup, cosets: CosetList) -> tuple:
     """Orbit representatives of a stabilizer acting on the given coset list.
 
-    The stabilizer comes as the maps `G.apply` takes (multipliers or
-    matrices), so the cache key hashes plain integers for the cyclic family.
+    The stored hash of the stabilizer `Subgroup` keys the cache; only its codes are read.
 
     The action is taken in blocks of stabilizer elements: row s of a block
     holds, for every coset representative r, the coset of h_s(r).  Every
@@ -167,7 +164,7 @@ def _orbit_reps(G: GroupSpec, maps: tuple, cosets: CosetList) -> tuple:
     labels = np.arange(n, dtype=np.int32)
     step = max(1, _ACTION_CHUNK // n)
     for s in range(0, len(maps), step):
-        image = cosets.coset_of[G.index_action(maps[s : s + step], cosets.rep_index)]
+        image = cosets.coset_of[G.index_action(maps.codes[s : s + step], cosets.rep_index)]
         # Indices and values all get the block's full shape: numpy 2.4 returns
         # garbage from ufunc.at when int32 values are broadcast implicitly.
         a, b = np.broadcast_to(labels, image.shape), labels[image]
@@ -192,7 +189,7 @@ def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     cosets = quotient_cosets(G, _one_minus(G, phi, psi))
     if len(cosets) == 1:
         return (G.zero,)
-    return _orbit_reps(G, tuple(map(_raw, stabilizer(G, phi, psi))), cosets)
+    return _orbit_reps(G, stabilizer(G, phi, psi), cosets)
 
 
 def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:

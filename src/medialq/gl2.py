@@ -112,6 +112,10 @@ class Mat2:
     def is_scalar(self) -> bool:
         return self.m01 == 0 and self.m10 == 0 and self.m00 == self.m11
 
+    def __int__(self) -> int:
+        """The entries read as base-p digits, m00 first, as `_codes` reads an entry row."""
+        return ((self.m00 * self.p + self.m01) * self.p + self.m10) * self.p + self.m11
+
     def __str__(self) -> str:
         return f"[[{self.m00},{self.m01}],[{self.m10},{self.m11}]] mod {self.p}"
 
@@ -128,6 +132,9 @@ class Unit:
         if math.gcd(self.value, self.modulus) != 1:
             raise ValueError(f"{self.value} is not a unit mod {self.modulus}")
 
+    def __int__(self) -> int:
+        return self.value
+
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 
@@ -135,18 +142,18 @@ class Unit:
 Automorphism = Union[Unit, Mat2]
 
 
-def _raw(f: Automorphism):
-    """The multiplier of a unit, or the matrix itself: what `G.apply` takes."""
-    return f.value if isinstance(f, Unit) else f
+class Subgroup(tuple):
+    """A tuple of automorphisms with their codes `int(f)` in one read-only array; hashed once."""
 
+    def __new__(cls, members):
+        self = super().__new__(cls, members)
+        self.codes = np.array([int(f) for f in self], dtype=np.int64)
+        self.codes.setflags(write=False)
+        self._hash = tuple.__hash__(self)
+        return self
 
-def _entries(mats) -> np.ndarray:
-    """Entries of a sequence of matrices as an (n, 4) int32 array, row-major per matrix.
-
-    int32 suffices: every product below reduces mod p after at most
-    2 (p-1)^2 < 2^31 for p up to MAX_PRIME.
-    """
-    return np.array([m.entries for m in mats], dtype=np.int32).reshape(-1, 4)
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
@@ -172,7 +179,7 @@ def _codes(x: np.ndarray, p: int) -> np.ndarray:
 
 def _assert_commutative(members: tuple) -> bool:
     """Raise unless every pair of the matrices commutes; every pair is multiplied."""
-    x = _entries(members)
+    x = np.array([m.entries for m in members], dtype=np.int32)
     products = _mul(x[:, None], x[None, :], members[0].p)  # [i, j] = members[i] members[j]
     clash = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))
     if clash.size:
@@ -263,7 +270,7 @@ def gl2_order(p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def centralizer(A: Mat2) -> tuple:
+def centralizer(A: Mat2) -> Subgroup:
     """The subgroup {B in GL(2,p) : AB = BA}, by brute-force filter.
 
     For non-scalar A, every pair of members is also checked to commute.
@@ -277,14 +284,14 @@ def centralizer(A: Mat2) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _members(p: int, mask: bytes, commutative: bool) -> tuple:
+def _members(p: int, mask: bytes, commutative: bool) -> Subgroup:
     """The elements of GL(2,p) whose entry rows a byte mask keeps.
 
     Keyed on the mask, so a centralizer shared by many matrices is built,
     and checked to commute if `commutative`, once.
     """
     gl = gl2_elements(p)
-    members = tuple(gl[i] for i in np.flatnonzero(np.frombuffer(mask, dtype=bool)).tolist())
+    members = Subgroup(gl[i] for i in np.flatnonzero(np.frombuffer(mask, dtype=bool)).tolist())
     if commutative:
         _assert_commutative(members)
     return members
@@ -335,7 +342,7 @@ def conjugacy_partition(p: int) -> tuple:
     covered = np.zeros(len(gl), dtype=bool)
     for rep in conj_class_reps(p):
         R = rep.matrix()
-        conjugated = _mul(_mul(x, _entries([R])[0], p), x_inv, p)  # h R h^-1 for every h
+        conjugated = _mul(_mul(x, np.array(R.entries), p), x_inv, p)  # h R h^-1 for every h
         conjugates = position[_codes(conjugated, p)]
         if (conjugates < 0).any():
             raise ValueError(f"a conjugate of {R} is singular")
@@ -357,17 +364,15 @@ def commutes(A: Automorphism, B: Automorphism) -> bool:
             raise ValueError("units of different cyclic groups")
         return True
     if isinstance(A, Mat2) and isinstance(B, Mat2):
-        if A.p != B.p:
-            raise ValueError("matrices over different fields")
-        return A.mul(B) == B.mul(A)
+        return A.mul(B) == B.mul(A)  # raises for matrices over different fields
     raise TypeError("cannot mix a unit with a matrix")
 
 
 @lru_cache(maxsize=None)
-def units(p: int, k: int = 1) -> tuple:
+def units(p: int, k: int = 1) -> Subgroup:
     """Aut(Z_{p^k}): all residues coprime to p, ascending; count p^k - p^(k-1)."""
     p = Prime(p)
     if k < 1:
         raise ValueError("exponent k must be >= 1")
     n = p ** k
-    return tuple(Unit(u, n) for u in range(1, n) if u % p != 0)
+    return Subgroup(Unit(u, n) for u in range(1, n) if u % p != 0)

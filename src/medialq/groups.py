@@ -16,7 +16,6 @@ from typing import Union
 import numpy as np
 
 from .fp import Prime
-from .gl2 import _entries
 
 Element = Union[int, tuple]
 
@@ -137,12 +136,13 @@ class ElemAbelianRank2:
         return (a // p + b // p) % p * p + (a + b) % p
 
     def index_action(self, ms, idx) -> np.ndarray:
-        """Indices of m(g) for every matrix m in ms (rows) and element index g in idx (columns).
+        """Indices of m(g) for every matrix code m in ms (rows) and element index g in idx (columns).
 
         int32 suffices: every intermediate is below 2p^2 <= 2^31 for p up to MAX_PRIME.
         """
         p = self.p
-        e = _entries(ms)
+        digits = np.array([p ** 3, p * p, p, 1])  # a code's entries m00, m01, m10, m11
+        e = (np.asarray(ms, dtype=np.int64)[:, None] // digits % p).astype(np.int32)
         idx = np.asarray(idx, dtype=np.int32)
         x, y = idx // p, idx % p
         out = e[:, 0, None] * x
@@ -191,10 +191,10 @@ def _add_table(G: GroupSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _image(G: GroupSpec, M) -> bytes:
-    """Im(M) as a byte mask over element indices, M applied to every element."""
+def _image(G: GroupSpec, code: int) -> bytes:
+    """Im(M) as a byte mask over element indices, the M of `code` applied to every element."""
     mask = np.zeros(G.order, dtype=bool)
-    mask[G.index_action((M,), np.arange(G.order))[0]] = True
+    mask[G.index_action((code,), np.arange(G.order))[0]] = True
     return mask.tobytes()
 
 
@@ -229,10 +229,10 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
     The image subgroup is computed by exhaustive application of M; structural
     shortcuts (gcd for cyclic groups, column spaces for matrices) are used
     only as cross-check properties in the tests.  Images are memoised per
-    endomorphism and coset lists per image subgroup, so the list returned for
-    one subgroup is the same object every time.
+    endomorphism code `int(M)` and coset lists per image subgroup, so the
+    list returned for one subgroup is the same object every time.
     """
-    cosets = _cosets(G, _image(G, M))
+    cosets = _cosets(G, _image(G, int(M)))
     if cosets is None:
         raise ValueError(f"{M!r} is not an endomorphism of {G}")
     return cosets

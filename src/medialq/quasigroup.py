@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gl2 import Automorphism, Mat2, Unit, _raw, commutes
+from .gl2 import Automorphism, Mat2, Unit, commutes
 from .groups import Cyclic, GroupSpec, _add_table
 
 
@@ -96,7 +96,7 @@ def build_table(form: AffineForm) -> CayleyTable:
     """Cayley table of x*y = phi(x) + psi(y) + c in the group's element order."""
     G = form.group
     add = _add_table(G)
-    pv, qv = G.index_action((_raw(form.phi), _raw(form.psi)), np.arange(G.order))
+    pv, qv = G.index_action((int(form.phi), int(form.psi)), np.arange(G.order))
     return CayleyTable(G.order, add[add[pv[:, None], qv[None, :]], G.index(form.c)])
 
 
@@ -162,8 +162,8 @@ def _tokens(text: str, chunk: int = 1 << 16):
 def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
     """Parse one or more concatenated text-format tables.
 
-    A table whose order exceeds `max_order` is rejected as soon as its order
-    is read, before any of its cells.
+    A table whose order is below 1 or exceeds `max_order` is rejected as
+    soon as its order is read, before any of its cells.
     """
     tokens = _tokens(text)
     tables = []
@@ -172,10 +172,12 @@ def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
             n = int(token)
         except ValueError:
             raise ValueError(f"expected a table order, got {token!r}")
+        if n < 1:
+            raise ValueError(f"tables of order {n} are below the bound n >= 1")
         if max_order is not None and n > max_order:
             raise ValueError(f"tables of order {n} exceed the bound n <= {max_order}")
         # each cell takes at least one character, so no larger n can fit
-        fits = 1 <= n and n * n <= len(text)
+        fits = n * n <= len(text)
         words = list(islice(tokens, n * n)) if fits else []
         if not fits or len(words) < n * n:
             raise ValueError(f"truncated table of order {n}")

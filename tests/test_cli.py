@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -128,6 +129,39 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", str(bad))
     assert code == EXIT_USAGE
     assert "truncated" in err
+
+
+@pytest.mark.parametrize("text", ["0\n", "-3\n" + "x " * 9])
+def test_verify_rejects_an_order_below_one_before_any_cell(tmp_path, capsys, text):
+    # the cells are words: reading any of them would fail with another message
+    path = tmp_path / "tables.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == EXIT_USAGE
+    order = text.split()[0]
+    assert f"tables of order {order} are below the bound n >= 1" in err
+    assert "truncated" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ("enumerate", "--group", "zp2", "--p", "11"),
+            "02190f9762cde0a2ee361a9556776fc30f8dd8b349a8437712712bb6118f05a9",
+        ),
+        (
+            ("enumerate", "--group", "cyclic", "--p", "17", "--k", "2"),
+            "f3f707f8c0b6d03b8880ea198dd7d76a89eb41e549876287a556ab50c06f2369",
+        ),
+    ],
+    ids=["zp2-11", "cyclic-17-2"],
+)
+def test_full_size_enumerations_print_the_pinned_bytes(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_crosscheck_z2p2(capsys):

@@ -27,8 +27,9 @@ from medialq.enumeration import (
 from medialq.fp import Prime
 from medialq.gl2 import (
     Mat2,
+    Subgroup,
+    Unit,
     _assert_commutative,
-    _raw,
     centralizer,
     conj_class_reps,
     conjugacy_partition,
@@ -49,6 +50,11 @@ EQUIVALENCE_GROUPS = [
 
 
 # ---------------------------------------------------------------- references
+
+
+def plain(f):
+    """What `G.apply` takes: the multiplier of a unit, or the matrix itself."""
+    return f.value if isinstance(f, Unit) else f
 
 
 def ref_quotient_cosets(G, M):
@@ -140,7 +146,7 @@ def test_every_pair_matches_the_reference_algorithms(G):
         stab = ref_stabilizer(G, phi, psi)
         assert stabilizer(G, phi, psi) == stab
         expected = (G.zero,) if len(reps) == 1 else ref_orbit_reps(
-            G, [_raw(h) for h in stab], M
+            G, [plain(h) for h in stab], M
         )
         assert orbit_reps_c(G, phi, psi) == expected
         if isinstance(G, ElemAbelianRank2):
@@ -305,7 +311,7 @@ def test_orbits_of_arbitrary_map_lists_match_union_find(case, data):
             lambda e: Mat2(*e, G.p),
             st.lists(st.integers(0, G.p - 1), min_size=4, max_size=4),
         )
-    maps = tuple(data.draw(st.lists(map_strategy, max_size=6)))
+    maps = Subgroup(data.draw(st.lists(map_strategy, max_size=6)))
     expected = ref_orbit_reps(G, maps, M)
     assert _orbit_reps(G, maps, cosets) == expected
 
@@ -319,9 +325,9 @@ def test_orbits_do_not_depend_on_the_block_size(G, monkeypatch):
         for phi, psi in enumeration_pairs(G):
             M = _one_minus(G, phi, psi)
             cosets = quotient_cosets(G, M)
-            maps = tuple(map(_raw, stabilizer(G, phi, psi)))
-            expected = ref_orbit_reps(G, maps, M)
-            assert _orbit_reps(G, maps, cosets) == expected
+            stab = stabilizer(G, phi, psi)
+            expected = ref_orbit_reps(G, [plain(h) for h in stab], M)
+            assert _orbit_reps(G, stab, cosets) == expected
     finally:
         enumeration._orbit_reps.cache_clear()
 
@@ -332,7 +338,7 @@ def test_orbits_of_a_projection_join_its_tails(p):
     # orbit lies on a tail, so labels must travel against the map as well
     G = ElemAbelianRank2(Prime(p))
     cosets = quotient_cosets(G, Mat2.zero(p))
-    maps = (Mat2(1, 1, 0, 0, p),)
+    maps = Subgroup((Mat2(1, 1, 0, 0, p),))
     expected = ref_orbit_reps(G, maps, Mat2.zero(p))
     assert _orbit_reps(G, maps, cosets) == expected
     assert len(expected) == p
@@ -345,10 +351,60 @@ def test_index_level_arithmetic_matches_element_level(G):
     for a in els:
         for b in els:
             assert add[G.index(a), G.index(b)] == G.index(G.add(a, b))
-    maps = list(range(G.order)) if isinstance(G, Cyclic) else gl2_elements(G.p)[:50]
-    action = G.index_action(maps, np.arange(G.order))
+    # every multiplier and every unit, or 50 invertible and 50 singular matrices
+    if isinstance(G, Cyclic):
+        maps = list(range(G.order)) + list(units(G.p, G.k))
+    else:
+        singular = [M for e in np.ndindex((G.p,) * 4) for M in [Mat2(*e, G.p)] if M.det() == 0]
+        maps = list(gl2_elements(G.p)[:50]) + singular[:50]
+    action = G.index_action([int(m) for m in maps], np.arange(G.order))
     for row, m in zip(action.tolist(), maps):
-        assert row == [G.index(G.apply(m, g)) for g in els]
+        assert row == [G.index(G.apply(plain(m), g)) for g in els]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.lists(st.integers(0, p - 1), min_size=4, max_size=4).map(lambda e: Mat2(*e, p))
+))
+def test_a_matrix_code_acts_as_the_matrix(M):
+    # any 2x2 matrix over F_p, singular ones included
+    G = ElemAbelianRank2(Prime(M.p))
+    row = G.index_action((int(M),), np.arange(G.order))[0]
+    assert row.tolist() == [G.index(G.apply(M, g)) for g in G.elements()]
+    assert int(M) == gl2._codes(np.array(M.entries), M.p)
+
+
+SUBGROUPS = {
+    "units": lambda: units(5, 2),
+    "centralizer-jordan": lambda: centralizer(Mat2(1, 1, 0, 1, 5)),
+    "centralizer-scalar": lambda: centralizer(Mat2(2, 0, 0, 2, 5)),
+    "stabilizer-rank2": lambda: stabilizer(
+        ElemAbelianRank2(Prime(5)), Mat2(2, 0, 0, 2, 5), Mat2(1, 1, 0, 1, 5)
+    ),
+    "stabilizer-cyclic": lambda: stabilizer(Cyclic(Prime(5), 2), Unit(2, 25), Unit(3, 25)),
+}
+
+
+@pytest.mark.parametrize("make", SUBGROUPS.values(), ids=SUBGROUPS.keys())
+def test_subgroups_are_plain_tuples_with_read_only_codes(make):
+    S = make()
+    members = tuple(S)
+    assert type(S) is Subgroup
+    assert S == members and hash(S) == hash(members)
+    assert make() is S
+    assert S.codes.tolist() == [int(f) for f in members]
+    assert not S.codes.flags.writeable
+    with pytest.raises(ValueError):
+        S.codes[0] = 0
+
+
+def test_a_cold_cyclic_enumeration_computes_each_unit_code_once(monkeypatch):
+    real, coded = Unit.__int__, []
+    monkeypatch.setattr(Unit, "__int__", lambda u: coded.append(u) or real(u))
+    units.cache_clear()
+    enumeration._orbit_reps.cache_clear()
+    enumerate_forms(Cyclic(Prime(5), 2))
+    assert sorted(coded, key=real) == list(units(5, 2))
 
 
 class SquaringCyclic(Cyclic):
@@ -407,9 +463,9 @@ def test_cache_sizes_are_bounded_by_what_they_are_keyed_on(G):
     for phi, psi in pairs:
         cosets = quotient_cosets(G, _one_minus(G, phi, psi))
         if len(cosets) > 1:
-            orbit_keys.add((tuple(map(_raw, stabilizer(G, phi, psi))), id(cosets)))
+            orbit_keys.add((stabilizer(G, phi, psi), id(cosets)))
     assert groups._add_table.cache_info().currsize == 1
     assert groups._image.cache_info().currsize <= len(endomorphisms_seen)
     assert groups._cosets.cache_info().currsize <= subgroup_count(G)
-    assert enumeration._orbit_reps.cache_info().currsize <= len(orbit_keys)
+    assert enumeration._orbit_reps.cache_info().currsize == len(orbit_keys)
     assert gl2._gl2_entries.cache_info().currsize <= 1

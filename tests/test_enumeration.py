@@ -6,6 +6,7 @@ from medialq import enumeration
 from medialq.enumeration import (
     CASE_TAGS_RANK2,
     MAX_COMPOSITE_ORDER,
+    EnumerationReport,
     Polynomial,
     closed_form_cyclic,
     closed_form_order_p2,
@@ -159,6 +160,16 @@ def test_enumerate_totals_small():
     assert enumerate_forms(ElemAbelianRank2(Prime(2))).total == 9
     assert enumerate_forms(V3).total == 68
     assert enumerate_forms(Z9).total == 48
+
+
+def test_report_total_is_the_triple_count_and_the_tallies_must_sum_to_it():
+    report = enumerate_forms(Z9)
+    assert report.total == len(report.triples) == 48
+    assert EnumerationReport(Z9, report.triples, {"cyclic": 48}).total == 48
+    with pytest.raises(ValueError, match="disagrees"):
+        EnumerationReport(Z9, report.triples, {"cyclic": 47})
+    with pytest.raises(ValueError, match="disagrees"):
+        EnumerationReport(Z9, report.triples[:-1], {"cyclic": 48})
 
 
 def test_case_subtotals_p3():
