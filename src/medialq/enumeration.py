@@ -100,29 +100,27 @@ def reps_x(G: GroupSpec) -> tuple:
     """Conjugacy-class representatives of Aut(G).
 
     Aut of a cyclic group is abelian, so every unit is its own class; for
-    Z_p x Z_p the representatives are the four matrix kinds.
+    Z_p x Z_p the representatives are the four matrix kinds, checked (once
+    per prime, via the brute-force partition) to be a transversal of GL(2, p).
     """
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
+    conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
     return tuple(_kinds(G.p))
 
 
 def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
     """Conjugacy-class representatives of C(phi), conjugating inside C(phi).
 
-    For scalar phi the centralizer is all of GL(2, p) and the global
-    representative list is reused -- after checking (once per prime, via
-    the brute-force partition) that it really is a transversal.  For the
-    other kinds `centralizer` has verified C(phi) to be commutative, so it
-    is its own transversal.
+    For a unit or a scalar phi the centralizer is all of Aut(G), so the
+    `reps_x` transversal is reused.  For the other kinds `centralizer` has
+    verified C(phi) to be commutative, so it is its own transversal.
     """
-    if phi not in (units(G.p, G.k) if isinstance(G, Cyclic) else _kinds(G.p)):
+    reps = reps_x(G)
+    if phi not in reps:
         raise ValueError(f"{phi} is not a designated representative")
-    if isinstance(G, Cyclic):
-        return units(G.p, G.k)
-    if _kinds(G.p)[phi] == SCALAR:
-        conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
-        return reps_x(G)
+    if isinstance(G, Cyclic) or phi.is_scalar():
+        return reps
     return centralizer(phi)
 
 
@@ -226,9 +224,6 @@ def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
     keys = reps_x(G)
     tags = (CASE_TAG_CYCLIC,) if isinstance(G, Cyclic) else CASE_TAGS_RANK2
     tallies = dict.fromkeys(tags, 0)
-    # Fills the caches forked workers inherit: the first rank-2
-    # representative is scalar, so this runs the conjugacy partition.
-    reps_y(G, keys[0])
     chunks = parallel_map(partial(_triples, G), keys, jobs)
     triples = tuple(t for chunk in chunks for t in chunk)
     for t in triples:

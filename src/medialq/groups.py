@@ -103,7 +103,7 @@ class ElemAbelianRank2:
         if (
             not isinstance(a, tuple)
             or len(a) != 2
-            or not all(isinstance(c, int) and 0 <= c < self.p for c in a)
+            or not all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < self.p for c in a)
         ):
             raise ValueError(f"{a!r} is not an element of {self}")
         return a

@@ -1,11 +1,13 @@
 """Brute-force ground truth for "up to isomorphism".
 
 Isomorphism of Cayley tables is decided in one place, `_iso_search`, by
-backtracking over partial symbol bijections with invariant pre-filtering
-(fingerprints) and per-symbol signature pruning, plus forced propagation:
-once sigma is fixed on i and j it is forced on i*j.  Nothing in this module consults the affine theory --
-it works on raw tables -- so agreement with the enumerator is genuine
-cross-validation, not a tautology.
+backtracking over partial symbol bijections with per-symbol signature
+pruning, plus forced propagation: once sigma is fixed on i and j it is
+forced on i*j.  A fingerprint (the order and the diagonal's cycle type)
+only buckets tables, so that classification compares within a bucket.
+Nothing in this module consults the affine theory -- it works on raw
+tables -- so agreement with the enumerator is genuine cross-validation,
+not a tautology.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .enumeration import parallel_map
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
-from .quasigroup import AffineForm, CayleyTable, count_idempotents
+from .quasigroup import AffineForm, CayleyTable
 
 ISO_ORDER_CAP = 16
 CLASSIFY_ORDER_CAP = 9
@@ -27,12 +29,10 @@ LATIN_SCAN_CAP = 4
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Cheap relabeling-invariant data used to pre-filter isomorphism tests."""
+    """Cheap relabeling-invariant data used to bucket tables before isomorphism tests."""
 
     order: int
-    idempotent_count: int
     diagonal_cycle_type: tuple
-    row_profile: tuple
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,7 @@ def _cycle_lengths(f) -> tuple:
 
 def fingerprint(t: CayleyTable) -> Fingerprint:
     rows = t.rows
-    return Fingerprint(
-        order=t.n,
-        idempotent_count=count_idempotents(t),
-        diagonal_cycle_type=_cycle_lengths([rows[i][i] for i in range(t.n)]),
-        row_profile=tuple(sorted(_cycle_lengths(row) for row in rows)),
-    )
+    return Fingerprint(t.n, _cycle_lengths([rows[i][i] for i in range(t.n)]))
 
 
 def _signatures(rows) -> list:

@@ -23,7 +23,7 @@ from medialq.enumeration import (
     stabilizer,
 )
 from medialq.fp import Prime
-from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements
+from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
 
 V3 = ElemAbelianRank2(Prime(3))
@@ -59,6 +59,18 @@ def test_reps_x_sizes():
     assert len(reps_x(Z9)) == 6
     assert len(reps_x(V3)) == 8
     assert len(reps_x(ElemAbelianRank2(Prime(2)))) == 3
+
+
+def test_reps_x_checks_the_rank2_transversal_and_only_that(monkeypatch):
+    def refuse(p):
+        raise ValueError("not a transversal")
+
+    monkeypatch.setattr(enumeration, "conjugacy_partition", refuse)
+    with pytest.raises(ValueError, match="not a transversal"):
+        reps_x(ElemAbelianRank2(Prime(3)))
+    # Aut of a cyclic group is abelian: nothing to check, and nothing runs
+    assert reps_x(Z9) == units(3, 2)
+    assert enumerate_forms(Z9).total == closed_form_cyclic(3, 2)
 
 
 def test_reps_y_sizes():

@@ -48,6 +48,10 @@ def test_add_rejects_foreign_elements():
         Z4.add(1, 5)
     with pytest.raises(ValueError):
         V3.add((1, 2), (3, 0))
+    # bools are ints to isinstance, but no group element is a bool
+    for G, a in ((Z4, True), (V3, (True, 0)), (V3, (0, False))):
+        with pytest.raises(ValueError, match="not an element"):
+            G.check(a)
 
 
 def test_group_axioms_exhaustive():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialq import oracle
+from medialq import oracle, quasigroup
 from medialq.cli import main
 from medialq.enumeration import enumerate_forms
 from medialq.fp import Prime
@@ -26,6 +26,7 @@ from medialq.quasigroup import (
     AffineForm,
     CayleyTable,
     build_table,
+    count_idempotents,
     is_medial,
     tables_from_text,
     to_text,
@@ -100,6 +101,22 @@ def test_fingerprint_invariance():
         perm = list(range(t.n))
         rng.shuffle(perm)
         assert fingerprint(relabel(t, perm)) == fingerprint(t)
+
+
+def test_fingerprint_runs_one_cycle_search_per_table(monkeypatch):
+    def refuse(t):
+        raise AssertionError("count_idempotents called")
+
+    monkeypatch.setattr(oracle, "count_idempotents", refuse, raising=False)
+    monkeypatch.setattr(quasigroup, "count_idempotents", refuse)
+    calls = []
+    cycle_lengths = oracle._cycle_lengths
+    monkeypatch.setattr(oracle, "_cycle_lengths", lambda f: calls.append(f) or cycle_lengths(f))
+    for t in rep_tables(V3)[:5] + [group_table(Z4)]:
+        calls.clear()
+        fp = fingerprint(t)
+        assert calls == [[t.rows[i][i] for i in range(t.n)]]
+        assert fp == oracle.Fingerprint(t.n, cycle_lengths(calls[0]))
 
 
 def test_are_isomorphic_symmetric():
@@ -341,6 +358,20 @@ def test_classes_survive_relabelling_each_table(data):
     tables = data.draw(st.lists(affine_tables(G), min_size=1, max_size=12))
     relabelled = [relabel(t, data.draw(st.permutations(range(t.n)))) for t in tables]
     assert [c.members for c in classify(relabelled)] == [c.members for c in classify(tables)]
+
+
+@st.composite
+def any_tables(draw):
+    # an arbitrary table of order <= 9, Latin or not
+    n = draw(st.integers(1, 9))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return CayleyTable(n, draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_tables() | any_tables())
+def test_the_diagonal_cycle_type_counts_the_idempotents(t):
+    assert fingerprint(t).diagonal_cycle_type.count(1) == count_idempotents(t)
 
 
 @settings(max_examples=100, deadline=None)

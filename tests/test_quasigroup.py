@@ -63,6 +63,8 @@ def test_form_validation():
         AffineForm(V2, Mat2(1, 1, 0, 1, 2), Mat2(1, 0, 1, 1, 2), (0, 0))  # non-commuting
     with pytest.raises(ValueError):
         AffineForm(Z3, Unit(1, 3), Unit(1, 3), 5)  # c outside the group
+    with pytest.raises(ValueError, match="not an element"):
+        AffineForm(V2, Mat2.identity(2), Mat2.identity(2), (True, False))  # bool coordinates
 
 
 def test_every_affine_table_is_latin_and_medial():
