@@ -32,7 +32,7 @@ from .gl2 import (
     Mat2,
     Subgroup,
     centralizer,
-    commutes,
+    check_pair,
     conj_class_reps,
     conjugacy_partition,
     units,
@@ -126,12 +126,9 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
 
 def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> Subgroup:
     """C(phi) & C(psi): every automorphism commuting with both."""
-    if not commutes(phi, psi):
-        raise ValueError("phi and psi do not commute")
+    check_pair(G, phi, psi)
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
-    if phi.det() == 0 or psi.det() == 0:
-        raise ValueError(f"phi = {phi} and psi = {psi} must both be invertible")
     # A scalar phi is central, so this is C(psi).  Otherwise psi lies in C(phi),
     # which `centralizer` checks to be commutative, so this is C(phi).
     return centralizer(psi if phi.is_scalar() else phi)
@@ -182,8 +179,7 @@ def _orbit_reps(G: GroupSpec, maps: Subgroup, cosets: CosetList) -> tuple:
 
 def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     """Orbit representatives of C(phi) & C(psi) on G / Im(1 - phi - psi)."""
-    if not commutes(phi, psi):
-        raise ValueError("phi and psi do not commute")
+    check_pair(G, phi, psi)
     cosets = quotient_cosets(G, _one_minus(G, phi, psi))
     if len(cosets) == 1:
         return (G.zero,)

@@ -7,6 +7,8 @@ the modulus travels alongside them.
 
 from __future__ import annotations
 
+import operator
+
 # Primes are capped so that exhaustive p**4-scale scans stay tractable.
 MAX_PRIME = 1 << 15
 
@@ -15,7 +17,10 @@ class Prime(int):
     """A prime modulus, validated by trial division at construction."""
 
     def __new__(cls, p: int) -> "Prime":
-        p = int(p)
+        try:
+            p = operator.index(p)  # ints and numpy ints; no floats, strings or rounding
+        except TypeError:
+            raise ValueError(f"{p!r} is not an integer") from None
         if p < 2:
             raise ValueError(f"{p} is not a prime")
         if p > MAX_PRIME:

@@ -25,6 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .fp import Prime, fp_inv, is_irreducible_quadratic
+from .groups import Cyclic, GroupSpec
 
 SCALAR = "scalar"
 DISTINCT = "distinct"
@@ -366,6 +367,18 @@ def commutes(A: Automorphism, B: Automorphism) -> bool:
     if isinstance(A, Mat2) and isinstance(B, Mat2):
         return A.mul(B) == B.mul(A)  # raises for matrices over different fields
     raise TypeError("cannot mix a unit with a matrix")
+
+
+def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
+    """Raise ValueError unless phi and psi are invertible, commuting automorphisms of G itself."""
+    cyclic = isinstance(G, Cyclic)
+    for f in (phi, psi):
+        if not (isinstance(f, Unit) and f.modulus == G.order if cyclic else isinstance(f, Mat2) and f.p == G.p):
+            raise ValueError(f"{f} does not act on {G}")
+    if not cyclic and (phi.det() == 0 or psi.det() == 0):  # a Unit is invertible by construction
+        raise ValueError(f"phi = {phi} and psi = {psi} must both be invertible")
+    if not cyclic and not commutes(phi, psi):  # units of one modulus commute
+        raise ValueError("phi and psi do not commute")
 
 
 @lru_cache(maxsize=None)

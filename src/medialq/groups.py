@@ -10,7 +10,7 @@ that order, which makes enumeration output reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -29,10 +29,12 @@ class Cyclic:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise ValueError(f"exponent k must be an int, not {self.k!r}")
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
 
-    @property
+    @cached_property  # read on every pair check and every 1 - phi - psi
     def order(self) -> int:
         return self.p ** self.k
 
@@ -226,12 +228,23 @@ def _cosets(G: GroupSpec, image: bytes) -> CosetList | None:
 def quotient_cosets(G: GroupSpec, M) -> CosetList:
     """Cosets of Im(M) in G, where M is any endomorphism of G.
 
+    M is an integer code, taken as given, or an object whose `int(M)` is one:
+    a multiplier with the `modulus` of a cyclic G, or a matrix with the
+    field `p` of Z_p x Z_p.  An object of another group raises ValueError.
+
     The image subgroup is computed by exhaustive application of M; structural
     shortcuts (gcd for cyclic groups, column spaces for matrices) are used
     only as cross-check properties in the tests.  Images are memoised per
     endomorphism code `int(M)` and coset lists per image subgroup, so the
     list returned for one subgroup is the same object every time.
     """
+    if not isinstance(M, int):
+        if isinstance(G, Cyclic):
+            foreign = getattr(M, "modulus", None) != G.order
+        else:
+            foreign = getattr(M, "p", None) != G.p
+        if foreign:
+            raise ValueError(f"{M} does not act on {G}")
     cosets = _cosets(G, _image(G, int(M)))
     if cosets is None:
         raise ValueError(f"{M!r} is not an endomorphism of {G}")

@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .gl2 import Automorphism, Mat2, Unit, commutes
-from .groups import Cyclic, GroupSpec, _add_table
+from .gl2 import Automorphism, check_pair
+from .groups import GroupSpec, _add_table
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,8 @@ class AffineForm:
     c: object
 
     def __post_init__(self):
-        G = self.group
-        for f in (self.phi, self.psi):
-            if isinstance(G, Cyclic):
-                if not isinstance(f, Unit) or f.modulus != G.order:
-                    raise ValueError(f"{f} does not act on {G}")
-            else:
-                if not isinstance(f, Mat2) or f.p != G.p:
-                    raise ValueError(f"{f} does not act on {G}")
-                if f.det() == 0:
-                    raise ValueError(f"{f} is not an automorphism of {G}")
-        if not commutes(self.phi, self.psi):
-            raise ValueError("phi and psi do not commute")
-        G.check(self.c)
+        check_pair(self.group, self.phi, self.psi)
+        self.group.check(self.c)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,10 @@
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medialq import enumeration
 from medialq.enumeration import (
@@ -25,6 +29,7 @@ from medialq.enumeration import (
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
+from medialq.quasigroup import AffineForm
 
 V3 = ElemAbelianRank2(Prime(3))
 Z9 = Cyclic(Prime(3), 2)
@@ -112,6 +117,70 @@ def test_stabilizer_is_the_brute_force_intersection():
         if B.mul(jordan) == jordan.mul(B) and B.mul(scalar) == scalar.mul(B)
     }
     assert set(stabilizer(V3, scalar, jordan)) == expected
+
+
+# ---------------------------------------------------------------- one pair rule
+
+PAIR_GROUPS = [Cyclic(Prime(p), k) for p, k in ((2, 2), (3, 1), (3, 2), (5, 1))]
+PAIR_GROUPS += [ElemAbelianRank2(Prime(p)) for p in (2, 3, 5)]
+
+
+def own_maps(G):
+    """Any unit of a cyclic G; for Z_p x Z_p, an invertible matrix or any matrix over F_p."""
+    if isinstance(G, Cyclic):
+        return st.sampled_from(units(G.p, G.k))
+    matrices = st.lists(st.integers(0, G.p - 1), min_size=4, max_size=4).map(lambda e: Mat2(*e, G.p))
+    return st.one_of(st.sampled_from(gl2_elements(G.p)), matrices)
+
+
+ANY_MAP = st.sampled_from(PAIR_GROUPS).flatmap(own_maps)  # often a map of another group
+
+
+@st.composite
+def candidate_pairs(draw):
+    G = draw(st.sampled_from(PAIR_GROUPS))
+    phi = draw(st.one_of(own_maps(G), ANY_MAP))
+    psi_maps = [own_maps(G), ANY_MAP]
+    if isinstance(phi, Mat2):
+        q = phi.p
+        commutant = [B for e in np.ndindex((q,) * 4) for B in [Mat2(*e, q)] if B.mul(phi) == phi.mul(B)]
+        psi_maps.append(st.sampled_from(commutant))
+    return G, phi, draw(st.one_of(psi_maps))
+
+
+def verdict(call):
+    """None if the call returns, else the message of its ValueError; other errors propagate."""
+    try:
+        call()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_pairs())
+@example((Z9, Unit(2, 25), Unit(3, 25)))  # units of Z_25
+@example((V3, Mat2(2, 0, 0, 3, 5), Mat2.identity(5)))  # matrices over F_5
+@example((V3, Mat2.zero(3), Mat2(2, 0, 0, 2, 3)))  # phi = 0 is no automorphism
+@example((V3, Unit(2, 9), Mat2(2, 0, 0, 2, 3)))  # a unit given to (Z_3)^2
+def test_affine_form_stabilizer_and_orbit_reps_share_one_pair_rule(case):
+    G, phi, psi = case
+    verdicts = {
+        verdict(lambda: AffineForm(G, phi, psi, G.zero)),
+        verdict(lambda: stabilizer(G, phi, psi)),
+        verdict(lambda: orbit_reps_c(G, phi, psi)),
+    }
+    assert len(verdicts) == 1  # all three accept, or all raise the same message
+    (message,) = verdicts
+    # independently: both maps lie in Aut(G) and commute as maps of its elements
+    aut = units(G.p, G.k) if isinstance(G, Cyclic) else gl2_elements(G.p)
+    plain = {f: f.value if isinstance(f, Unit) else f for f in (phi, psi)}
+    good = phi in aut and psi in aut and all(
+        G.apply(plain[phi], G.apply(plain[psi], g)) == G.apply(plain[psi], G.apply(plain[phi], g))
+        for g in G.elements()
+    )
+    assert (message is None) == good
+    assert good or re.search("does not act on|must both be invertible|do not commute", message)
 
 
 def test_orbit_reps_regular_case():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from medialq.fp import (
@@ -27,6 +28,20 @@ def test_prime_cap():
     assert 32771 > MAX_PRIME
     with pytest.raises(ValueError):
         Prime(32771)
+
+
+def test_prime_takes_integers_only():
+    for bad in (2.5, 7.0, "7", None):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Prime(bad)
+
+    class Sub(int):
+        pass
+
+    for p in (np.int64(7), np.uint8(7), Sub(7)):
+        assert Prime(p) == 7 and type(Prime(p)) is Prime
+    with pytest.raises(ValueError, match="1 is not a prime"):
+        Prime(True)
 
 
 def test_fp_inv_identity():

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from medialq.fp import Prime
-from medialq.gl2 import Mat2
+from medialq.gl2 import Mat2, Unit
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
 
 Z4 = Cyclic(Prime(2), 2)
@@ -117,3 +119,30 @@ def test_coset_invariant_product():
         for m in range(G.order if isinstance(G, Cyclic) else 0):
             cosets = quotient_cosets(G, m)
             assert len(cosets) * cosets.subgroup_order == G.order
+
+
+def test_quotient_cosets_rejects_a_map_of_another_group():
+    foreign = [
+        (V3, Mat2(1, 0, 0, 0, 5)),  # a matrix over another field
+        (Z9, Mat2(1, 0, 0, 0, 3)),  # a matrix given to a cyclic group
+        (Z9, Unit(2, 25)),  # a unit of another modulus
+        (V3, Unit(2, 9)),  # a unit given to Z_p x Z_p
+    ]
+    for G, M in foreign:
+        with pytest.raises(ValueError, match=f"{re.escape(str(M))} does not act on {re.escape(str(G))}"):
+            quotient_cosets(G, M)
+    # its own maps are taken, and so is any int code, as given
+    line = Mat2(1, 0, 0, 0, 3)
+    assert quotient_cosets(V3, line) is quotient_cosets(V3, int(line))
+    assert len(quotient_cosets(V3, line)) == 3
+    assert len(quotient_cosets(Z9, Unit(2, 9))) == 1
+    assert len(quotient_cosets(Z9, 3)) == len(quotient_cosets(Z9, 12)) == 3  # a code past the order is taken as given
+
+
+def test_cyclic_takes_integers_only():
+    with pytest.raises(ValueError, match="3.9 is not an integer"):
+        Cyclic(3.9, 2)
+    for k in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="exponent k must be an int"):
+            Cyclic(3, k)
+    assert Cyclic(3, 2) == Cyclic(Prime(3), 2) == Z9
