@@ -246,9 +246,8 @@ def parallel_map(fn, items, jobs: int) -> list:
 
 def closed_form_cyclic(p: int, k: int) -> int:
     """Number of medial quasigroups affine over Z_{p^k}, up to isomorphism."""
-    p = Prime(p)
-    if k < 1:
-        raise ValueError("exponent k must be >= 1")
+    G = Cyclic(p, k)  # checks p and k
+    p, k = G.p, G.k
     return (
         p ** (2 * k)
         + p ** (2 * k - 2)

@@ -13,14 +13,19 @@ import operator
 MAX_PRIME = 1 << 15
 
 
+def as_integer(v) -> int:
+    """v as an int, through `operator.index`: ints and numpy ints; no floats, strings or rounding."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{v!r} is not an integer") from None
+
+
 class Prime(int):
     """A prime modulus, validated by trial division at construction."""
 
     def __new__(cls, p: int) -> "Prime":
-        try:
-            p = operator.index(p)  # ints and numpy ints; no floats, strings or rounding
-        except TypeError:
-            raise ValueError(f"{p!r} is not an integer") from None
+        p = as_integer(p)
         if p < 2:
             raise ValueError(f"{p} is not a prime")
         if p > MAX_PRIME:

@@ -6,8 +6,8 @@ companion matrices of irreducible quadratics -- are generated here together
 with their centralizer subgroups.
 
 Centralizers are always computed by brute-force filtering of the full
-GL(2, p) element list, and the conjugacy partition by conjugating every
-representative by every element.  Both run on integer arrays of matrix
+GL(2, p) element list, and the conjugacy partition by trace, determinant and
+orbit-stabilizer, conjugating nothing.  Both run on integer arrays of matrix
 entries (one row per matrix, columns m00, m01, m10, m11) and hand back the
 `Mat2` objects of `gl2_elements`, built from those rows.  The closed-form
 parametrizations of those subgroups (`parametrized_centralizer`) are kept
@@ -18,13 +18,14 @@ element for element: the formulas are checked facts, not trusted input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .fp import Prime, fp_inv, is_irreducible_quadratic
+from .fp import Prime, as_integer, fp_inv, is_irreducible_quadratic
 from .groups import Cyclic, GroupSpec
 
 SCALAR = "scalar"
@@ -49,11 +50,16 @@ class Mat2:
     p: int
 
     def __post_init__(self):
-        p = self.p
-        object.__setattr__(self, "m00", self.m00 % p)
-        object.__setattr__(self, "m01", self.m01 % p)
-        object.__setattr__(self, "m10", self.m10 % p)
-        object.__setattr__(self, "m11", self.m11 % p)
+        try:  # operator.index inline rather than as_integer: a Mat2 is built per enumerated pair
+            p = operator.index(self.p)
+            object.__setattr__(self, "m00", operator.index(self.m00) % p)
+            object.__setattr__(self, "m01", operator.index(self.m01) % p)
+            object.__setattr__(self, "m10", operator.index(self.m10) % p)
+            object.__setattr__(self, "m11", operator.index(self.m11) % p)
+        except TypeError:
+            for v in (self.p, *self.entries):
+                as_integer(v)  # a ValueError naming the first non-integer
+            raise
 
     @classmethod
     def identity(cls, p: int) -> "Mat2":
@@ -114,7 +120,7 @@ class Mat2:
         return self.m01 == 0 and self.m10 == 0 and self.m00 == self.m11
 
     def __int__(self) -> int:
-        """The entries read as base-p digits, m00 first, as `_codes` reads an entry row."""
+        """The entries read as base-p digits, m00 first."""
         return ((self.m00 * self.p + self.m01) * self.p + self.m10) * self.p + self.m11
 
     def __str__(self) -> str:
@@ -129,7 +135,8 @@ class Unit:
     modulus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
+        object.__setattr__(self, "modulus", as_integer(self.modulus))
+        object.__setattr__(self, "value", as_integer(self.value) % self.modulus)
         if math.gcd(self.value, self.modulus) != 1:
             raise ValueError(f"{self.value} is not a unit mod {self.modulus}")
 
@@ -164,18 +171,11 @@ def _mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), axis=-1) % p
 
 
-def _inv(x: np.ndarray, p: int) -> np.ndarray:
-    """Inverses of invertible entry arrays of shape (..., 4), mod p."""
+def _class_key(x: np.ndarray, p: int) -> np.ndarray:
+    """Trace, determinant and scalarness of entry arrays (..., 4) as one int; conjugates share it."""
     a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    det_inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int32)
-    di = det_inv[(a * d - b * c) % p]
-    return np.stack((di * d, -di * b, -di * c, di * a), axis=-1) % p
-
-
-def _codes(x: np.ndarray, p: int) -> np.ndarray:
-    """One integer per entry row: the entries read as base-p digits, m00 first."""
-    x = x.astype(np.int64)
-    return ((x[..., 0] * p + x[..., 1]) * p + x[..., 2]) * p + x[..., 3]
+    scalar = (b == 0) & (c == 0) & (a == d)
+    return (((a + d) % p) * p + (a * d - b * c) % p) * 2 + scalar
 
 
 def _assert_commutative(members: tuple) -> bool:
@@ -328,27 +328,27 @@ def parametrized_centralizer(rep: ConjClassRep) -> tuple:
 def conjugacy_partition(p: int) -> tuple:
     """Conjugacy classes of GL(2, p) as frozensets, one per representative.
 
-    Built by brute-force conjugation of each representative by every group
-    element.  Raises if the representatives fail to be a transversal (two of
-    them conjugate, or some matrix uncovered), so downstream code may rely
-    on the partition rather than assume it.
+    The class of a representative R is the set of matrices sharing R's
+    `_class_key`, which holds the class; orbit-stabilizer, |Cl(R)| = |GL| /
+    |C(R)|, proves it no larger.  Raises if that count fails or the
+    representatives fail to be a transversal (two of them conjugate, or some
+    matrix uncovered), so downstream code may rely on the partition rather
+    than assume it.
     """
     p = Prime(p)
     gl = gl2_elements(p)
-    x = _gl2_entries(p)
-    x_inv = _inv(x, p)
-    position = np.full(p ** 4, -1, dtype=np.int32)
-    position[_codes(x, p)] = np.arange(len(gl), dtype=np.int32)
+    keys = _class_key(_gl2_entries(p), p)
     classes = []
     covered = np.zeros(len(gl), dtype=bool)
     for rep in conj_class_reps(p):
         R = rep.matrix()
-        conjugated = _mul(_mul(x, np.array(R.entries), p), x_inv, p)  # h R h^-1 for every h
-        conjugates = position[_codes(conjugated, p)]
-        if (conjugates < 0).any():
-            raise ValueError(f"a conjugate of {R} is singular")
-        cls = np.zeros(len(gl), dtype=bool)
-        cls[conjugates] = True
+        cls = keys == _class_key(np.array(R.entries), p)
+        size, stabilizer = int(cls.sum()), len(centralizer(R))
+        if size * stabilizer != len(gl):
+            raise ValueError(
+                f"orbit-stabilizer fails for {R}: {size} share its key, {stabilizer} commute,"
+                f" |GL| = {len(gl)}"
+            )
         if (covered & cls).any():
             raise ValueError(f"representative {R} is conjugate to an earlier one")
         covered |= cls
@@ -381,11 +381,9 @@ def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
         raise ValueError("phi and psi do not commute")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: units(3, True) must reach the check, not hit units(3, 1)
 def units(p: int, k: int = 1) -> Subgroup:
     """Aut(Z_{p^k}): all residues coprime to p, ascending; count p^k - p^(k-1)."""
-    p = Prime(p)
-    if k < 1:
-        raise ValueError("exponent k must be >= 1")
-    n = p ** k
+    G = Cyclic(p, k)  # checks p and k
+    p, n = G.p, G.order
     return Subgroup(Unit(u, n) for u in range(1, n) if u % p != 0)

@@ -154,7 +154,7 @@ def test_every_pair_matches_the_reference_algorithms(G):
             assert centralizer(psi) == ref_centralizer(psi)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_conjugacy_partition_matches_object_conjugation(p):
     assert conjugacy_partition(p) == ref_partition(p)
 
@@ -174,6 +174,34 @@ def test_partition_raises_on_a_non_transversal(monkeypatch):
     monkeypatch.setattr(gl2, "conj_class_reps", lambda p: reps[:-1])
     with pytest.raises(ValueError, match="do not cover"):
         partition(3)
+
+
+def coarse_key(drop):
+    """`gl2._class_key` without one of trace, determinant and scalarness."""
+
+    def key(x, p):
+        a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+        parts = {"trace": (a + d) % p, "det": (a * d - b * c) % p, "scalar": (b == 0) & (c == 0) & (a == d)}
+        del parts[drop]
+        first, second = parts.values()
+        return first * 2 * p + second
+
+    return key
+
+
+@pytest.mark.parametrize("drop", ["scalar", "trace"])
+def test_partition_raises_on_a_key_coarser_than_the_class(monkeypatch, drop):
+    # without scalarness a*I shares its key with the Jordan block [[a,1],[0,a]]
+    monkeypatch.setattr(gl2, "_class_key", coarse_key(drop))
+    with pytest.raises(ValueError, match="orbit-stabilizer fails"):
+        conjugacy_partition.__wrapped__(5)
+
+
+def test_partition_raises_on_a_centralizer_one_member_short(monkeypatch):
+    real = gl2.centralizer
+    monkeypatch.setattr(gl2, "centralizer", lambda A: real(A)[1:])
+    with pytest.raises(ValueError, match="orbit-stabilizer fails"):
+        conjugacy_partition.__wrapped__(5)
 
 
 def test_commutativity_check_names_the_first_failing_pair():
@@ -371,7 +399,7 @@ def test_a_matrix_code_acts_as_the_matrix(M):
     G = ElemAbelianRank2(Prime(M.p))
     row = G.index_action((int(M),), np.arange(G.order))[0]
     assert row.tolist() == [G.index(G.apply(M, g)) for g in G.elements()]
-    assert int(M) == gl2._codes(np.array(M.entries), M.p)
+    assert int(M) == sum(e * M.p ** (3 - i) for i, e in enumerate(M.entries))  # base-p digits, m00 first
 
 
 SUBGROUPS = {

@@ -35,6 +35,24 @@ V3 = ElemAbelianRank2(Prime(3))
 Z9 = Cyclic(Prime(3), 2)
 
 
+@pytest.mark.parametrize("bad_first", [True, False])
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_units_and_closed_form_cyclic_take_an_int_k(k, bad_first):
+    # True == 1 and 2.0 == 2 hash alike, so a cached units(3, int(k)) must not answer units(3, k)
+    def rejected():
+        for f in (units, closed_form_cyclic):
+            with pytest.raises(ValueError, match="exponent k must be an int"):
+                f(3, k)
+
+    def taken():
+        assert len(units(3, int(k))) == 3 ** int(k) - 3 ** (int(k) - 1)
+        assert closed_form_cyclic(3, int(k)) == {1: 5, 2: 48}[int(k)]
+
+    units.cache_clear()
+    for check in (rejected, taken) if bad_first else (taken, rejected):
+        check()
+
+
 def test_closed_forms():
     assert closed_form_cyclic(3, 1) == 5
     assert closed_form_cyclic(3, 2) == 48

@@ -1,7 +1,11 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medialq import gl2
 from medialq.fp import Prime
 from medialq.gl2 import (
     ConjClassRep,
@@ -168,6 +172,27 @@ def test_mat2_reduces_entries():
     assert Mat2(-1, 5, 3, 7, 3) == Mat2(2, 2, 0, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "make, bad",
+    [
+        pytest.param(lambda: Mat2(1.5, 0, 0, 1, 3), 1.5, id="mat2-entry"),
+        pytest.param(lambda: Mat2(1, 0, 0, 1, 3.0), 3.0, id="mat2-p"),
+        pytest.param(lambda: Mat2(1, 0, "2", 1, 3), "2", id="mat2-str"),
+        pytest.param(lambda: Unit(2.5, 9), 2.5, id="unit-value"),
+        pytest.param(lambda: Unit(2, 9.0), 9.0, id="unit-modulus"),
+    ],
+)
+def test_mat2_and_unit_take_integers_only(make, bad):
+    with pytest.raises(ValueError, match=f"^{re.escape(repr(bad))} is not an integer$"):
+        make()
+
+
+def test_mat2_and_unit_take_numpy_integers():
+    M = Mat2(np.int64(4), np.int32(1), 0, np.int8(1), np.int64(3))
+    assert M == Mat2(1, 1, 0, 1, 3) and type(M.m00) is int
+    assert Unit(np.int64(11), np.int32(9)) == Unit(2, 9)
+
+
 def loop_gl2_elements(p):
     """The earlier gl2_elements: one Mat2 per entry tuple, all p^4 of them, kept as the reference."""
     out = []
@@ -222,3 +247,14 @@ def test_mat2_laws(abc):
     else:
         with pytest.raises(ValueError, match="singular"):
             A.inv()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.lists(st.sampled_from(gl2_elements(p)), min_size=2, max_size=2)))
+def test_conjugation_keeps_trace_determinant_and_scalarness(Mh):
+    M, h = Mh
+    C = h.mul(M).mul(h.inv())
+    assert (C.m00 + C.m11) % C.p == (M.m00 + M.m11) % M.p
+    assert C.det() == M.det()
+    assert C.is_scalar() == M.is_scalar()
+    assert gl2._class_key(np.array(C.entries), C.p) == gl2._class_key(np.array(M.entries), M.p)
