@@ -143,37 +143,32 @@ def _orbit_reps(G: GroupSpec, maps: Subgroup, cosets: CosetList) -> tuple:
 
     The stored hash of the stabilizer `Subgroup` keys the cache; only its codes are read.
 
-    The action is taken in blocks of stabilizer elements: row s of a block
-    holds, for every coset representative r, the coset of h_s(r).  Every
-    coset carries a label, the least coset position known to share its
-    orbit.  Each block joins the labels of r and h_s(r) by min-label
-    propagation -- labels pulled and pushed along every edge, then shortened
-    through themselves -- run to a fixed point.  The result is the
-    connected-component partition of the whole action graph, whether or not
-    the maps are closed under products and inverses, in memory bounded by the
-    block size.  Each orbit is represented by its least coset representative
-    in element order (coset positions follow element order), and the zero
-    coset's orbit comes first.
+    The action is taken in blocks of stabilizer elements, so memory is
+    bounded by the block size: row s of a block holds, for every coset
+    representative r, the coset of h_s(r).  The orbit of r under a group is
+    its set of images, so the first pass labels each coset with its least
+    image (or itself).  The second pass raises unless every map keeps every
+    label, which holds for a group.  That check makes the result exact for
+    any list of maps: each edge then stays inside one label class, and each
+    label lies in its own coset's component, so the label classes are the
+    connected components of the action graph.  Each orbit is represented by
+    its least coset representative in element order (coset positions follow
+    element order), and the zero coset's orbit comes first.
     """
     n = len(cosets)
-    labels = np.arange(n, dtype=np.int32)
     step = max(1, _ACTION_CHUNK // n)
-    for s in range(0, len(maps), step):
-        image = cosets.coset_of[G.index_action(maps.codes[s : s + step], cosets.rep_index)]
-        # Indices and values all get the block's full shape: numpy 2.4 returns
-        # garbage from ufunc.at when int32 values are broadcast implicitly.
-        a, b = np.broadcast_to(labels, image.shape), labels[image]
-        joined = np.arange(n, dtype=np.int32)
-        while True:
-            new = joined.copy()
-            np.minimum.at(new, a, joined[b])
-            np.minimum.at(new, b, joined[a])
-            new = new[new]
-            if (new == joined).all():
-                break
-            joined = new
-        labels = joined[labels]
-    roots = np.flatnonzero(labels == np.arange(n)).tolist()
+    blocks = range(0, len(maps), step)
+
+    def images(s):
+        return cosets.coset_of[G.index_action(maps.codes[s : s + step], cosets.rep_index)]
+
+    least = np.arange(n)
+    for s in blocks:
+        least = np.minimum(least, images(s).min(axis=0))
+    for s in blocks:
+        if (least[images(s)] != least).any():
+            raise ValueError("the maps do not act as a group: one moves a least image")
+    roots = np.flatnonzero(least == np.arange(n)).tolist()
     return tuple(cosets.representatives[i] for i in roots)
 
 

@@ -7,6 +7,7 @@ the modulus travels alongside them.
 
 from __future__ import annotations
 
+import math
 import operator
 
 # Primes are capped so that exhaustive p**4-scale scans stay tractable.
@@ -25,6 +26,8 @@ class Prime(int):
     """A prime modulus, validated by trial division at construction."""
 
     def __new__(cls, p: int) -> "Prime":
+        if isinstance(p, Prime):  # checked when it was made
+            return p
         p = as_integer(p)
         if p < 2:
             raise ValueError(f"{p} is not a prime")
@@ -42,6 +45,25 @@ class Prime(int):
 
     def __str__(self) -> str:
         return str(int(self))
+
+
+def prime_power(n: int) -> tuple:
+    """(p, k) with n = p^k, k >= 1 and p a `Prime`; a ValueError naming n otherwise.
+
+    Trial division stops at the prime cap, so any n is settled in bounded time.
+    """
+    n = as_integer(n)
+    if n < 2:
+        raise ValueError(f"{n} is not a prime power")
+    p = next((d for d in range(2, min(math.isqrt(n), MAX_PRIME) + 1) if n % d == 0), n)
+    if p > MAX_PRIME:
+        raise ValueError(f"{n} is not a power of a prime within the supported cap {MAX_PRIME}")
+    m, k = n, 0
+    while m % p == 0:
+        m, k = m // p, k + 1
+    if m != 1:
+        raise ValueError(f"{n} is not a prime power")
+    return Prime(p), k
 
 
 def fp_inv(x: int, p: int) -> int:

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fp import Prime, as_integer, fp_inv, is_irreducible_quadratic
+from .fp import Prime, as_integer, fp_inv, is_irreducible_quadratic, prime_power
 from .groups import Cyclic, GroupSpec
 
 SCALAR = "scalar"
@@ -50,14 +50,19 @@ class Mat2:
     p: int
 
     def __post_init__(self):
-        try:  # operator.index inline rather than as_integer: a Mat2 is built per enumerated pair
-            p = operator.index(self.p)
+        # Checks inline rather than through calls: a Mat2 is built per enumerated
+        # pair, and its p is mostly the Prime that its operands pass on.
+        p = self.p
+        if type(p) is not Prime:
+            p = Prime(p)
+            object.__setattr__(self, "p", p)
+        try:
             object.__setattr__(self, "m00", operator.index(self.m00) % p)
             object.__setattr__(self, "m01", operator.index(self.m01) % p)
             object.__setattr__(self, "m10", operator.index(self.m10) % p)
             object.__setattr__(self, "m11", operator.index(self.m11) % p)
         except TypeError:
-            for v in (self.p, *self.entries):
+            for v in self.entries:
                 as_integer(v)  # a ValueError naming the first non-integer
             raise
 
@@ -136,6 +141,7 @@ class Unit:
 
     def __post_init__(self):
         object.__setattr__(self, "modulus", as_integer(self.modulus))
+        prime_power(self.modulus)  # raises unless the modulus is p^k
         object.__setattr__(self, "value", as_integer(self.value) % self.modulus)
         if math.gcd(self.value, self.modulus) != 1:
             raise ValueError(f"{self.value} is not a unit mod {self.modulus}")

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .fp import Prime
+from .fp import Prime, as_integer
 
 Element = Union[int, tuple]
 
@@ -29,8 +29,12 @@ class Cyclic:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValueError(f"exponent k must be an int, not {self.k!r}")
+        try:
+            if isinstance(self.k, bool):
+                raise ValueError
+            object.__setattr__(self, "k", as_integer(self.k))
+        except ValueError:
+            raise ValueError(f"exponent k must be an int, not {self.k!r}") from None
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
 

@@ -341,7 +341,10 @@ def test_orbits_of_arbitrary_map_lists_match_union_find(case, data):
         )
     maps = Subgroup(data.draw(st.lists(map_strategy, max_size=6)))
     expected = ref_orbit_reps(G, maps, M)
-    assert _orbit_reps(G, maps, cosets) == expected
+    try:  # exact components, or refused: the least images are checked, not trusted
+        assert _orbit_reps(G, maps, cosets) == expected
+    except ValueError as err:
+        assert "moves a least image" in str(err)
 
 
 @pytest.mark.parametrize("G", [Cyclic(Prime(3), 3), ElemAbelianRank2(Prime(3))], ids=str)
@@ -363,13 +366,60 @@ def test_orbits_do_not_depend_on_the_block_size(G, monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_orbits_of_a_projection_join_its_tails(p):
     # (x, y) -> (x + y, 0) sends (0, 1) to (1, 0): the least element of that
-    # orbit lies on a tail, so labels must travel against the map as well
+    # component lies on a tail, which no least image reaches, so it is refused
     G = ElemAbelianRank2(Prime(p))
     cosets = quotient_cosets(G, Mat2.zero(p))
     maps = Subgroup((Mat2(1, 1, 0, 0, p),))
-    expected = ref_orbit_reps(G, maps, Mat2.zero(p))
-    assert _orbit_reps(G, maps, cosets) == expected
-    assert len(expected) == p
+    assert len(ref_orbit_reps(G, maps, Mat2.zero(p))) == p
+    with pytest.raises(ValueError, match="moves a least image"):
+        _orbit_reps(G, maps, cosets)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbits_refuse_an_order_three_matrix_without_its_powers(p):
+    # each orbit of <A> is a 3-cycle, and one map alone moves some least image
+    G, zero = ElemAbelianRank2(Prime(p)), Mat2.zero(p)
+    A = Mat2(0, 1, -1, -1, p)  # the companion matrix of x^2 + x + 1
+    I, A2 = Mat2.identity(p), A.mul(A)
+    assert A != I and A2.mul(A) == I
+    cosets = quotient_cosets(G, zero)
+    for alone in (A, A2):
+        with pytest.raises(ValueError, match="moves a least image"):
+            _orbit_reps(G, Subgroup((alone,)), cosets)
+    assert _orbit_reps(G, Subgroup((I, A, A2)), cosets) == ref_orbit_reps(G, (I, A, A2), zero)
+
+
+@lru_cache(maxsize=None)
+def all_matrices(p):
+    return tuple(Mat2(*e, p) for e in np.ndindex((p,) * 4))
+
+
+@st.composite
+def generated_subgroups(draw):
+    """A subgroup of Aut(G) generated by one or two random elements, closed by BFS,
+    and an endomorphism M commuting with the generators, so it acts on G / Im(M)."""
+    G = draw(st.sampled_from([g for g in SMALL_GROUPS if g.p <= 5] + [ElemAbelianRank2(Prime(5))]))
+    if isinstance(G, Cyclic):
+        gens = draw(st.lists(st.sampled_from(units(G.p, G.k)), min_size=1, max_size=2))
+        M = draw(st.integers(0, G.order - 1))
+        mul = lambda a, b: Unit(a.value * b.value, G.order)
+    else:
+        gens = draw(st.lists(st.sampled_from(gl2_elements(G.p)), min_size=1, max_size=2))
+        M = draw(st.sampled_from([E for E in all_matrices(G.p) if all(E.mul(g) == g.mul(E) for g in gens)]))
+        mul = Mat2.mul
+    members, frontier = dict.fromkeys(gens), list(gens)
+    while frontier:
+        frontier = [h for h in dict.fromkeys(mul(a, g) for a in frontier for g in gens) if h not in members]
+        members.update(dict.fromkeys(frontier))
+    return G, Subgroup(members), M
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_subgroups())
+def test_orbits_of_a_generated_subgroup_match_union_find(case):
+    G, maps, M = case
+    expected = ref_orbit_reps(G, [plain(h) for h in maps], M)
+    assert _orbit_reps(G, maps, quotient_cosets(G, M)) == expected
 
 
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)

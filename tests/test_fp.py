@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from medialq.fp import (
     count_irreducible_quadratics,
     fp_inv,
     is_irreducible_quadratic,
+    prime_power,
 )
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -42,6 +45,35 @@ def test_prime_takes_integers_only():
         assert Prime(p) == 7 and type(Prime(p)) is Prime
     with pytest.raises(ValueError, match="1 is not a prime"):
         Prime(True)
+
+
+def test_prime_returns_a_prime_unchanged():
+    p = Prime(7)
+    assert Prime(p) is p
+
+
+def test_prime_power_splits_a_prime_power():
+    for n, expected in [(2, (2, 1)), (9, (3, 2)), (1024, (2, 10)), (1021, (1021, 1)), (np.int64(125), (5, 3))]:
+        p, k = prime_power(n)
+        assert (p, k) == expected and type(p) is Prime and type(k) is int
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (0, "0 is not a prime power"),
+        (1, "1 is not a prime power"),
+        (-9, "-9 is not a prime power"),
+        (12, "12 is not a prime power"),
+        (10 ** 30 + 1, f"{10 ** 30 + 1} is not a prime power"),  # 101 divides it
+        (32771, f"32771 is not a power of a prime within the supported cap {MAX_PRIME}"),
+        (32771 ** 4, f"{32771 ** 4} is not a power of a prime within the supported cap {MAX_PRIME}"),
+        (2.0, "2.0 is not an integer"),
+    ],
+)
+def test_prime_power_rejects_the_rest(n, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        prime_power(n)
 
 
 def test_fp_inv_identity():

@@ -187,6 +187,30 @@ def test_mat2_and_unit_take_integers_only(make, bad):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: Mat2(1, 2, 0, 1, 4), "4 is not a prime", id="mat2-square"),
+        pytest.param(lambda: Mat2(1, 2, 0, 1, 1), "1 is not a prime", id="mat2-one"),
+        pytest.param(lambda: Mat2(1, 2, 0, 1, 0), "0 is not a prime", id="mat2-zero"),
+        pytest.param(lambda: Mat2(1, 2, 0, 1, -3), "-3 is not a prime", id="mat2-negative"),
+        pytest.param(lambda: Unit(5, 12), "12 is not a prime power", id="unit-composite"),
+        pytest.param(lambda: Unit(1, -9), "-9 is not a prime power", id="unit-negative"),
+        pytest.param(lambda: Unit(0, 1), "1 is not a prime power", id="unit-one"),
+    ],
+)
+def test_mat2_and_unit_take_prime_and_prime_power_moduli(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_mat2_arithmetic_keeps_its_prime():
+    M = Mat2(1, 2, 0, 1, 7)
+    assert type(M.p) is Prime and str(M) == "[[1,2],[0,1]] mod 7"
+    for result in (M.mul(M), M - M, M.inv()):
+        assert result.p is M.p
+
+
 def test_mat2_and_unit_take_numpy_integers():
     M = Mat2(np.int64(4), np.int32(1), 0, np.int8(1), np.int64(3))
     assert M == Mat2(1, 1, 0, 1, 3) and type(M.m00) is int

@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 from medialq.fp import Prime
@@ -146,3 +147,8 @@ def test_cyclic_takes_integers_only():
         with pytest.raises(ValueError, match="exponent k must be an int"):
             Cyclic(3, k)
     assert Cyclic(3, 2) == Cyclic(Prime(3), 2) == Z9
+
+
+def test_cyclic_takes_a_numpy_integer_k():
+    G = Cyclic(3, np.int64(2))
+    assert G == Z9 and type(G.k) is int
