@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import stat
 import sys
 from itertools import takewhile
 from pathlib import Path
@@ -260,7 +261,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    text = _file_io(Path(args.infile).read_text)
+    path = Path(args.infile)
+    # Only a regular file is opened: a FIFO would block, a device read without end.
+    if not stat.S_ISREG(_file_io(path.stat).st_mode):
+        raise UsageError(f"{path} is not a regular file")
+    text = _file_io(path.read_text)
     for i, t in enumerate(tables_from_text(text, max_order=MAX_TABLE_ORDER)):
         latin = "yes" if is_latin(t) else "no"
         medial = "yes" if is_medial(t) else "no"

@@ -11,15 +11,15 @@ One triple (phi, psi, c) is listed per isomorphism class:
 For the rank-2 group Z_p x Z_p the representative list is tagged with a
 closed vocabulary of 15 case labels (four kinds of phi, sub-split by the
 kind of psi where phi is scalar, and by the computed rank of the difference
-matrix 1 - phi - psi).  Rank conditions are always computed from the matrix
-itself, never from per-case algebraic shortcuts.
+matrix 1 - phi - psi).  Rank conditions are always read from the exhaustive
+image of that matrix, never from per-case algebraic shortcuts.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -29,7 +29,6 @@ from .fp import Prime
 from .gl2 import (
     SCALAR,
     Automorphism,
-    Mat2,
     Subgroup,
     centralizer,
     check_pair,
@@ -70,24 +69,37 @@ class RepresentativeTriple:
 
 @dataclass(frozen=True, eq=False)
 class EnumerationReport:
+    """The triples of G, with their tallies per case tag in the family's tag order."""
+
     group: GroupSpec
     triples: tuple
-    tallies: dict
+    tallies: dict = field(init=False)
 
     def __post_init__(self):
-        if self.total != sum(self.tallies.values()):
-            raise ValueError("report total disagrees with triples/tallies")
+        tags = (CASE_TAG_CYCLIC,) if isinstance(self.group, Cyclic) else CASE_TAGS_RANK2
+        tallies = dict.fromkeys(tags, 0)
+        for t in self.triples:
+            tallies[t.case_tag] += 1  # a KeyError for a tag outside the vocabulary
+        object.__setattr__(self, "tallies", tallies)
 
     @property
     def total(self) -> int:
         return len(self.triples)
 
 
-def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism):
-    """The endomorphism 1 - phi - psi, as a residue or a (possibly singular) matrix."""
+def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> int:
+    """The code `int(M)` of the endomorphism M = 1 - phi - psi, building no `Mat2`.
+
+    A residue for Z_{p^k}; for Z_p x Z_p the entries of the (possibly singular)
+    matrix read as base-p digits, m00 first.
+    """
     if isinstance(G, Cyclic):
         return (1 - phi.value - psi.value) % G.order
-    return Mat2.identity(G.p) - phi - psi
+    p = G.p
+    code = 0
+    for delta, a, b in zip((1, 0, 0, 1), phi.entries, psi.entries):
+        code = code * p + (delta - a - b) % p
+    return code
 
 
 @lru_cache(maxsize=None)
@@ -182,11 +194,16 @@ def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
 
 
 def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:
-    """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi."""
+    """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi.
+
+    The rank is read from the order of the image, 1, p or p^2: the same cached
+    image that `orbit_reps_c` takes its cosets from.
+    """
     if isinstance(G, Cyclic):
         return CASE_TAG_CYCLIC
     kinds = _kinds(G.p)
-    rank = _one_minus(G, phi, psi).rank()
+    image_order = quotient_cosets(G, _one_minus(G, phi, psi)).subgroup_order
+    rank = {1: 0, G.p: 1, G.order: 2}[image_order]
     if kinds[phi] == SCALAR:
         state = "regular" if rank == 2 else "singular"
         return f"case1.scalar-{kinds[psi]}.{state}"
@@ -212,14 +229,8 @@ def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
     processes at most, see `pool_size`); the output is identical at any job
     count.
     """
-    keys = reps_x(G)
-    tags = (CASE_TAG_CYCLIC,) if isinstance(G, Cyclic) else CASE_TAGS_RANK2
-    tallies = dict.fromkeys(tags, 0)
-    chunks = parallel_map(partial(_triples, G), keys, jobs)
-    triples = tuple(t for chunk in chunks for t in chunk)
-    for t in triples:
-        tallies[t.case_tag] += 1
-    return EnumerationReport(G, triples, tallies)
+    chunks = parallel_map(partial(_triples, G), reps_x(G), jobs)
+    return EnumerationReport(G, tuple(t for chunk in chunks for t in chunk))
 
 
 def pool_size(jobs: int, items: int) -> int:

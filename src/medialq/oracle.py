@@ -4,10 +4,10 @@ Isomorphism of Cayley tables is decided in one place, `_iso_search`, by
 backtracking over partial symbol bijections with per-symbol signature
 pruning, plus forced propagation: once sigma is fixed on i and j it is
 forced on i*j.  A fingerprint (the order and the diagonal's cycle type)
-only buckets tables, so that classification compares within a bucket.
-Nothing in this module consults the affine theory -- it works on raw
-tables -- so agreement with the enumerator is genuine cross-validation,
-not a tautology.
+buckets tables; classification compares within a bucket, and there only
+tables with equal sorted signatures.  Nothing in this module consults the
+affine theory -- it works on raw tables -- so agreement with the enumerator
+is genuine cross-validation, not a tautology.
 """
 
 from __future__ import annotations
@@ -46,25 +46,24 @@ def _cycle_lengths(f) -> tuple:
     """Sorted lengths of the cycles in the functional graph of f.
 
     For a permutation this is its cycle type; for a general map only the
-    eventual cycles count, which is still a relabeling invariant.
+    eventual cycles count, which is still a relabeling invariant.  One walk
+    per unreached start records the step at which each point is reached; a
+    walk that stops on a point reached during that same walk closes a cycle.
     """
-    n = len(f)
-    state = [0] * n  # 0 untouched, 2 settled
+    reached = [-1] * len(f)
     lengths = []
-    for start in range(n):
-        if state[start]:
+    step = 0
+    for start in range(len(f)):
+        if reached[start] >= 0:
             continue
-        path = []
-        pos: dict = {}
+        begin = step
         x = start
-        while state[x] == 0 and x not in pos:
-            pos[x] = len(path)
-            path.append(x)
+        while reached[x] < 0:
+            reached[x] = step
+            step += 1
             x = f[x]
-        if state[x] == 0:
-            lengths.append(len(path) - pos[x])
-        for y in path:
-            state[y] = 2
+        if reached[x] >= begin:
+            lengths.append(step - reached[x])
     return tuple(sorted(lengths))
 
 
@@ -75,11 +74,9 @@ def fingerprint(t: CayleyTable) -> Fingerprint:
 
 def _signatures(rows) -> list:
     """Per-symbol invariants: (row cycle type, column cycle type, idempotent?)."""
-    n = len(rows)
-    cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
     return [
-        (_cycle_lengths(rows[i]), _cycle_lengths(cols[i]), rows[i][i] == i)
-        for i in range(n)
+        (_cycle_lengths(row), _cycle_lengths(col), row[i] == i)
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
     ]
 
 
@@ -96,7 +93,6 @@ def _iso_search(s, sig_s, t, sig_t) -> bool:
     if sorted(sig_s) != sorted(sig_t):
         return False
     cand = [[v for v in range(n) if sig_t[v] == sig_s[i]] for i in range(n)]
-    candset = [frozenset(c) for c in cand]
     order = sorted(range(n), key=lambda i: len(cand[i]))
 
     m = [-1] * n
@@ -118,7 +114,7 @@ def _iso_search(s, sig_s, t, sig_t) -> bool:
                     pt = t[m[x]][m[y]]
                     pm = m[ps]
                     if pm == -1:
-                        if used[pt] or pt not in candset[ps]:
+                        if used[pt] or sig_t[pt] != sig_s[ps]:
                             return False
                         m[ps] = pt
                         used[pt] = True
@@ -186,16 +182,18 @@ def all_affine_forms(G: GroupSpec) -> list:
 def _classify_bucket(indexed_rows):
     # One fingerprint bucket: greedy scan keeping the first table of each class.
     # Signatures are computed here, per bucket, so at most one bucket's are held.
-    classes = []  # (first_index, rows, signatures, count)
+    # Classes are keyed by sorted signatures, which `_iso_search` requires equal.
+    classes: dict = {}  # sorted signatures -> [[first_index, rows, signatures, count], ...]
     for idx, rows in indexed_rows:
         sig = _signatures(rows)
-        for ci, (first, canon, canon_sig, count) in enumerate(classes):
-            if _iso_search(rows, sig, canon, canon_sig):
-                classes[ci] = (first, canon, canon_sig, count + 1)
+        same = classes.setdefault(tuple(sorted(sig)), [])
+        for cls in same:
+            if _iso_search(rows, sig, cls[1], cls[2]):
+                cls[3] += 1
                 break
         else:
-            classes.append((idx, rows, sig, 1))
-    return [(first, count) for first, _, _, count in classes]
+            same.append([idx, rows, sig, 1])
+    return [(first, count) for same in classes.values() for first, _, _, count in same]
 
 
 def classify(tables, jobs: int = 1) -> list:

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import medialq
 from medialq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from medialq.quasigroup import tables_from_text
 
@@ -399,6 +405,41 @@ def test_verify_rejects_an_oversized_table_as_its_order_is_read(tmp_path, capsys
     assert "tables of order 1000 exceed the bound n <= 81" in err
     assert out == ""
     assert built == [2]
+
+
+def verify_in_a_process(path):
+    # a child with a timeout and 1 GiB of address space: a read that blocks or
+    # never ends fails the test, and cannot hang it or exhaust memory
+    src = str(Path(medialq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "medialq.cli", "verify", "--in", str(path)],
+        capture_output=True, text=True, timeout=30, env=env, preexec_fn=limit_memory,
+    )
+
+
+def test_verify_refuses_a_fifo_before_opening_it(tmp_path):
+    fifo = tmp_path / "tables.fifo"
+    os.mkfifo(fifo)  # no writer: opening it for reading would block
+    run = verify_in_a_process(fifo)
+    assert (run.returncode, run.stdout) == (EXIT_USAGE, "")
+    assert run.stderr == f"error: {fifo} is not a regular file\n"
+    # a path that cannot be stat'ed still reports the OSError
+    run = verify_in_a_process(tmp_path / "missing.txt")
+    assert (run.returncode, run.stdout) == (EXIT_USAGE, "")
+    assert run.stderr.startswith("error: [Errno 2] No such file or directory:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_verify_refuses_an_endless_device():
+    run = verify_in_a_process("/dev/zero")
+    assert (run.returncode, run.stdout) == (EXIT_USAGE, "")
+    assert run.stderr == "error: /dev/zero is not a regular file\n"
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from medialq import enumeration, gl2, groups
 from medialq.enumeration import (
+    _case_tag,
     _one_minus,
     _orbit_reps,
     enumerate_forms,
@@ -55,6 +56,13 @@ EQUIVALENCE_GROUPS = [
 def plain(f):
     """What `G.apply` takes: the multiplier of a unit, or the matrix itself."""
     return f.value if isinstance(f, Unit) else f
+
+
+def one_minus(G, phi, psi):
+    """1 - phi - psi as `G.apply` takes it, checked against the code `_one_minus` returns."""
+    M = (1 - phi.value - psi.value) % G.order if isinstance(G, Cyclic) else Mat2.identity(G.p) - phi - psi
+    assert _one_minus(G, phi, psi) == int(M)
+    return M
 
 
 def ref_quotient_cosets(G, M):
@@ -137,7 +145,7 @@ def enumeration_pairs(G):
 @pytest.mark.parametrize("G", EQUIVALENCE_GROUPS, ids=str)
 def test_every_pair_matches_the_reference_algorithms(G):
     for phi, psi in enumeration_pairs(G):
-        M = _one_minus(G, phi, psi)
+        M = one_minus(G, phi, psi)
         reps, order, coset_index = ref_quotient_cosets(G, M)
         cosets = quotient_cosets(G, M)
         assert cosets.representatives == reps
@@ -152,6 +160,18 @@ def test_every_pair_matches_the_reference_algorithms(G):
         if isinstance(G, ElemAbelianRank2):
             assert centralizer(phi) == ref_centralizer(phi)
             assert centralizer(psi) == ref_centralizer(psi)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_every_case_tag_names_the_rank_of_the_difference_matrix(p):
+    # the tag reads the rank from the image's order; the reference from the matrix
+    G = ElemAbelianRank2(Prime(p))
+    for phi, psi in enumeration_pairs(G):
+        rank = (Mat2.identity(p) - phi - psi).rank()
+        state = _case_tag(G, phi, psi).rsplit(".", 1)[1]
+        assert state == {2: "regular", 1: "rank1", 0: "rank0"}[rank] or (
+            state == "singular" and rank < 2
+        )
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -354,7 +374,7 @@ def test_orbits_do_not_depend_on_the_block_size(G, monkeypatch):
     enumeration._orbit_reps.cache_clear()
     try:
         for phi, psi in enumeration_pairs(G):
-            M = _one_minus(G, phi, psi)
+            M = one_minus(G, phi, psi)
             cosets = quotient_cosets(G, M)
             stab = stabilizer(G, phi, psi)
             expected = ref_orbit_reps(G, [plain(h) for h in stab], M)

@@ -262,13 +262,19 @@ def test_enumerate_totals_small():
 
 
 def test_report_total_is_the_triple_count_and_the_tallies_must_sum_to_it():
+    # the tallies are derived from the triples, so no report can disagree with them
     report = enumerate_forms(Z9)
-    assert report.total == len(report.triples) == 48
-    assert EnumerationReport(Z9, report.triples, {"cyclic": 48}).total == 48
-    with pytest.raises(ValueError, match="disagrees"):
-        EnumerationReport(Z9, report.triples, {"cyclic": 47})
-    with pytest.raises(ValueError, match="disagrees"):
-        EnumerationReport(Z9, report.triples[:-1], {"cyclic": 48})
+    assert report.total == len(report.triples) == 48 == sum(report.tallies.values())
+    assert EnumerationReport(Z9, report.triples).tallies == {"cyclic": 48}
+    assert EnumerationReport(Z9, report.triples[:-1]).tallies == {"cyclic": 47}
+    assert EnumerationReport(Z9, ()).tallies == {"cyclic": 0}
+    with pytest.raises(TypeError):
+        EnumerationReport(Z9, report.triples, {"cyclic": 48})
+    rank2 = enumerate_forms(V3)
+    assert EnumerationReport(V3, rank2.triples[::-1]).tallies == rank2.tallies
+    assert list(EnumerationReport(V3, ()).tallies) == list(CASE_TAGS_RANK2)
+    with pytest.raises(KeyError):
+        EnumerationReport(V3, report.triples)  # the cyclic tag is not a rank-2 case
 
 
 def test_case_subtotals_p3():

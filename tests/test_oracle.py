@@ -119,6 +119,57 @@ def test_fingerprint_runs_one_cycle_search_per_table(monkeypatch):
         assert fp == oracle.Fingerprint(t.n, cycle_lengths(calls[0]))
 
 
+def ref_cycle_lengths(f) -> tuple:
+    # the earlier walk: a dict of positions along each path, then a settle loop
+    n = len(f)
+    state = [0] * n  # 0 untouched, 2 settled
+    lengths = []
+    for start in range(n):
+        if state[start]:
+            continue
+        path = []
+        pos: dict = {}
+        x = start
+        while state[x] == 0 and x not in pos:
+            pos[x] = len(path)
+            path.append(x)
+            x = f[x]
+        if state[x] == 0:
+            lengths.append(len(path) - pos[x])
+        for y in path:
+            state[y] = 2
+    return tuple(sorted(lengths))
+
+
+@st.composite
+def maps_and_permutations(draw):
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        return draw(st.permutations(range(n)))
+    return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(maps_and_permutations())
+def test_cycle_lengths_match_the_path_dict_walk(f):
+    assert oracle._cycle_lengths(f) == ref_cycle_lengths(f)
+
+
+def test_classify_searches_only_tables_of_equal_sorted_signatures(monkeypatch):
+    # `_iso_search` rejects any other pair on its multiset check, so calling it is waste
+    equal = []
+    iso_search = oracle._iso_search
+
+    def recording(s, sig_s, t, sig_t):
+        equal.append(sorted(sig_s) == sorted(sig_t))
+        return iso_search(s, sig_s, t, sig_t)
+
+    monkeypatch.setattr(oracle, "_iso_search", recording)
+    classes = classify([build_table(f) for f in all_affine_forms(V3)])
+    assert len(classes) == 68
+    assert equal and all(equal), f"{equal.count(False)} of {len(equal)} calls"
+
+
 def test_are_isomorphic_symmetric():
     tables = rep_tables(V3)
     rng = random.Random(5)
