@@ -8,6 +8,12 @@ materializes their Cayley tables, and cross-validates the enumeration with
 a brute-force isomorphism oracle that knows nothing about affine forms.
 """
 
+import os
+
+# medialq makes no BLAS call, and starting OpenBLAS's thread pool costs every
+# process CPU at numpy's import.  A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .fp import MAX_PRIME, Prime, count_irreducible_quadratics, fp_inv, is_irreducible_quadratic
 from .groups import CosetList, Cyclic, ElemAbelianRank2, GroupSpec, quotient_cosets
 from .gl2 import (
@@ -31,6 +37,7 @@ from .quasigroup import (
     is_latin,
     is_medial,
     tables_from_text,
+    to_json,
     to_text,
 )
 from .enumeration import (
@@ -39,10 +46,12 @@ from .enumeration import (
     EnumerationReport,
     Polynomial,
     RepresentativeTriple,
+    block_triples,
     closed_form_cyclic,
     closed_form_order_p2,
     closed_form_zp2,
     count_composite,
+    enumerate_blocks,
     enumerate_forms,
     group_label,
     interpolate_count_polynomial,

@@ -10,23 +10,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import stat
 import sys
+from contextlib import closing
 from itertools import takewhile
+from operator import attrgetter
 from pathlib import Path
 
 from .fp import Prime
 from .enumeration import (
     MAX_COMPOSITE_ORDER,
+    block_triples,
     closed_form_cyclic,
     closed_form_order_p2,
     closed_form_zp2,
     count_composite,
+    enumerate_blocks,
     enumerate_forms,
     factorize,
     group_label,
     interpolate_count_polynomial,
-    jsonl_record,
 )
 from .groups import Cyclic, ElemAbelianRank2
 from .oracle import CLASSIFY_ORDER_CAP, all_affine_forms, assign_to_classes, classify
@@ -37,6 +41,7 @@ from .quasigroup import (
     is_latin,
     is_medial,
     tables_from_text,
+    to_json,
     to_text,
 )
 
@@ -229,21 +234,64 @@ def _cmd_count(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
+def _entries(f) -> list:
+    return list(f.entries)
+
+
+def _pair(c) -> str:
+    return f"{c[0]}, {c[1]}"
+
+
+def _render_block(G, block, text: bool, tables: bool) -> str:
+    """The output lines of one phi block, one f-string per format.
+
+    Each line holds the bytes that `json.dumps(jsonl_record(...))`, or the
+    text format, prints for its triple; the tests hold these templates to
+    that reference.  The group label and the case tags need no JSON escapes.
+    """
+    phi, rows = block
+    if isinstance(G, Cyclic):
+        show, element = attrgetter("value"), str
+    else:
+        show, element = _entries, _pair
+    if text:
+        shown = show(phi)
+        return "".join([
+            f"{tag} phi={shown} psi={show(psi)} c=[{element(c)}]\n"
+            for psi, tag, cs in rows
+            for c in cs
+        ])
+    head = f'{{"group": "{group_label(G)}", "phi": {show(phi)}, "psi": '
+    if tables:
+        return "".join([
+            f'{head}{show(psi)}, "c": [{element(c)}], "case_tag": "{tag}", '
+            f'"table": {to_json(build_table(AffineForm(G, phi, psi, c)))}}}\n'
+            for psi, tag, cs in rows
+            for c in cs
+        ])
+    return "".join([
+        f'{head}{show(psi)}, "c": [{element(c)}], "case_tag": "{tag}"}}\n'
+        for psi, tag, cs in rows
+        for c in cs
+    ])
+
+
 def _cmd_enumerate(args) -> int:
     if args.tables and args.format == "text":
         raise UsageError("--tables needs --format jsonl: the text format prints no tables")
     G = _group(args)
     if args.tables:
         _check_table_order(G.order)
-    report = enumerate_forms(G, jobs=args.jobs)
-    for triple in report.triples:
-        table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c)) if args.tables else None
-        record = jsonl_record(G, triple, table)
-        if args.format == "jsonl":
-            print(json.dumps(record))
-        else:
-            print(f"{record['case_tag']} phi={record['phi']} psi={record['psi']} c={record['c']}")
-    print(f"total: {report.total}", file=sys.stderr)
+    text = args.format == "text"
+    total = 0
+    # One write per block: lines leave as their block is made, and no more
+    # than one block's text is held at a time.
+    with closing(enumerate_blocks(G, jobs=args.jobs)) as blocks:
+        for block in blocks:
+            sys.stdout.write(_render_block(G, block, text, args.tables))
+            total += sum(len(cs) for _, _, cs in block[1])
+    sys.stdout.flush()  # every line is out before the total is reported
+    print(f"total: {total}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -252,11 +300,13 @@ def _cmd_export(args) -> int:
     _check_table_order(G.order)
     out = Path(args.out)
     _file_io(out.mkdir, parents=True, exist_ok=True)
-    report = enumerate_forms(G, jobs=args.jobs)
-    for i, triple in enumerate(report.triples):
-        table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c))
-        _file_io((out / f"{i:04d}_{triple.case_tag}.txt").write_text, to_text(table))
-    print(f"wrote {report.total} tables to {out}")
+    total = 0
+    with closing(enumerate_blocks(G, jobs=args.jobs)) as blocks:
+        for triple in block_triples(blocks):
+            table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c))
+            _file_io((out / f"{total:04d}_{triple.case_tag}.txt").write_text, to_text(table))
+            total += 1
+    print(f"wrote {total} tables to {out}")
     return EXIT_OK
 
 
@@ -357,9 +407,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # so that a closed stdout is reported here, not at exit
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError as exc:
+        # The reader closed stdout, as `| head` does.  Output still buffered
+        # would fail again when Python flushes stdout at exit, so it goes to
+        # the null device instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: stdout was closed: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

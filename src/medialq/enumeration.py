@@ -17,8 +17,8 @@ image of that matrix, never from per-case algebraic shortcuts.
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -214,23 +214,36 @@ def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
-def _triples(G: GroupSpec, phi: Automorphism) -> list:
-    out = []
-    for psi in reps_y(G, phi):
-        tag = _case_tag(G, phi, psi)
-        out.extend(RepresentativeTriple(phi, psi, c, tag) for c in orbit_reps_c(G, phi, psi))
-    return out
+def _block(G: GroupSpec, phi: Automorphism) -> tuple:
+    """The block of phi: (phi, rows), one row (psi, case tag, c representatives) per psi."""
+    return phi, tuple(
+        (psi, _case_tag(G, phi, psi), orbit_reps_c(G, phi, psi)) for psi in reps_y(G, phi)
+    )
+
+
+def enumerate_blocks(G: GroupSpec, jobs: int = 1):
+    """Yield the block of every phi representative, in phi order, as each is made.
+
+    A block is `(phi, rows)`, one row `(psi, case_tag, cs)` per psi
+    representative, where `cs` holds the c representatives.  Work may be
+    partitioned across the phi representatives (`jobs` worker processes at
+    most, see `pool_size`); the blocks are identical at any job count.
+    Closing the generator early stops the workers.
+    """
+    return parallel_map(partial(_block, G), reps_x(G), jobs)
 
 
 def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
-    """Full representative-triple list for G, with per-case tallies.
+    """Full representative-triple list for G, with per-case tallies, from `enumerate_blocks`."""
+    return EnumerationReport(G, tuple(block_triples(enumerate_blocks(G, jobs))))
 
-    Work may be partitioned across the phi representatives (`jobs` worker
-    processes at most, see `pool_size`); the output is identical at any job
-    count.
-    """
-    chunks = parallel_map(partial(_triples, G), reps_x(G), jobs)
-    return EnumerationReport(G, tuple(t for chunk in chunks for t in chunk))
+
+def block_triples(blocks):
+    """Yield the `RepresentativeTriple`s of a stream of blocks, in order."""
+    for phi, rows in blocks:
+        for psi, tag, cs in rows:
+            for c in cs:
+                yield RepresentativeTriple(phi, psi, c, tag)
 
 
 def pool_size(jobs: int, items: int) -> int:
@@ -240,14 +253,28 @@ def pool_size(jobs: int, items: int) -> int:
     return max(1, min(jobs, os.cpu_count() or 1, items))
 
 
-def parallel_map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], in order, on `pool_size(jobs, len(items))` processes."""
+def parallel_map(fn, items, jobs: int):
+    """A generator of fn(x) for x in items, in order, on `pool_size(jobs, len(items))` processes.
+
+    `jobs` is checked at the call.  Results are yielded as they arrive;
+    closing the generator early cancels the calls not yet started and waits
+    only for those already running.
+    """
     items = list(items)
-    workers = pool_size(jobs, len(items))
+    return _map(fn, items, pool_size(jobs, len(items)))
+
+
+def _map(fn, items: list, workers: int):
     if workers == 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from map(fn, items)
+        return
+    # concurrent.futures loads its process module on first use of this name,
+    # so a run that starts no pool never imports it.
+    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, items)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def closed_form_cyclic(p: int, k: int) -> int:

@@ -37,6 +37,11 @@ class Cyclic:
             raise ValueError(f"exponent k must be an int, not {self.k!r}") from None
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
+        # Stored once, like gl2.Subgroup's: every cache keyed on the group hashes it.
+        object.__setattr__(self, "_hash", hash((self.p, self.k)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @cached_property  # read on every pair check and every 1 - phi - psi
     def order(self) -> int:
@@ -92,6 +97,10 @@ class ElemAbelianRank2:
 
     def __post_init__(self):
         object.__setattr__(self, "p", Prime(self.p))
+        object.__setattr__(self, "_hash", hash((self.p,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

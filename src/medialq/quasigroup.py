@@ -120,19 +120,29 @@ def count_idempotents(t: CayleyTable) -> int:
 
 
 @lru_cache(maxsize=None)
-def _labels(n: int) -> tuple:
-    """Text of each symbol 0 .. n-1 followed by a space, and by a newline."""
-    spaced = np.array([f"{i} " for i in range(n)], dtype=object)
-    ended = np.array([f"{i}\n" for i in range(n)], dtype=object)
+def _labels(n: int, sep: str, end: str) -> tuple:
+    """Text of each symbol 0 .. n-1 followed by `sep`, and by `end`."""
+    spaced = np.array([f"{i}{sep}" for i in range(n)], dtype=object)
+    ended = np.array([f"{i}{end}" for i in range(n)], dtype=object)
     return spaced, ended
+
+
+def _render(t: CayleyTable, sep: str, end: str) -> str:
+    """The cells row by row, each followed by `sep`, or by `end` at a row's end."""
+    spaced, ended = _labels(t.n, sep, end)
+    words = spaced[t.cells]
+    words[:, -1] = ended[t.cells[:, -1]]
+    return "".join(words.ravel().tolist())
 
 
 def to_text(t: CayleyTable) -> str:
     """Bit-exact text form: 'n' line, then n rows of space-separated indices."""
-    spaced, ended = _labels(t.n)
-    words = spaced[t.cells]
-    words[:, -1] = ended[t.cells[:, -1]]
-    return f"{t.n}\n" + "".join(words.ravel().tolist())
+    return f"{t.n}\n" + _render(t, " ", "\n")
+
+
+def to_json(t: CayleyTable) -> str:
+    """`json.dumps(t.cells.tolist())`: the rows as JSON arrays of indices."""
+    return "[[" + _render(t, ", ", "], [")[: -len(", [")] + "]"
 
 
 _SPACE = re.compile(r"\s")  # the characters str.split() splits on

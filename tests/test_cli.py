@@ -6,11 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medialq
 from medialq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from medialq.quasigroup import tables_from_text
+from medialq.enumeration import (
+    CASE_TAG_CYCLIC,
+    CASE_TAGS_RANK2,
+    block_triples,
+    enumerate_forms,
+    jsonl_record,
+)
+from medialq.gl2 import centralizer, gl2_elements, units
+from medialq.groups import Cyclic, ElemAbelianRank2
+from medialq.quasigroup import AffineForm, CayleyTable, build_table, tables_from_text, to_text
 
 
 def run(capsys, *argv):
@@ -315,7 +327,7 @@ def refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an input over a bound")
 
-    for name in ("enumerate_forms", "build_table", "is_latin", "is_medial"):
+    for name in ("enumerate_forms", "enumerate_blocks", "build_table", "is_latin", "is_medial"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -358,18 +370,17 @@ def test_over_bound_input_is_rejected_before_any_work(tmp_path, capsys, monkeypa
     ],
 )
 def test_inputs_at_a_bound_are_admitted(tmp_path, capsys, monkeypatch, argv, order):
-    # the enumeration is replaced by an empty report, so nothing at the bound runs
-    from types import SimpleNamespace
-
+    # the enumeration is replaced by an empty block stream, so nothing at the bound runs
     from medialq import cli
 
     groups = []
 
-    def empty_report(G, jobs=1):
+    def no_blocks(G, jobs=1):
         groups.append(G)
-        return SimpleNamespace(triples=(), total=0)
+        return (block for block in ())
 
-    monkeypatch.setattr(cli, "enumerate_forms", empty_report)
+    refuse_work(monkeypatch)
+    monkeypatch.setattr(cli, "enumerate_blocks", no_blocks)
     code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_OK
     assert [G.order for G in groups] == [order]
@@ -541,3 +552,136 @@ def test_export_to_an_unusable_out_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and str(blocked) in err
     assert out == ""
+
+
+@st.composite
+def blocks(draw):
+    """A phi block of either family, with any commuting psi, tags and c values."""
+    if draw(st.booleans()):
+        G = Cyclic(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 2)))
+        autos, tags = units(G.p, G.k), [CASE_TAG_CYCLIC]
+        phi = draw(st.sampled_from(autos))
+    else:
+        G = ElemAbelianRank2(draw(st.sampled_from([2, 3, 5])))
+        phi = draw(st.sampled_from(gl2_elements(G.p)))
+        autos, tags = centralizer(phi), CASE_TAGS_RANK2
+    row = st.tuples(
+        st.sampled_from(autos),
+        st.sampled_from(tags),
+        st.lists(st.sampled_from(G.elements()), min_size=1, max_size=4).map(tuple),
+    )
+    return G, (phi, tuple(draw(st.lists(row, max_size=4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks(), st.booleans())
+def test_block_templates_print_the_reference_bytes(gb, tables):
+    from medialq import cli
+
+    G, block = gb
+    jsonl = text = ""
+    for t in block_triples([block]):
+        table = build_table(AffineForm(G, t.phi, t.psi, t.c)) if tables else None
+        jsonl += json.dumps(jsonl_record(G, t, table)) + "\n"
+        r = jsonl_record(G, t)
+        text += f"{r['case_tag']} phi={r['phi']} psi={r['psi']} c={r['c']}\n"
+    assert cli._render_block(G, block, text=False, tables=tables) == jsonl
+    assert cli._render_block(G, block, text=True, tables=False) == text
+
+
+def test_the_first_line_is_written_before_the_enumeration_ends(monkeypatch):
+    from medialq import cli
+
+    events = []
+    real = cli.enumerate_blocks
+
+    def watched(G, jobs=1):
+        for block in real(G, jobs):
+            events.append("block")
+            yield block
+        events.append("end")
+
+    class Stdout:
+        def write(self, s):
+            events.append("write")
+            return len(s)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "enumerate_blocks", watched)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["enumerate", "--group", "cyclic", "--p", "11"]) == EXIT_OK
+    assert events == ["block", "write"] * 10 + ["end"]  # one block and one write per unit phi
+
+
+def pinned(argv):
+    expected = json.loads((Path(__file__).resolve().parents[1] / "bench" / "expected.json").read_text())
+    return expected["stdout"].get(" ".join(argv + ["--jobs", "1"]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group", "cyclic", "--p", "11", "--k", "2"],
+        ["enumerate", "--group", "zp2", "--p", "7"],
+        ["enumerate", "--group", "zp2", "--p", "5", "--format", "text"],
+        ["enumerate", "--group", "cyclic", "--p", "3", "--k", "2", "--tables"],
+    ],
+)
+def test_output_at_two_jobs_is_byte_identical(capsys, argv):
+    code, one, _ = run(capsys, *argv, "--jobs", "1")
+    assert code == EXIT_OK
+    code, two, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == EXIT_OK
+    assert two == one
+    if pinned(argv):
+        assert hashlib.sha256(one.encode()).hexdigest() == pinned(argv)
+
+
+@pytest.mark.parametrize("G", [ElemAbelianRank2(3), Cyclic(3, 2)])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_streamed_export_writes_the_reference_files(tmp_path, capsys, G, jobs):
+    group = ["--group", "zp2", "--p", "3"] if G == ElemAbelianRank2(3) else ["--group", "cyclic", "--p", "3", "--k", "2"]
+    code, out, _ = run(capsys, "export", *group, "--out", str(tmp_path), "--jobs", jobs)
+    assert code == EXIT_OK
+    want = {
+        f"{i:04d}_{t.case_tag}.txt": to_text(build_table(AffineForm(G, t.phi, t.psi, t.c)))
+        for i, t in enumerate(enumerate_forms(G).triples)
+    }
+    assert {f.name: f.read_text() for f in tmp_path.iterdir()} == want
+    assert out == f"wrote {len(want)} tables to {tmp_path}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # the reader takes one line of a million and closes the pipe, as `| head -1` does
+        (["enumerate", "--group", "cyclic", "--p", "1021", "--jobs", "1"], 1),
+        (["enumerate", "--group", "cyclic", "--p", "1021", "--jobs", "2"], 1),
+        # the reader is gone before any line: the output waits in the buffer until the end
+        (["enumerate", "--group", "zp2", "--p", "2"], 0),
+        (["count", "--group", "n", "--n", "12"], 0),
+    ],
+)
+def test_a_closed_stdout_ends_the_run_with_one_error_line(argv, lines):
+    src = str(Path(medialq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as it is by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "medialq.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True,
+    )
+    try:
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, 9)
+            proc.wait()
+    assert all(line.startswith(b'{"group": "cyclic:p=1021,k=1", ') for line in read)
+    assert proc.returncode == EXIT_USAGE
+    assert err.decode() == "error: stdout was closed: [Errno 32] Broken pipe\n"
+    with pytest.raises(ProcessLookupError):  # no worker outlived the run
+        os.killpg(proc.pid, 0)

@@ -1,5 +1,9 @@
+import concurrent.futures
 import re
+import time
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,9 +406,12 @@ class RecordingPool:
     def map(self, fn, *iterables):
         return map(fn, *iterables)
 
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
 
 def test_pool_size_is_clamped(monkeypatch):
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
     RecordingPool.sizes = []
     seq = enumerate_forms(V3)
@@ -420,3 +427,34 @@ def test_pool_size_is_clamped(monkeypatch):
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             enumerate_forms(V3, jobs=jobs)
+
+
+def _mark(directory, x):
+    time.sleep(0.02)
+    (Path(directory) / str(x)).touch()
+    return x
+
+
+def test_closing_the_stream_early_cancels_the_calls_not_started(tmp_path):
+    mark = partial(_mark, str(tmp_path))
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        enumeration.parallel_map(mark, range(3), 0)  # checked at the call, not at the first item
+    results = enumeration.parallel_map(mark, range(200), 2)
+    assert next(results) == 0
+    results.close()  # returns once the calls already running are done
+    started = len(list(tmp_path.iterdir()))
+    assert started < 20
+    time.sleep(0.2)
+    assert len(list(tmp_path.iterdir())) == started
+
+
+def test_blocks_are_made_one_at_a_time(monkeypatch):
+    made = []
+    real = enumeration._block
+    monkeypatch.setattr(enumeration, "_block", lambda G, phi: made.append(phi) or real(G, phi))
+    blocks = enumeration.enumerate_blocks(Z9)
+    assert made == []
+    phi, rows = next(blocks)
+    assert made == [phi] == [Unit(1, 9)]
+    first = list(enumeration.block_triples([(phi, rows)]))
+    assert first == list(enumerate_forms(Z9).triples[: len(first)])

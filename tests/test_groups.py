@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 
 import numpy as np
@@ -152,3 +154,27 @@ def test_cyclic_takes_integers_only():
 def test_cyclic_takes_a_numpy_integer_k():
     G = Cyclic(3, np.int64(2))
     assert G == Z9 and type(G.k) is int
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (Cyclic(3, 2), Cyclic(Prime(3), np.int64(2))),
+        lambda: (ElemAbelianRank2(3), ElemAbelianRank2(Prime(3))),
+    ],
+)
+def test_equal_groups_hash_equal_and_share_cache_entries(make):
+    from medialq import groups
+
+    G, twin = make()
+    copies = [twin, pickle.loads(pickle.dumps(G)), dataclasses.replace(G)]
+    assert all(H == G and H is not G and hash(H) == hash(G) for H in copies)
+    assert hash(G) == hash(dataclasses.astuple(G))  # the dataclass's own hash, stored once
+    assert hash(dataclasses.replace(G, p=Prime(5))) != hash(G)
+    code = 2 if isinstance(G, Cyclic) else int(Mat2(1, 0, 0, 0, 3))
+    cosets = quotient_cosets(G, code)
+    sizes = [f.cache_info().currsize for f in (groups._add_table, groups._image, groups._cosets)]
+    for H in copies:
+        assert quotient_cosets(H, code) is cosets
+        assert groups._add_table(H) is groups._add_table(G)
+    assert [f.cache_info().currsize for f in (groups._add_table, groups._image, groups._cosets)] == sizes

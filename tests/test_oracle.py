@@ -308,6 +308,8 @@ def test_every_small_medial_square_is_affine():
 
 
 def test_classify_pool_size_is_clamped(monkeypatch):
+    import concurrent.futures
+
     from medialq import enumeration
 
     sizes = []
@@ -325,7 +327,10 @@ def test_classify_pool_size_is_clamped(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     tables = [build_table(f) for f in all_affine_forms(V2)]
     buckets = len({fingerprint(t) for t in tables})

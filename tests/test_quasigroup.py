@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -18,6 +19,7 @@ from medialq.quasigroup import (
     is_latin,
     is_medial,
     tables_from_text,
+    to_json,
     to_text,
 )
 
@@ -305,6 +307,7 @@ def test_to_text_prints_the_bytes_of_the_per_cell_join(t):
     assert text == ref_to_text(t.rows)
     assert tables_from_text(text) == [t]
     assert tables_from_text(text + text) == [t, t]
+    assert to_json(t) == json.dumps(t.cells.tolist())
 
 
 @settings(max_examples=100, deadline=None)
