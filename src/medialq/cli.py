@@ -243,7 +243,7 @@ def _pair(c) -> str:
 
 
 def _render_block(G, block, text: bool, tables: bool) -> str:
-    """The output lines of one phi block, one f-string per format.
+    """The output lines of one phi block, one f-string per format, one line per triple.
 
     Each line holds the bytes that `json.dumps(jsonl_record(...))`, or the
     text format, prints for its triple; the tests hold these templates to
@@ -288,8 +288,9 @@ def _cmd_enumerate(args) -> int:
     # than one block's text is held at a time.
     with closing(enumerate_blocks(G, jobs=args.jobs)) as blocks:
         for block in blocks:
-            sys.stdout.write(_render_block(G, block, text, args.tables))
-            total += sum(len(cs) for _, _, cs in block[1])
+            lines = _render_block(G, block, text, args.tables)
+            sys.stdout.write(lines)
+            total += lines.count("\n")
     sys.stdout.flush()  # every line is out before the total is reported
     print(f"total: {total}", file=sys.stderr)
     return EXIT_OK
