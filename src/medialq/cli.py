@@ -14,11 +14,11 @@ import os
 import stat
 import sys
 from contextlib import closing
-from itertools import takewhile
+from itertools import count, takewhile
 from operator import attrgetter
 from pathlib import Path
 
-from .fp import Prime
+from .fp import Prime, _least_factor
 from .enumeration import (
     MAX_COMPOSITE_ORDER,
     block_triples,
@@ -168,12 +168,8 @@ def _check_table_order(n: int):
 
 
 def _primes():
-    """The primes in ascending order, without end."""
-    candidate = 2
-    while True:
-        if all(candidate % q for q in range(2, int(candidate ** 0.5) + 1)):
-            yield Prime(candidate)
-        candidate += 1
+    """The primes in ascending order, without end, as ints."""
+    return (n for n in count(2) if _least_factor(n) == n)
 
 
 def _check_line(name: str, closed: int, enumerated) -> bool:

@@ -25,18 +25,19 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .fp import Prime
+from .fp import Prime, _least_factor
 from .gl2 import (
     SCALAR,
     Automorphism,
     Subgroup,
+    Unit,
     centralizer,
     check_pair,
     conj_class_reps,
     conjugacy_partition,
     units,
 )
-from .groups import CosetList, Cyclic, GroupSpec, quotient_cosets
+from .groups import CosetList, Cyclic, GroupSpec, _matrix_code, quotient_cosets
 
 CASE_TAG_CYCLIC = "cyclic"
 
@@ -90,16 +91,14 @@ class EnumerationReport:
 def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> int:
     """The code `int(M)` of the endomorphism M = 1 - phi - psi, building no `Mat2`.
 
-    A residue for Z_{p^k}; for Z_p x Z_p the entries of the (possibly singular)
-    matrix read as base-p digits, m00 first.
+    A residue for Z_{p^k}; for Z_p x Z_p the `_matrix_code` of the (possibly
+    singular) matrix.
     """
     if isinstance(G, Cyclic):
         return (1 - phi.value - psi.value) % G.order
-    p = G.p
-    code = 0
-    for delta, a, b in zip((1, 0, 0, 1), phi.entries, psi.entries):
-        code = code * p + (delta - a - b) % p
-    return code
+    return _matrix_code(
+        1 - phi.m00 - psi.m00, -phi.m01 - psi.m01, -phi.m10 - psi.m10, 1 - phi.m11 - psi.m11, G.p
+    )
 
 
 @lru_cache(maxsize=None)
@@ -126,12 +125,14 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
 
     For a unit or a scalar phi the centralizer is all of Aut(G), so the
     `reps_x` transversal is reused.  For the other kinds `centralizer` has
-    verified C(phi) to be commutative, so it is its own transversal.
+    verified C(phi) to be commutative, so it is its own transversal.  phi must
+    be in `reps_x(G)`: any unit of G's modulus, or a key of `_kinds`.
     """
-    reps = reps_x(G)
-    if phi not in reps:
+    reps = reps_x(G)  # checks the transversal
+    cyclic = isinstance(G, Cyclic)
+    if not (isinstance(phi, Unit) and phi.modulus == G.order if cyclic else phi in _kinds(G.p)):
         raise ValueError(f"{phi} is not a designated representative")
-    if isinstance(G, Cyclic) or phi.is_scalar():
+    if cyclic or phi.is_scalar():
         return reps
     return centralizer(phi)
 
@@ -307,18 +308,13 @@ MAX_COMPOSITE_ORDER = 10 ** 12
 
 
 def factorize(n: int) -> list:
+    """The pairs (p, k) of n's factorization, ascending in p; empty for n < 2."""
     factors = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            factors.append((d, k))
-        d += 1
-    if n > 1:
-        factors.append((n, 1))
+    while n > 1:
+        p, k = _least_factor(n), 0
+        while n % p == 0:
+            n, k = n // p, k + 1
+        factors.append((p, k))
     return factors
 
 

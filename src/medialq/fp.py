@@ -22,6 +22,12 @@ def as_integer(v) -> int:
         raise ValueError(f"{v!r} is not an integer") from None
 
 
+def _least_factor(n: int, cap: int | None = None) -> int:
+    """The least factor d >= 2 of n >= 2, by trial division up to sqrt(n) and `cap`; n if none is found."""
+    limit = math.isqrt(n) if cap is None else min(math.isqrt(n), cap)
+    return next((d for d in range(2, limit + 1) if n % d == 0), n)
+
+
 class Prime(int):
     """A prime modulus, validated by trial division at construction."""
 
@@ -33,11 +39,8 @@ class Prime(int):
             raise ValueError(f"{p} is not a prime")
         if p > MAX_PRIME:
             raise ValueError(f"prime {p} exceeds the supported cap {MAX_PRIME}")
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise ValueError(f"{p} is not a prime")
-            d += 1
+        if _least_factor(p) != p:
+            raise ValueError(f"{p} is not a prime")
         return super().__new__(cls, p)
 
     def __repr__(self) -> str:
@@ -55,7 +58,7 @@ def prime_power(n: int) -> tuple:
     n = as_integer(n)
     if n < 2:
         raise ValueError(f"{n} is not a prime power")
-    p = next((d for d in range(2, min(math.isqrt(n), MAX_PRIME) + 1) if n % d == 0), n)
+    p = _least_factor(n, MAX_PRIME)
     if p > MAX_PRIME:
         raise ValueError(f"{n} is not a power of a prime within the supported cap {MAX_PRIME}")
     m, k = n, 0

@@ -18,7 +18,6 @@ element for element: the formulas are checked facts, not trusted input.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -26,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .fp import Prime, as_integer, fp_inv, is_irreducible_quadratic, prime_power
-from .groups import Cyclic, GroupSpec
+from .groups import Cyclic, GroupSpec, _matrix_code
 
 SCALAR = "scalar"
 DISTINCT = "distinct"
@@ -40,7 +39,8 @@ class Mat2:
 
     Singular matrices are deliberately representable (difference matrices of
     commuting automorphism pairs usually are singular); invertibility is
-    enforced only where an automorphism is required.
+    enforced only where an automorphism is required.  Each construction checks
+    p through `Prime` and every entry through `fp.as_integer`.
     """
 
     m00: int
@@ -50,21 +50,10 @@ class Mat2:
     p: int
 
     def __post_init__(self):
-        # Checks inline rather than through calls: a Mat2 is built per enumerated
-        # pair, and its p is mostly the Prime that its operands pass on.
-        p = self.p
-        if type(p) is not Prime:
-            p = Prime(p)
-            object.__setattr__(self, "p", p)
-        try:
-            object.__setattr__(self, "m00", operator.index(self.m00) % p)
-            object.__setattr__(self, "m01", operator.index(self.m01) % p)
-            object.__setattr__(self, "m10", operator.index(self.m10) % p)
-            object.__setattr__(self, "m11", operator.index(self.m11) % p)
-        except TypeError:
-            for v in self.entries:
-                as_integer(v)  # a ValueError naming the first non-integer
-            raise
+        p = Prime(self.p)
+        object.__setattr__(self, "p", p)
+        for name in ("m00", "m01", "m10", "m11"):
+            object.__setattr__(self, name, as_integer(getattr(self, name)) % p)
 
     @classmethod
     def identity(cls, p: int) -> "Mat2":
@@ -79,18 +68,7 @@ class Mat2:
         return (self.m00, self.m01, self.m10, self.m11)
 
     def mul(self, other: "Mat2") -> "Mat2":
-        if self.p != other.p:
-            raise ValueError("matrices over different fields")
-        p = self.p
-        a, b, c, d = self.m00, self.m01, self.m10, self.m11
-        e, f, g, h = other.m00, other.m01, other.m10, other.m11
-        return Mat2(
-            (a * e + b * g) % p,
-            (a * f + b * h) % p,
-            (c * e + d * g) % p,
-            (c * f + d * h) % p,
-            p,
-        )
+        return Mat2(*_product(self, other), self.p)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         if self.p != other.p:
@@ -125,11 +103,20 @@ class Mat2:
         return self.m01 == 0 and self.m10 == 0 and self.m00 == self.m11
 
     def __int__(self) -> int:
-        """The entries read as base-p digits, m00 first."""
-        return ((self.m00 * self.p + self.m01) * self.p + self.m10) * self.p + self.m11
+        return _matrix_code(self.m00, self.m01, self.m10, self.m11, self.p)
 
     def __str__(self) -> str:
         return f"[[{self.m00},{self.m01}],[{self.m10},{self.m11}]] mod {self.p}"
+
+
+def _product(A: Mat2, B: Mat2) -> tuple:
+    """The entries of AB, reduced mod p; raises for matrices over different fields."""
+    if A.p != B.p:
+        raise ValueError("matrices over different fields")
+    p = A.p
+    a, b, c, d = A.m00, A.m01, A.m10, A.m11
+    e, f, g, h = B.m00, B.m01, B.m10, B.m11
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
 @dataclass(frozen=True)
@@ -371,7 +358,7 @@ def commutes(A: Automorphism, B: Automorphism) -> bool:
             raise ValueError("units of different cyclic groups")
         return True
     if isinstance(A, Mat2) and isinstance(B, Mat2):
-        return A.mul(B) == B.mul(A)  # raises for matrices over different fields
+        return _product(A, B) == _product(B, A)
     raise TypeError("cannot mix a unit with a matrix")
 
 

@@ -151,12 +151,12 @@ class ElemAbelianRank2:
         return (a // p + b // p) % p * p + (a + b) % p
 
     def index_action(self, ms, idx) -> np.ndarray:
-        """Indices of m(g) for every matrix code m in ms (rows) and element index g in idx (columns).
+        """Indices of m(g) for every matrix code m (`_matrix_code`) in ms (rows) and element index g in idx (columns).
 
         int32 suffices: every intermediate is below 2p^2 <= 2^31 for p up to MAX_PRIME.
         """
         p = self.p
-        digits = np.array([p ** 3, p * p, p, 1])  # a code's entries m00, m01, m10, m11
+        digits = np.array([p ** 3, p * p, p, 1])  # decodes `_matrix_code`: m00, m01, m10, m11
         e = (np.asarray(ms, dtype=np.int64)[:, None] // digits % p).astype(np.int32)
         idx = np.asarray(idx, dtype=np.int32)
         x, y = idx // p, idx % p
@@ -175,6 +175,11 @@ class ElemAbelianRank2:
 
 
 GroupSpec = Union[Cyclic, ElemAbelianRank2]
+
+
+def _matrix_code(m00: int, m01: int, m10: int, m11: int, p: int) -> int:
+    """The code of the 2x2 matrix over F_p with these entries: each reduced mod p, read as base-p digits, m00 first."""
+    return ((m00 % p * p + m01 % p) * p + m10 % p) * p + m11 % p
 
 
 @dataclass(frozen=True, eq=False)

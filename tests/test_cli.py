@@ -250,6 +250,16 @@ def test_count_huge_composite_fails_fast(capsys):
     assert "exceeds the supported cap 1000000000000" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--group", "n", "--n", "32771"], ["--group", "cyclic", "--p", "32771"]], ids=["n", "cyclic"]
+)
+def test_count_stops_at_the_prime_cap(capsys, argv):
+    # 32771 is prime, and both orders are within MAX_COMPOSITE_ORDER; the prime cap binds first
+    code, out, err = run(capsys, "count", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: prime 32771 exceeds the supported cap 32768\n"
+
+
 def test_interpolate_cyclic_names_the_enumeration_bound(capsys):
     import time
 

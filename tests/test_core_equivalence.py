@@ -505,6 +505,17 @@ def test_a_cold_cyclic_enumeration_computes_each_unit_code_once(monkeypatch):
     assert sorted(coded, key=real) == list(units(5, 2))
 
 
+def test_a_cold_rank2_enumeration_builds_a_mat2_per_element_and_two_per_class(monkeypatch):
+    # |GL(2,5)| = 480 from gl2_elements, and each of the 24 class representatives
+    # twice (_kinds and conjugacy_partition); the pair check builds none.
+    real, built = Mat2.__post_init__, []
+    monkeypatch.setattr(Mat2, "__post_init__", lambda M: built.append(1) or real(M))
+    for cache in (gl2.gl2_elements, gl2.conjugacy_partition, gl2.centralizer, gl2._members, enumeration._kinds):
+        cache.cache_clear()
+    enumerate_forms(ElemAbelianRank2(Prime(5)))
+    assert len(built) <= 480 + 2 * 24
+
+
 class SquaringCyclic(Cyclic):
     """Z_{p^k} whose 'action' is x -> x^2: not an endomorphism."""
 

@@ -115,6 +115,11 @@ def test_reps_y_rejects_non_representative():
         reps_y(V3, Mat2(2, 0, 0, 1, 3))  # conjugate to diag(1,2) but not the rep
     with pytest.raises(ValueError):
         reps_y(Z9, Unit(2, 3))
+    # a map of the other family is no representative either
+    with pytest.raises(ValueError, match="designated representative"):
+        reps_y(Z9, Mat2.identity(3))
+    with pytest.raises(ValueError, match="designated representative"):
+        reps_y(V3, Unit(1, 9))
 
 
 def test_stabilizer_examples():

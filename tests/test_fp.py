@@ -1,8 +1,14 @@
+import math
+import random
 import re
+import time
+from itertools import islice
 
 import numpy as np
 import pytest
 
+from medialq.cli import _primes
+from medialq.enumeration import factorize
 from medialq.fp import (
     MAX_PRIME,
     Prime,
@@ -74,6 +80,59 @@ def test_prime_power_splits_a_prime_power():
 def test_prime_power_rejects_the_rest(n, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         prime_power(n)
+
+
+def least_factors(n):
+    """Sieve of Eratosthenes: entry m is the least prime factor of m, for 2 <= m < n."""
+    least = np.zeros(n, dtype=np.int64)
+    for d in range(2, math.isqrt(n - 1) + 1):
+        if least[d] == 0:
+            multiples = least[d * d :: d]
+            multiples[multiples == 0] = d
+    unmarked = np.flatnonzero(least == 0)
+    least[unmarked] = unmarked  # the primes, and 0 and 1
+    return least
+
+
+def sieve_factorization(least, m):
+    factors = {}
+    while m > 1:
+        p = int(least[m])
+        factors[p] = factors.get(p, 0) + 1
+        m //= p
+    return sorted(factors.items())
+
+
+def test_every_trial_division_agrees_with_a_sieve():
+    n = 10 ** 4
+    least = least_factors(n)
+    primes = [m for m in range(2, n) if least[m] == m]
+    assert list(islice(_primes(), len(primes))) == primes
+    primes = set(primes)
+    for m in range(-2, n):
+        factors = sieve_factorization(least, m) if m >= 2 else []
+        assert factorize(m) == factors
+        if m in primes:
+            assert Prime(m) == m
+        else:
+            with pytest.raises(ValueError, match="is not a prime"):
+                Prime(m)
+        if len(factors) == 1:
+            assert prime_power(m) == factors[0]
+        else:
+            with pytest.raises(ValueError, match="is not a prime power"):
+                prime_power(m)
+
+
+def test_factorize_splits_products_of_two_large_primes_quickly():
+    least = least_factors(10 ** 6 + 1)
+    primes = np.flatnonzero(least == np.arange(len(least)))[2:].tolist()
+    rng = random.Random(0)
+    pairs = [sorted(rng.sample(primes, 2)) for _ in range(8)] + [[primes[-1], primes[-1]]]
+    start = time.perf_counter()
+    for p, q in pairs:
+        assert factorize(p * q) == ([(p, 2)] if p == q else [(p, 1), (q, 1)])
+    assert time.perf_counter() - start < 2
 
 
 def test_fp_inv_identity():

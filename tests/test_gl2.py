@@ -155,6 +155,23 @@ def test_commutes_rejects_mixed_variants():
         commutes(Mat2.identity(2), Mat2.identity(3))
 
 
+any_matrix = st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.lists(st.integers(0, p - 1), min_size=4, max_size=4).map(lambda e: Mat2(*e, p))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_matrix, any_matrix)
+def test_commutes_is_equality_of_both_products(A, B):
+    # singular matrices included; the entry product must agree with Mat2.mul both ways
+    if A.p != B.p:
+        with pytest.raises(ValueError, match="different fields"):
+            commutes(A, B)
+        return
+    assert commutes(A, B) == (A.mul(B) == B.mul(A))
+    assert commutes(A, A) and commutes(A, Mat2.identity(A.p))
+
+
 def test_units_listing():
     assert [u.value for u in units(3, 2)] == [1, 2, 4, 5, 7, 8]
     assert [u.value for u in units(2, 2)] == [1, 3]
