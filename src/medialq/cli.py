@@ -329,7 +329,7 @@ def _cmd_crosscheck(args) -> int:
         raise UsageError(
             f"group of order {G.order} exceeds the oracle cap {CLASSIFY_ORDER_CAP}"
         )
-    report = enumerate_forms(G, jobs=args.jobs)
+    report = enumerate_forms(G)
     forms = all_affine_forms(G)
     tables = [build_table(f) for f in forms]
     classes = classify(tables, jobs=args.jobs)

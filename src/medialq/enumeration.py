@@ -27,6 +27,8 @@ import numpy as np
 
 from .fp import Prime, _least_factor
 from .gl2 import (
+    DISTINCT,
+    JORDAN,
     SCALAR,
     Automorphism,
     Subgroup,
@@ -194,6 +196,9 @@ def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     return _orbit_reps(G, stabilizer(G, phi, psi), cosets)
 
 
+_RANK_SUFFIX = {2: "regular", 1: "rank1", 0: "rank0"}  # the rank-split tags of cases 2 and 3
+
+
 def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:
     """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi.
 
@@ -208,10 +213,10 @@ def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:
     if kinds[phi] == SCALAR:
         state = "regular" if rank == 2 else "singular"
         return f"case1.scalar-{kinds[psi]}.{state}"
-    if kinds[phi] == "distinct":
-        return "case2.distinct-diag." + {2: "regular", 1: "rank1", 0: "rank0"}[rank]
-    if kinds[phi] == "jordan":
-        return "case3.jordan." + {2: "regular", 1: "rank1", 0: "rank0"}[rank]
+    if kinds[phi] == DISTINCT:
+        return "case2.distinct-diag." + _RANK_SUFFIX[rank]
+    if kinds[phi] == JORDAN:
+        return "case3.jordan." + _RANK_SUFFIX[rank]
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
@@ -234,9 +239,9 @@ def enumerate_blocks(G: GroupSpec, jobs: int = 1):
     return parallel_map(partial(_block, G), reps_x(G), jobs)
 
 
-def enumerate_forms(G: GroupSpec, jobs: int = 1) -> EnumerationReport:
-    """Full representative-triple list for G, with per-case tallies, from `enumerate_blocks`."""
-    return EnumerationReport(G, tuple(block_triples(enumerate_blocks(G, jobs))))
+def enumerate_forms(G: GroupSpec) -> EnumerationReport:
+    """Full representative-triple list for G, with per-case tallies, from `enumerate_blocks` in this process."""
+    return EnumerationReport(G, tuple(block_triples(enumerate_blocks(G))))
 
 
 def block_triples(blocks):

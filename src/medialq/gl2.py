@@ -274,19 +274,20 @@ def centralizer(A: Mat2) -> Subgroup:
     x = _gl2_entries(A.p)
     a = np.array(A.entries, dtype=np.int32)
     keep = (_mul(a, x, A.p) == _mul(x, a, A.p)).all(axis=-1)
-    return _members(A.p, keep.tobytes(), not A.is_scalar())
+    return _members(A.p, keep.tobytes())
 
 
 @lru_cache(maxsize=None)
-def _members(p: int, mask: bytes, commutative: bool) -> Subgroup:
+def _members(p: int, mask: bytes) -> Subgroup:
     """The elements of GL(2,p) whose entry rows a byte mask keeps.
 
-    Keyed on the mask, so a centralizer shared by many matrices is built,
-    and checked to commute if `commutative`, once.
+    Keyed on the mask, so a centralizer shared by many matrices is built, and
+    checked to commute unless it is all of GL(2,p) (a scalar's), once.
     """
     gl = gl2_elements(p)
-    members = Subgroup(gl[i] for i in np.flatnonzero(np.frombuffer(mask, dtype=bool)).tolist())
-    if commutative:
+    keep = np.frombuffer(mask, dtype=bool)
+    members = Subgroup(gl[i] for i in np.flatnonzero(keep).tolist())
+    if not keep.all():
         _assert_commutative(members)
     return members
 

@@ -64,10 +64,6 @@ class Cyclic:
         self.check(b)
         return (a + b) % self.order
 
-    def neg(self, a) -> int:
-        self.check(a)
-        return (-a) % self.order
-
     def index(self, a) -> int:
         return self.check(a)
 
@@ -128,11 +124,6 @@ class ElemAbelianRank2:
         self.check(b)
         p = self.p
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
-    def neg(self, a) -> tuple:
-        self.check(a)
-        p = self.p
-        return ((-a[0]) % p, (-a[1]) % p)
 
     def index(self, a) -> int:
         self.check(a)

@@ -39,6 +39,34 @@ def test_count_order_p2(capsys):
     assert "[match]" in out
 
 
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ["interpolate", "--series", "order-p2", "--primes", "5"],
+            "points: (2, 13) (3, 116) (5, 1084) (7, 4388) (11, 27796)\n"
+            "f(x) = 2 x^4 - x^3 - x^2 - 3 x - 1\n"
+            "coefficients: integer\n",
+        ),
+        (
+            ["count", "--group", "order-p2", "--p", "3"],
+            "mq(3^2) = 116\n"
+            "  mq(Z_3^2) = 48  enumerated 48  [match]\n"
+            "  mq((Z_3)^2) = 68  enumerated 68  [match]\n"
+            "sum check: 48 + 68 = 116  [match]\n",
+        ),
+        (
+            ["count", "--group", "order-p2", "--p", "13"],
+            "mq(13^2) = 54716\n  [closed form; enumeration skipped]\n",
+        ),
+    ],
+)
+def test_the_order_p2_count_path_prints_the_pinned_bytes(capsys, argv, stdout):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == stdout
+
+
 def test_count_zp2(capsys):
     code, out, _ = run(capsys, "count", "--group", "zp2", "--p", "3")
     assert code == EXIT_OK
@@ -649,6 +677,18 @@ def test_output_at_two_jobs_is_byte_identical(capsys, argv):
         assert hashlib.sha256(one.encode()).hexdigest() == pinned(argv)
 
 
+def test_crosscheck_starts_one_pool(capsys, monkeypatch, recording_pool):
+    # the enumeration runs in process; only the oracle's classify starts a pool
+    from medialq import enumeration
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    argv = ["crosscheck", "--group", "cyclic", "--p", "3", "--k", "2"]
+    code, out, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == EXIT_OK
+    assert recording_pool == [2]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned(argv)
+
+
 @pytest.mark.parametrize(
     "G, group",
     [
@@ -666,6 +706,17 @@ def test_streamed_export_writes_the_reference_files(tmp_path, capsys, G, group, 
     }
     assert {f.name: f.read_text() for f in tmp_path.iterdir()} == want
     assert out == f"wrote {len(want)} tables to {tmp_path}\n"
+
+
+def test_python_dash_m_medialq_runs_the_cli():
+    src = str(Path(medialq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "medialq", "count", "--group", "n", "--n", "6"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "mq(6) = 5" in proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import concurrent.futures
 import re
 import time
 from fractions import Fraction
@@ -16,10 +15,12 @@ from medialq.enumeration import (
     MAX_COMPOSITE_ORDER,
     EnumerationReport,
     Polynomial,
+    block_triples,
     closed_form_cyclic,
     closed_form_order_p2,
     closed_form_zp2,
     count_composite,
+    enumerate_blocks,
     enumerate_forms,
     group_label,
     interpolate_count_polynomial,
@@ -315,12 +316,16 @@ def test_enumeration_is_deterministic():
     assert a.tallies == b.tallies
 
 
+def pooled_triples(G, jobs):
+    return tuple(block_triples(enumerate_blocks(G, jobs)))
+
+
 def test_parallel_enumeration_matches_sequential():
     seq = enumerate_forms(V3)
-    par = enumerate_forms(V3, jobs=2)
-    assert seq.triples == par.triples
-    assert seq.tallies == par.tallies
-    assert enumerate_forms(Z9, jobs=2).triples == enumerate_forms(Z9).triples
+    par = pooled_triples(V3, 2)
+    assert seq.triples == par
+    assert seq.tallies == EnumerationReport(V3, par).tallies
+    assert pooled_triples(Z9, 2) == enumerate_forms(Z9).triples
 
 
 def test_triples_have_commuting_automorphisms():
@@ -394,44 +399,21 @@ def test_count_composite_caps_the_order():
         count_composite(1000000000000000003)
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs in process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        RecordingPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-def test_pool_size_is_clamped(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_pool_size_is_clamped(monkeypatch, recording_pool):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    RecordingPool.sizes = []
     seq = enumerate_forms(V3)
-    assert enumerate_forms(V3, jobs=10 ** 6).triples == seq.triples  # 8 phi reps, 3 CPUs
+    assert pooled_triples(V3, 10 ** 6) == seq.triples  # 8 phi reps, 3 CPUs
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     V2 = ElemAbelianRank2(Prime(2))
-    assert enumerate_forms(V2, jobs=50).triples == enumerate_forms(V2).triples  # 3 phi reps
+    assert pooled_triples(V2, 50) == enumerate_forms(V2).triples  # 3 phi reps
     Z27 = Cyclic(Prime(3), 3)
-    assert enumerate_forms(Z27, jobs=50).triples == enumerate_forms(Z27).triples  # 18 units
-    assert RecordingPool.sizes == [3, 3, 18]
+    assert pooled_triples(Z27, 50) == enumerate_forms(Z27).triples  # 18 units
+    assert recording_pool == [3, 3, 18]
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
     assert pool_size(8, 100) == 1
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            enumerate_forms(V3, jobs=jobs)
+            pooled_triples(V3, jobs)
 
 
 def _mark(directory, x):

@@ -307,36 +307,15 @@ def test_every_small_medial_square_is_affine():
         assert sorted(assignment) == list(range(len(classes)))
 
 
-def test_classify_pool_size_is_clamped(monkeypatch):
-    import concurrent.futures
-
+def test_classify_pool_size_is_clamped(monkeypatch, recording_pool):
     from medialq import enumeration
 
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
     tables = [build_table(f) for f in all_affine_forms(V2)]
     buckets = len({fingerprint(t) for t in tables})
     seq = classify(tables)
     assert classify(tables, jobs=10 ** 6) == seq
-    assert sizes == [min(64, buckets)]
+    assert recording_pool == [min(64, buckets)]
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         classify(tables, jobs=0)
 

@@ -221,6 +221,19 @@ def test_is_medial_memory_grows_as_n_cubed():
     assert peak < 40 * 2 ** 20
 
 
+def test_the_tokenizer_reads_no_more_than_it_needs():
+    # text.split() would hold a million tokens, 56.7 MB, before the order is read
+    text = "1000\n" + "12 " * 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n <= 81"):
+            tables_from_text(text, max_order=81)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 @st.composite
 def affine_forms(draw):
     # Z_p, Z_{p^2} or (Z_p)^2 for p <= 7, with phi any automorphism and psi
