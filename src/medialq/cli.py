@@ -13,7 +13,6 @@ import json
 import os
 import stat
 import sys
-from contextlib import closing
 from itertools import count, takewhile
 from operator import attrgetter
 from pathlib import Path
@@ -81,6 +80,8 @@ def _jobs(value: str) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="medialq", description=__doc__)
+    # --jobs is a cap on processes; enumerate and export never start a second one.
+    in_one_process = "at most N processes (N >= 1): this command runs in one at any N"
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_args(p, groups):
@@ -98,19 +99,22 @@ def _build_parser() -> _Parser:
     add_group_args(p_enum, ["zp2", "cyclic"])
     p_enum.add_argument("--tables", action="store_true", help="embed Cayley tables")
     p_enum.add_argument("--format", choices=["jsonl", "text"], default="jsonl")
-    p_enum.add_argument("--jobs", type=_jobs, default=1)
+    p_enum.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=in_one_process)
 
     p_export = sub.add_parser("export", help="write one Cayley-table text file per representative")
     add_group_args(p_export, ["zp2", "cyclic"])
     p_export.add_argument("--out", required=True)
-    p_export.add_argument("--jobs", type=_jobs, default=1)
+    p_export.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=in_one_process)
 
     p_verify = sub.add_parser("verify", help="report Latin/medial/idempotent status of stored tables")
     p_verify.add_argument("--in", dest="infile", required=True)
 
     p_cross = sub.add_parser("crosscheck", help="validate the enumerator against the brute-force oracle")
     add_group_args(p_cross, ["zp2", "cyclic"])
-    p_cross.add_argument("--jobs", type=_jobs, default=1)
+    p_cross.add_argument(
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="at most N processes (N >= 1): classify's pool gets min(N, CPU count, fingerprint buckets)",
+    )
 
     p_interp = sub.add_parser("interpolate", help="interpolate count polynomials from the first N primes")
     p_interp.add_argument("--series", required=True, choices=["zp2", "order-p2", "cyclic"])
@@ -282,11 +286,10 @@ def _cmd_enumerate(args) -> int:
     total = 0
     # One write per block: lines leave as their block is made, and no more
     # than one block's text is held at a time.
-    with closing(enumerate_blocks(G, jobs=args.jobs)) as blocks:
-        for block in blocks:
-            lines = _render_block(G, block, text, args.tables)
-            sys.stdout.write(lines)
-            total += lines.count("\n")
+    for block in enumerate_blocks(G):
+        lines = _render_block(G, block, text, args.tables)
+        sys.stdout.write(lines)
+        total += lines.count("\n")
     sys.stdout.flush()  # every line is out before the total is reported
     print(f"total: {total}", file=sys.stderr)
     return EXIT_OK
@@ -298,11 +301,10 @@ def _cmd_export(args) -> int:
     out = Path(args.out)
     _file_io(out.mkdir, parents=True, exist_ok=True)
     total = 0
-    with closing(enumerate_blocks(G, jobs=args.jobs)) as blocks:
-        for triple in block_triples(blocks):
-            table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c))
-            _file_io((out / f"{total:04d}_{triple.case_tag}.txt").write_text, to_text(table))
-            total += 1
+    for triple in block_triples(enumerate_blocks(G)):
+        table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c))
+        _file_io((out / f"{total:04d}_{triple.case_tag}.txt").write_text, to_text(table))
+        total += 1
     print(f"wrote {total} tables to {out}")
     return EXIT_OK
 

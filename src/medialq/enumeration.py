@@ -17,11 +17,9 @@ image of that matrix, never from per-case algebraic shortcuts.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,20 +225,17 @@ def _block(G: GroupSpec, phi: Automorphism) -> tuple:
     )
 
 
-def enumerate_blocks(G: GroupSpec, jobs: int = 1):
+def enumerate_blocks(G: GroupSpec):
     """Yield the block of every phi representative, in phi order, as each is made.
 
     A block is `(phi, rows)`, one row `(psi, case_tag, cs)` per psi
-    representative, where `cs` holds the c representatives.  Work may be
-    partitioned across the phi representatives (`jobs` worker processes at
-    most, see `pool_size`); the blocks are identical at any job count.
-    Closing the generator early stops the workers.
+    representative, where `cs` holds the c representatives.
     """
-    return parallel_map(partial(_block, G), reps_x(G), jobs)
+    return (_block(G, phi) for phi in reps_x(G))
 
 
 def enumerate_forms(G: GroupSpec) -> EnumerationReport:
-    """Full representative-triple list for G, with per-case tallies, from `enumerate_blocks` in this process."""
+    """Full representative-triple list for G, with per-case tallies."""
     return EnumerationReport(G, tuple(block_triples(enumerate_blocks(G))))
 
 
@@ -250,37 +245,6 @@ def block_triples(blocks):
         for psi, tag, cs in rows:
             for c in cs:
                 yield RepresentativeTriple(phi, psi, c, tag)
-
-
-def pool_size(jobs: int, items: int) -> int:
-    """Worker processes to start: min(jobs, CPU count, work items); jobs must be >= 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return max(1, min(jobs, os.cpu_count() or 1, items))
-
-
-def parallel_map(fn, items, jobs: int):
-    """A generator of fn(x) for x in items, in order, on `pool_size(jobs, len(items))` processes.
-
-    `jobs` is checked at the call.  Results are yielded as they arrive;
-    closing the generator early cancels the calls not yet started and waits
-    only for those already running.
-    """
-    items = list(items)
-    return _map(fn, items, pool_size(jobs, len(items)))
-
-
-def _map(fn, items: list, workers: int):
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    # concurrent.futures loads its process module on first use of this name,
-    # so a run that starts no pool never imports it.
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    try:
-        yield from pool.map(fn, items)
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def closed_form_cyclic(p: int, k: int) -> int:

@@ -12,12 +12,13 @@ is genuine cross-validation, not a tautology.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 
-from .enumeration import parallel_map
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable
@@ -196,17 +197,28 @@ def _classify_bucket(indexed_rows):
     return [(first, count) for same in classes.values() for first, _, _, count in same]
 
 
+def _pool_map(fn, items: list, jobs: int) -> list:
+    """[fn(x) for x in items], on min(jobs, CPU count, len(items)) processes; jobs must be >= 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return list(map(fn, items))
+    # concurrent.futures loads its process module on first use of this name,
+    # so a run that starts no pool never imports it.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def classify(tables, jobs: int = 1) -> list:
     """Partition tables into isomorphism classes, deterministically.
 
     Tables are bucketed by fingerprint first; pairwise isomorphism tests run
-    only within buckets.  Class order is by first occurrence in the input,
-    independent of the worker count.
+    only within buckets, on at most `jobs` processes.  Class order is by
+    first occurrence in the input, independent of the worker count.
     """
     tables = list(tables)
-    if not tables:
-        return []
-    n = tables[0].n
+    n = tables[0].n if tables else 0
     if any(t.n != n for t in tables):
         raise ValueError("classify requires tables of a single order")
     if n > CLASSIFY_ORDER_CAP:
@@ -215,7 +227,7 @@ def classify(tables, jobs: int = 1) -> list:
     buckets: dict = {}
     for idx, fp in enumerate(prints):
         buckets.setdefault(fp, []).append((idx, tables[idx].rows))
-    results = parallel_map(_classify_bucket, buckets.values(), jobs)
+    results = _pool_map(_classify_bucket, list(buckets.values()), jobs)
     merged = sorted(pair for bucket_classes in results for pair in bucket_classes)
     return [IsoClass(tables[first], count, prints[first]) for first, count in merged]
 

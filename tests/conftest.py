@@ -14,11 +14,14 @@ def recording_pool(monkeypatch):
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
         def map(self, fn, *iterables):
             return map(fn, *iterables)
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes

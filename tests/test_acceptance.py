@@ -122,7 +122,7 @@ def test_criterion_04_rank2_tallies():
         assert list(expected_rank2_tallies(3).values()) == [
             3, 2, 1, 2, 3, 2, 6, 2, 4, 0, 9, 4, 3, 21, 6,
         ]
-        for p in (3, 5, 7):
+        for p in (3, 5, 7, 11, 13):
             tallies = report(ElemAbelianRank2(Prime(p))).tallies
             assert tallies == expected_rank2_tallies(p)
         # rows with (p-2) or (p-3) factors degenerate to zero at p=2 but stay listed

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import medialq
@@ -413,7 +413,7 @@ def test_inputs_at_a_bound_are_admitted(tmp_path, capsys, monkeypatch, argv, ord
 
     groups = []
 
-    def no_blocks(G, jobs=1):
+    def no_blocks(G):
         groups.append(G)
         return (block for block in ())
 
@@ -422,6 +422,55 @@ def test_inputs_at_a_bound_are_admitted(tmp_path, capsys, monkeypatch, argv, ord
     code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == EXIT_OK
     assert [G.order for G in groups] == [order]
+
+
+NUMBERS = ["-4", "0", "1", "2", "3", "7", "13", "17", "83", "1021", "1031", "32771",
+           "1000000000000", str(10 ** 30), "x"]
+GROUPS = ["zp2", "cyclic", "order-p2", "n", "q"]
+PATHS = ["{tmp}/absent", "{tmp}/table.txt", "{tmp}/words.txt", "{tmp}"]
+FLAGS = {  # subcommand -> flag -> values, or None for a switch
+    "count": {"--group": GROUPS, "--p": NUMBERS, "--k": NUMBERS, "--n": NUMBERS},
+    "enumerate": {"--group": GROUPS, "--p": NUMBERS, "--k": NUMBERS, "--jobs": NUMBERS,
+                  "--format": ["jsonl", "text", "csv"], "--tables": None},
+    "export": {"--group": GROUPS, "--p": NUMBERS, "--k": NUMBERS, "--jobs": NUMBERS,
+               "--out": PATHS},
+    "verify": {"--in": PATHS},
+    "crosscheck": {"--group": GROUPS, "--p": NUMBERS, "--k": NUMBERS, "--jobs": NUMBERS},
+    "interpolate": {"--series": GROUPS, "--k": NUMBERS, "--primes": NUMBERS},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with any subset of its flags, each with a small, zero, negative, huge or bad value."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True)):
+        values = FLAGS[command][flag]
+        argv += [flag] if values is None else [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_every_command_line_ends_in_an_exit_code_and_at_most_one_error_line(
+    tmp_path, capsys, monkeypatch, recording_pool, argv
+):
+    refuse_work(monkeypatch)
+    (tmp_path / "table.txt").write_text("2\n0 1\n1 0\n")
+    (tmp_path / "words.txt").write_text("2\nx y\n")
+    try:
+        code = main([a.format(tmp=tmp_path) for a in argv])
+    except AssertionError as exc:
+        # refuse_work: the input passed every check, and no error was reported first
+        assert str(exc) == "work started on an input over a bound"
+        code = None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = sum(line.startswith("error:") for line in err.splitlines())
+    assert errors == (1 if code == EXIT_USAGE else 0)
+    assert code in (None, EXIT_OK, EXIT_USAGE, EXIT_MISMATCH)
+    assert recording_pool == []  # no draw reaches a pool, so none is started
 
 
 def test_verify_checks_every_order_before_printing(tmp_path, capsys, monkeypatch):
@@ -633,8 +682,8 @@ def test_the_first_line_is_written_before_the_enumeration_ends(monkeypatch):
     events = []
     real = cli.enumerate_blocks
 
-    def watched(G, jobs=1):
-        for block in real(G, jobs):
+    def watched(G):
+        for block in real(G):
             events.append("block")
             yield block
         events.append("end")
@@ -679,14 +728,41 @@ def test_output_at_two_jobs_is_byte_identical(capsys, argv):
 
 def test_crosscheck_starts_one_pool(capsys, monkeypatch, recording_pool):
     # the enumeration runs in process; only the oracle's classify starts a pool
-    from medialq import enumeration
+    from medialq import oracle
 
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     argv = ["crosscheck", "--group", "cyclic", "--p", "3", "--k", "2"]
     code, out, _ = run(capsys, *argv, "--jobs", "2")
     assert code == EXIT_OK
     assert recording_pool == [2]
     assert hashlib.sha256(out.encode()).hexdigest() == pinned(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--group", "cyclic", "--p", "11"],
+        ["export", "--group", "cyclic", "--p", "3", "--k", "2", "--out", "{tmp}"],
+    ],
+)
+def test_enumerate_and_export_start_no_pool(tmp_path, capsys, monkeypatch, recording_pool, argv):
+    # --jobs is a cap: these commands run in one process at any N
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv), "--jobs", "2")
+    assert code == EXIT_OK
+    assert recording_pool == []
+
+
+def test_help_says_what_jobs_does(capsys):
+    for command, says in [
+        ("enumerate", "at most N processes (N >= 1): this command runs in one at any N"),
+        ("export", "at most N processes (N >= 1): this command runs in one at any N"),
+        ("crosscheck", "classify's pool gets min(N, CPU count, fingerprint buckets)"),
+    ]:
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == EXIT_OK
+        assert says in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize(

@@ -1,32 +1,27 @@
 import re
-import time
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medialq import enumeration
+from medialq import enumeration, oracle
 from medialq.enumeration import (
     CASE_TAGS_RANK2,
     MAX_COMPOSITE_ORDER,
     EnumerationReport,
     Polynomial,
-    block_triples,
     closed_form_cyclic,
     closed_form_order_p2,
     closed_form_zp2,
     count_composite,
-    enumerate_blocks,
     enumerate_forms,
     group_label,
     interpolate_count_polynomial,
     jsonl_record,
     orbit_reps_c,
-    pool_size,
     reps_x,
     reps_y,
     stabilizer,
@@ -316,18 +311,6 @@ def test_enumeration_is_deterministic():
     assert a.tallies == b.tallies
 
 
-def pooled_triples(G, jobs):
-    return tuple(block_triples(enumerate_blocks(G, jobs)))
-
-
-def test_parallel_enumeration_matches_sequential():
-    seq = enumerate_forms(V3)
-    par = pooled_triples(V3, 2)
-    assert seq.triples == par
-    assert seq.tallies == EnumerationReport(V3, par).tallies
-    assert pooled_triples(Z9, 2) == enumerate_forms(Z9).triples
-
-
 def test_triples_have_commuting_automorphisms():
     from medialq.gl2 import commutes
 
@@ -399,40 +382,27 @@ def test_count_composite_caps_the_order():
         count_composite(1000000000000000003)
 
 
+def pooled_blocks(G, jobs):
+    # the one pool helper left, oracle's, run over the phi representatives
+    return oracle._pool_map(partial(enumeration._block, G), reps_x(G), jobs)
+
+
 def test_pool_size_is_clamped(monkeypatch, recording_pool):
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-    seq = enumerate_forms(V3)
-    assert pooled_triples(V3, 10 ** 6) == seq.triples  # 8 phi reps, 3 CPUs
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    assert pooled_blocks(V3, 10 ** 6) == list(enumeration.enumerate_blocks(V3))  # 8 phi reps, 3 CPUs
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
     V2 = ElemAbelianRank2(Prime(2))
-    assert pooled_triples(V2, 50) == enumerate_forms(V2).triples  # 3 phi reps
+    assert pooled_blocks(V2, 50) == list(enumeration.enumerate_blocks(V2))  # 3 phi reps
     Z27 = Cyclic(Prime(3), 3)
-    assert pooled_triples(Z27, 50) == enumerate_forms(Z27).triples  # 18 units
+    assert pooled_blocks(Z27, 50) == list(enumeration.enumerate_blocks(Z27))  # 18 units
+    assert enumerate_forms(Z27).triples  # the enumeration itself starts no pool
     assert recording_pool == [3, 3, 18]
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
-    assert pool_size(8, 100) == 1
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one process
+    assert pooled_blocks(V3, 8) == list(enumeration.enumerate_blocks(V3))
+    assert recording_pool == [3, 3, 18]
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            pooled_triples(V3, jobs)
-
-
-def _mark(directory, x):
-    time.sleep(0.02)
-    (Path(directory) / str(x)).touch()
-    return x
-
-
-def test_closing_the_stream_early_cancels_the_calls_not_started(tmp_path):
-    mark = partial(_mark, str(tmp_path))
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        enumeration.parallel_map(mark, range(3), 0)  # checked at the call, not at the first item
-    results = enumeration.parallel_map(mark, range(200), 2)
-    assert next(results) == 0
-    results.close()  # returns once the calls already running are done
-    started = len(list(tmp_path.iterdir()))
-    assert started < 20
-    time.sleep(0.2)
-    assert len(list(tmp_path.iterdir())) == started
+            pooled_blocks(V3, jobs)
 
 
 def test_blocks_are_made_one_at_a_time(monkeypatch):

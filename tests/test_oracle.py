@@ -308,16 +308,26 @@ def test_every_small_medial_square_is_affine():
 
 
 def test_classify_pool_size_is_clamped(monkeypatch, recording_pool):
-    from medialq import enumeration
-
-    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
-    tables = [build_table(f) for f in all_affine_forms(V2)]
-    buckets = len({fingerprint(t) for t in tables})
+    # min(jobs, CPU count, fingerprint buckets) processes, and a pool only for two or more
+    tables = [build_table(f) for f in all_affine_forms(V2)]  # 4 buckets
     seq = classify(tables)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     assert classify(tables, jobs=10 ** 6) == seq
-    assert recording_pool == [min(64, buckets)]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    assert classify(tables, jobs=50) == seq
+    tables_z9 = [build_table(f) for f in all_affine_forms(Z9)]  # 7 buckets
+    assert classify(tables_z9, jobs=50) == classify(tables_z9)
+    tables_z4 = [build_table(f) for f in all_affine_forms(Z4)]  # 1 bucket
+    assert classify(tables_z4, jobs=50) == classify(tables_z4)
+    assert recording_pool == [3, 4, 7]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one process
+    assert classify(tables, jobs=8) == seq
+    assert recording_pool == [3, 4, 7]
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            classify(tables, jobs=jobs)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
-        classify(tables, jobs=0)
+        classify([], jobs=0)  # checked at the call, even with nothing to classify
 
 
 def test_signatures_are_computed_once_per_table(monkeypatch, capsys):
