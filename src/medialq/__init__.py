@@ -14,7 +14,7 @@ import os
 # process CPU at numpy's import.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .fp import MAX_PRIME, Prime, count_irreducible_quadratics, fp_inv, is_irreducible_quadratic
+from .fp import MAX_PRIME, Prime, fp_inv, is_irreducible_quadratic
 from .groups import CosetList, Cyclic, ElemAbelianRank2, GroupSpec, quotient_cosets
 from .gl2 import (
     ConjClassRep,
@@ -25,8 +25,6 @@ from .gl2 import (
     conj_class_reps,
     conjugacy_partition,
     gl2_elements,
-    gl2_order,
-    parametrized_centralizer,
     units,
 )
 from .quasigroup import (
@@ -55,7 +53,6 @@ from .enumeration import (
     enumerate_forms,
     group_label,
     interpolate_count_polynomial,
-    jsonl_record,
     orbit_reps_c,
     reps_x,
     reps_y,
@@ -65,12 +62,10 @@ from .oracle import (
     Fingerprint,
     IsoClass,
     all_affine_forms,
-    all_latin_squares,
     are_isomorphic,
     assign_to_classes,
     classify,
     fingerprint,
-    relabel,
 )
 
 __version__ = "0.1.0"

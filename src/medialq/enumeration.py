@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -31,13 +32,15 @@ from .gl2 import (
     Automorphism,
     Subgroup,
     Unit,
+    _members,
     centralizer,
     check_pair,
+    check_pairs,
     conj_class_reps,
     conjugacy_partition,
     units,
 )
-from .groups import CosetList, Cyclic, GroupSpec, _matrix_code, quotient_cosets
+from .groups import CosetList, Cyclic, GroupSpec, _matrix_code, _matrix_entries, quotient_cosets, quotients
 
 CASE_TAG_CYCLIC = "cyclic"
 
@@ -103,28 +106,34 @@ def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> int:
 
 @lru_cache(maxsize=None)
 def _kinds(p: int) -> dict:
-    """Kind of each conjugacy-class representative of GL(2, p), keyed on its matrix."""
+    """Kind of each conjugacy-class representative of GL(2, p), keyed on its matrix, in `conj_class_reps` order."""
     return {rep.matrix(): rep.kind for rep in conj_class_reps(p)}
 
 
-def reps_x(G: GroupSpec) -> tuple:
+@lru_cache(maxsize=None)
+def _class_reps(p: int) -> Subgroup:
+    """The matrices of `_kinds(p)`, in its order."""
+    return Subgroup(_kinds(p))
+
+
+def reps_x(G: GroupSpec) -> Subgroup:
     """Conjugacy-class representatives of Aut(G).
 
     Aut of a cyclic group is abelian, so every unit is its own class; for
     Z_p x Z_p the representatives are the four matrix kinds, checked (once
-    per prime, via the brute-force partition) to be a transversal of GL(2, p).
+    per prime, by `conjugacy_partition`) to be a transversal of GL(2, p).
     """
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
     conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
-    return tuple(_kinds(G.p))
+    return _class_reps(G.p)
 
 
-def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
+def reps_y(G: GroupSpec, phi: Automorphism) -> Subgroup:
     """Conjugacy-class representatives of C(phi), conjugating inside C(phi).
 
     For a unit or a scalar phi the centralizer is all of Aut(G), so the
-    `reps_x` transversal is reused.  For the other kinds `centralizer` has
+    `reps_x` transversal is reused.  For the other kinds `gl2._members` has
     verified C(phi) to be commutative, so it is its own transversal.  phi must
     be in `reps_x(G)`: any unit of G's modulus, or a key of `_kinds`.
     """
@@ -134,7 +143,7 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> tuple:
         raise ValueError(f"{phi} is not a designated representative")
     if cyclic or phi.is_scalar():
         return reps
-    return centralizer(phi)
+    return _members(G.p, centralizer(phi).tobytes())
 
 
 def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> Subgroup:
@@ -143,18 +152,18 @@ def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> Subgroup:
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
     # A scalar phi is central, so this is C(psi).  Otherwise psi lies in C(phi),
-    # which `centralizer` checks to be commutative, so this is C(phi).
-    return centralizer(psi if phi.is_scalar() else phi)
+    # which `gl2._members` checks to be commutative, so this is C(phi).
+    return _members(G.p, centralizer(psi if phi.is_scalar() else phi).tobytes())
 
 
 _ACTION_CHUNK = 1 << 14  # action-array entries held at a time by _orbit_reps
 
 
 @lru_cache(maxsize=None)
-def _orbit_reps(G: GroupSpec, maps: Subgroup, cosets: CosetList) -> tuple:
+def _orbit_reps(G: GroupSpec, maps: bytes, cosets: CosetList) -> tuple:
     """Orbit representatives of a stabilizer acting on the given coset list.
 
-    The stored hash of the stabilizer `Subgroup` keys the cache; only its codes are read.
+    `maps` holds the stabilizer's codes as int64 bytes, which key the cache.
 
     The action is taken in blocks of stabilizer elements, so memory is
     bounded by the block size: row s of a block holds, for every coset
@@ -168,12 +177,13 @@ def _orbit_reps(G: GroupSpec, maps: Subgroup, cosets: CosetList) -> tuple:
     its least coset representative in element order (coset positions follow
     element order), and the zero coset's orbit comes first.
     """
+    codes = np.frombuffer(maps, dtype=np.int64)
     n = len(cosets)
     step = max(1, _ACTION_CHUNK // n)
-    blocks = range(0, len(maps), step)
+    blocks = range(0, len(codes), step)
 
     def images(s):
-        return cosets.coset_of[G.index_action(maps.codes[s : s + step], cosets.rep_index)]
+        return cosets.coset_of[G.index_action(codes[s : s + step], cosets.rep_index)]
 
     least = np.arange(n)
     for s in blocks:
@@ -191,38 +201,55 @@ def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
     cosets = quotient_cosets(G, _one_minus(G, phi, psi))
     if len(cosets) == 1:
         return (G.zero,)
-    return _orbit_reps(G, stabilizer(G, phi, psi), cosets)
+    return _orbit_reps(G, stabilizer(G, phi, psi).codes.tobytes(), cosets)
 
 
 _RANK_SUFFIX = {2: "regular", 1: "rank1", 0: "rank0"}  # the rank-split tags of cases 2 and 3
 
 
-def _case_tag(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> str:
-    """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi.
-
-    The rank is read from the order of the image, 1, p or p^2: the same cached
-    image that `orbit_reps_c` takes its cosets from.
-    """
-    if isinstance(G, Cyclic):
-        return CASE_TAG_CYCLIC
-    kinds = _kinds(G.p)
-    image_order = quotient_cosets(G, _one_minus(G, phi, psi)).subgroup_order
-    rank = {1: 0, G.p: 1, G.order: 2}[image_order]
-    if kinds[phi] == SCALAR:
-        state = "regular" if rank == 2 else "singular"
-        return f"case1.scalar-{kinds[psi]}.{state}"
-    if kinds[phi] == DISTINCT:
+def _tag(p: int, phi_kind: str, psi_kind: str, cosets: CosetList) -> str:
+    """The rank-2 case tag from the kinds, and the rank of 1 - phi - psi read from its image's order."""
+    rank = {1: 0, p: 1, p * p: 2}[cosets.subgroup_order]
+    if phi_kind == SCALAR:
+        return f"case1.scalar-{psi_kind}." + ("regular" if rank == 2 else "singular")
+    if phi_kind == DISTINCT:
         return "case2.distinct-diag." + _RANK_SUFFIX[rank]
-    if kinds[phi] == JORDAN:
+    if phi_kind == JORDAN:
         return "case3.jordan." + _RANK_SUFFIX[rank]
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
-def _block(G: GroupSpec, phi: Automorphism) -> tuple:
-    """The block of phi: (phi, rows), one row (psi, case tag, c representatives) per psi."""
-    return phi, tuple(
-        (psi, _case_tag(G, phi, psi), orbit_reps_c(G, phi, psi)) for psi in reps_y(G, phi)
-    )
+def _block(G: GroupSpec, phi: Automorphism, table: list) -> tuple:
+    """The block of phi: (phi, rows), one row (psi, case tag, c representatives) per psi.
+
+    The pair check, 1 - phi - psi and its image are computed for all psi at
+    once, from their codes.  For Z_{p^k} every stabilizer is all of Aut(G),
+    so the c representatives depend on the residue m = 1 - phi - psi alone:
+    `table`, shared by one enumeration's blocks, holds them by m, each found
+    by `orbit_reps_c` for the first pair that reaches m.  Rank-2 blocks do not read it.
+    """
+    psis = reps_y(G, phi)
+    check_pairs(G, phi, psis)
+    if isinstance(G, Cyclic):
+        ms = ((1 - phi.value - psis.codes) % G.order).tolist()
+        cs = list(map(table.__getitem__, ms))
+        for i in [i for i, c in enumerate(cs) if c is None]:
+            cs[i] = table[ms[i]] = orbit_reps_c(G, phi, psis[i])
+        return phi, tuple(zip(psis, repeat(CASE_TAG_CYCLIC), cs))
+    p, kinds = G.p, _kinds(G.p)
+    x = np.array([1, 0, 0, 1]) - np.array(phi.entries) - _matrix_entries(psis.codes, p)
+    cosets = quotients(G, _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p))
+
+    def tail(psi_kind, quotient, fixed):  # the stabilizer C(phi) & C(psi) is C(fixed), as in `stabilizer`
+        cs = (G.zero,) if len(quotient) == 1 else _orbit_reps(G, centralizer(fixed).tobytes(), quotient)
+        return _tag(p, kinds[phi], psi_kind, quotient), cs
+
+    if kinds[phi] == SCALAR:  # psis are `_class_reps(p)`, in the order of their kinds
+        tails = [tail(k, q, psi) for psi, k, q in zip(psis, kinds.values(), cosets)]
+    else:  # one stabilizer, C(phi), for every psi
+        by_quotient = {q: tail(None, q, phi) for q in set(cosets)}
+        tails = [by_quotient[q] for q in cosets]
+    return phi, tuple((psi, tag, cs) for psi, (tag, cs) in zip(psis, tails))
 
 
 def enumerate_blocks(G: GroupSpec):
@@ -231,7 +258,8 @@ def enumerate_blocks(G: GroupSpec):
     A block is `(phi, rows)`, one row `(psi, case_tag, cs)` per psi
     representative, where `cs` holds the c representatives.
     """
-    return (_block(G, phi) for phi in reps_x(G))
+    table = [None] * G.order
+    return (_block(G, phi, table) for phi in reps_x(G))
 
 
 def enumerate_forms(G: GroupSpec) -> EnumerationReport:
@@ -386,23 +414,3 @@ def group_label(G: GroupSpec) -> str:
     if isinstance(G, Cyclic):
         return f"cyclic:p={int(G.p)},k={G.k}"
     return f"zp2:p={int(G.p)}"
-
-
-def jsonl_record(G: GroupSpec, triple: RepresentativeTriple, table=None) -> dict:
-    """One export record; matrices flatten row-major, elements to component lists."""
-    if isinstance(G, Cyclic):
-        phi, psi = triple.phi.value, triple.psi.value
-        c = [triple.c]
-    else:
-        phi, psi = list(triple.phi.entries), list(triple.psi.entries)
-        c = list(triple.c)
-    record = {
-        "group": group_label(G),
-        "phi": phi,
-        "psi": psi,
-        "c": c,
-        "case_tag": triple.case_tag,
-    }
-    if table is not None:
-        record["table"] = table.cells.tolist()
-    return record

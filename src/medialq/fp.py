@@ -83,14 +83,3 @@ def is_irreducible_quadratic(a: int, b: int, p: int) -> bool:
     code path covers p = 2, where the discriminant criterion breaks down.
     """
     return all((x * x - b * x - a) % p != 0 for x in range(p))
-
-
-def count_irreducible_quadratics(p: int) -> int:
-    """Exhaustive count of pairs (a, b) with x^2 - b*x - a irreducible.
-
-    Equals (p^2 - p) / 2 for every prime p; the closed form is asserted
-    against this count in the test suite rather than trusted.
-    """
-    return sum(
-        is_irreducible_quadratic(a, b, p) for a in range(p) for b in range(p)
-    )

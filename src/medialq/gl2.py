@@ -5,14 +5,11 @@ matrices, diagonal matrices with distinct eigenvalues, Jordan blocks, and
 companion matrices of irreducible quadratics -- are generated here together
 with their centralizer subgroups.
 
-Centralizers are always computed by brute-force filtering of the full
-GL(2, p) element list, and the conjugacy partition by trace, determinant and
-orbit-stabilizer, conjugating nothing.  Both run on integer arrays of matrix
-entries (one row per matrix, columns m00, m01, m10, m11) and hand back the
-`Mat2` objects of `gl2_elements`, built from those rows.  The closed-form
-parametrizations of those subgroups (`parametrized_centralizer`) are kept
-separately so the test suite can assert that filter and formula agree
-element for element: the formulas are checked facts, not trusted input.
+A centralizer is the null space of B -> AB - BA over F_p, its span listed
+and its singular members dropped; the conjugacy partition follows from
+trace, determinant and orbit-stabilizer, conjugating nothing.  Both run on
+integer arrays of matrix entries (one row per matrix, columns m00, m01,
+m10, m11) or of matrix codes, and build no `Mat2` per element of GL(2, p).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .fp import Prime, as_integer, fp_inv, is_irreducible_quadratic, prime_power
-from .groups import Cyclic, GroupSpec, _matrix_code
+from .groups import Cyclic, GroupSpec, _matrix_code, _matrix_entries
 
 SCALAR = "scalar"
 DISTINCT = "distinct"
@@ -54,14 +51,6 @@ class Mat2:
         object.__setattr__(self, "p", p)
         for name in ("m00", "m01", "m10", "m11"):
             object.__setattr__(self, name, as_integer(getattr(self, name)) % p)
-
-    @classmethod
-    def identity(cls, p: int) -> "Mat2":
-        return cls(1, 0, 0, 1, p)
-
-    @classmethod
-    def zero(cls, p: int) -> "Mat2":
-        return cls(0, 0, 0, 0, p)
 
     @property
     def entries(self) -> tuple:
@@ -259,70 +248,65 @@ def gl2_elements(p: int) -> tuple:
     return tuple(Mat2(*row, p) for row in _gl2_entries(p).tolist())
 
 
-def gl2_order(p: int) -> int:
-    return (p * p - 1) * (p * p - p)
+def _null_space(rows: list, p: int) -> np.ndarray:
+    """A basis of {v : rows v = 0} over F_p, one vector per row, by Gauss-Jordan elimination."""
+    rows, n, pivots = [[x % p for x in row] for row in rows], len(rows[0]), []
+    for col in range(n):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is not None:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            rows[r] = [x * fp_inv(rows[r][col], p) % p for x in rows[r]]
+            rows = [row if i == r else [(x - row[col] * y) % p for x, y in zip(row, rows[r])] for i, row in enumerate(rows)]
+            pivots.append(col)
+    free = [col for col in range(n) if col not in pivots]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for k, col in enumerate(free):  # the free entry 1, each pivot entry solved from its row
+        basis[k, col] = 1
+        basis[k, pivots] = [-row[col] % p for row in rows[: len(pivots)]]
+    return basis
 
 
 @lru_cache(maxsize=None)
-def centralizer(A: Mat2) -> Subgroup:
-    """The subgroup {B in GL(2,p) : AB = BA}, by brute-force filter.
+def centralizer(A: Mat2) -> np.ndarray:
+    """The codes `int(B)` of C(A) = {B in GL(2,p) : AB = BA}, ascending, in a read-only array.
 
-    For non-scalar A, every pair of members is also checked to commute.
+    The matrices commuting with A are the null space of the linear map
+    B -> AB - BA on the 2x2 matrices over F_p.  Its span is listed from a
+    basis, and the singular matrices are dropped.
     """
     if A.det() == 0:
         raise ValueError(f"{A} is singular; centralizers are taken in GL(2,p)")
-    x = _gl2_entries(A.p)
-    a = np.array(A.entries, dtype=np.int32)
-    keep = (_mul(a, x, A.p) == _mul(x, a, A.p)).all(axis=-1)
-    return _members(A.p, keep.tobytes())
+    p, (a, b, c, d) = A.p, A.entries
+    # row i holds entry i of AB - BA as a linear form in B's entries
+    basis = _null_space([[0, -c, b, 0], [-b, a - d, 0, b], [c, 0, d - a, -c], [0, c, -b, 0]], p)
+    x = np.indices((p,) * len(basis)).reshape(len(basis), -1).T @ basis % p
+    x = x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
+    codes = np.sort(_matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p))
+    codes.setflags(write=False)
+    return codes
 
 
 @lru_cache(maxsize=None)
-def _members(p: int, mask: bytes) -> Subgroup:
-    """The elements of GL(2,p) whose entry rows a byte mask keeps.
+def _members(p: int, codes: bytes) -> Subgroup:
+    """The matrices over F_p of the int64 codes in `codes`, as a `Subgroup` in their order.
 
-    Keyed on the mask, so a centralizer shared by many matrices is built, and
-    checked to commute unless it is all of GL(2,p) (a scalar's), once.
+    Keyed on the codes, so a centralizer shared by many matrices is built,
+    and checked to commute unless it is all of GL(2,p) (a scalar's), once.
     """
-    gl = gl2_elements(p)
-    keep = np.frombuffer(mask, dtype=bool)
-    members = Subgroup(gl[i] for i in np.flatnonzero(keep).tolist())
-    if not keep.all():
+    rows = _matrix_entries(np.frombuffer(codes, dtype=np.int64), p).tolist()
+    members = Subgroup(Mat2(*row, p) for row in rows)
+    if len(members) < len(_gl2_entries(p)):
         _assert_commutative(members)
     return members
 
 
-def parametrized_centralizer(rep: ConjClassRep) -> tuple:
-    """Closed-form description of the centralizer of each representative kind.
-
-    Used as the cross-check target for the brute-force `centralizer` filter;
-    the two must agree element for element.
-    """
-    p = rep.p
-    if rep.kind == SCALAR:
-        return gl2_elements(p)
-    if rep.kind == DISTINCT:
-        return tuple(
-            Mat2(u, 0, 0, v, p) for u in range(1, p) for v in range(1, p)
-        )
-    if rep.kind == JORDAN:
-        return tuple(
-            Mat2(u, v, 0, u, p) for u in range(1, p) for v in range(p)
-        )
-    a, b = rep.a, rep.b
-    return tuple(
-        Mat2(u, v, a * v, u + b * v, p)
-        for u in range(p)
-        for v in range(p)
-        if (u, v) != (0, 0)
-    )
-
-
 @lru_cache(maxsize=None)
-def conjugacy_partition(p: int) -> tuple:
-    """Conjugacy classes of GL(2, p) as frozensets, one per representative.
+def conjugacy_partition(p: int) -> np.ndarray:
+    """The class of every element of GL(2, p), as a position in `conj_class_reps(p)`.
 
-    The class of a representative R is the set of matrices sharing R's
+    One entry per entry row of `_gl2_entries(p)`, in a read-only array.  The
+    class of a representative R is the set of matrices sharing R's
     `_class_key`, which holds the class; orbit-stabilizer, |Cl(R)| = |GL| /
     |C(R)|, proves it no larger.  Raises if that count fails or the
     representatives fail to be a transversal (two of them conjugate, or some
@@ -330,26 +314,24 @@ def conjugacy_partition(p: int) -> tuple:
     than assume it.
     """
     p = Prime(p)
-    gl = gl2_elements(p)
     keys = _class_key(_gl2_entries(p), p)
-    classes = []
-    covered = np.zeros(len(gl), dtype=bool)
-    for rep in conj_class_reps(p):
+    classes = np.full(len(keys), -1, dtype=np.int32)
+    for i, rep in enumerate(conj_class_reps(p)):
         R = rep.matrix()
         cls = keys == _class_key(np.array(R.entries), p)
         size, stabilizer = int(cls.sum()), len(centralizer(R))
-        if size * stabilizer != len(gl):
+        if size * stabilizer != len(keys):
             raise ValueError(
                 f"orbit-stabilizer fails for {R}: {size} share its key, {stabilizer} commute,"
-                f" |GL| = {len(gl)}"
+                f" |GL| = {len(keys)}"
             )
-        if (covered & cls).any():
+        if (classes[cls] >= 0).any():
             raise ValueError(f"representative {R} is conjugate to an earlier one")
-        covered |= cls
-        classes.append(frozenset(gl[i] for i in np.flatnonzero(cls).tolist()))
-    if not covered.all():
+        classes[cls] = i
+    if (classes < 0).any():
         raise ValueError("conjugacy classes of the representatives do not cover GL(2,p)")
-    return tuple(classes)
+    classes.setflags(write=False)
+    return classes
 
 
 def commutes(A: Automorphism, B: Automorphism) -> bool:
@@ -363,16 +345,50 @@ def commutes(A: Automorphism, B: Automorphism) -> bool:
     raise TypeError("cannot mix a unit with a matrix")
 
 
+def _acts_on(G: GroupSpec, f) -> bool:
+    """Whether f is a map of G's family over G itself: a `Unit` of its modulus, or a `Mat2` over its field."""
+    return isinstance(f, Unit) and f.modulus == G.order if isinstance(G, Cyclic) else isinstance(f, Mat2) and f.p == G.p
+
+
 def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
     """Raise ValueError unless phi and psi are invertible, commuting automorphisms of G itself."""
     cyclic = isinstance(G, Cyclic)
     for f in (phi, psi):
-        if not (isinstance(f, Unit) and f.modulus == G.order if cyclic else isinstance(f, Mat2) and f.p == G.p):
+        if not _acts_on(G, f):
             raise ValueError(f"{f} does not act on {G}")
-    if not cyclic and (phi.det() == 0 or psi.det() == 0):  # a Unit is invertible by construction
+    if not all(f.value % G.p if cyclic else f.det() for f in (phi, psi)):
         raise ValueError(f"phi = {phi} and psi = {psi} must both be invertible")
     if not cyclic and not commutes(phi, psi):  # units of one modulus commute
         raise ValueError("phi and psi do not commute")
+
+
+def check_pairs(G: GroupSpec, phi: Automorphism, psis: Subgroup) -> None:
+    """`check_pair(G, phi, psi)` for every psi of `psis`, in one numpy pass over their codes.
+
+    Raises what `check_pair` raises for the first pair, in list order, that fails it.
+    """
+    if isinstance(G, Cyclic):
+        fails = psis.codes % G.p == 0  # a unit's code is its residue
+    else:
+        p, a = G.p, np.array(phi.entries)
+        x = _matrix_entries(psis.codes, p)
+        fails = (x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p == 0
+        fails |= (_mul(a, x, p) != _mul(x, a, p)).any(axis=-1)
+    fails |= ~_acting(G, psis)
+    if len(psis):
+        check_pair(G, phi, psis[0])  # phi itself, in the first pair
+    if fails.any():
+        first = psis[int(fails.argmax())]
+        check_pair(G, phi, first)  # raises that pair's ValueError
+        raise AssertionError(f"check_pair passes {first}, which check_pairs fails")
+
+
+@lru_cache(maxsize=None)
+def _acting(G: GroupSpec, autos: Subgroup) -> np.ndarray:
+    """`_acts_on(G, f)` for each member, in a read-only array; a list that many blocks share is walked once."""
+    acting = np.array([_acts_on(G, f) for f in autos], dtype=bool)
+    acting.setflags(write=False)
+    return acting
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: units(3, True) must reach the check, not hit units(3, 1)

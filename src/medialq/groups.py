@@ -147,8 +147,7 @@ class ElemAbelianRank2:
         int32 suffices: every intermediate is below 2p^2 <= 2^31 for p up to MAX_PRIME.
         """
         p = self.p
-        digits = np.array([p ** 3, p * p, p, 1])  # decodes `_matrix_code`: m00, m01, m10, m11
-        e = (np.asarray(ms, dtype=np.int64)[:, None] // digits % p).astype(np.int32)
+        e = _matrix_entries(ms, p).astype(np.int32)
         idx = np.asarray(idx, dtype=np.int32)
         x, y = idx // p, idx % p
         out = e[:, 0, None] * x
@@ -169,8 +168,16 @@ GroupSpec = Union[Cyclic, ElemAbelianRank2]
 
 
 def _matrix_code(m00: int, m01: int, m10: int, m11: int, p: int) -> int:
-    """The code of the 2x2 matrix over F_p with these entries: each reduced mod p, read as base-p digits, m00 first."""
+    """The code of the 2x2 matrix over F_p with these entries: each reduced mod p, read as base-p digits, m00 first.
+
+    Entries may be numpy arrays of equal shape: then so is the code.
+    """
     return ((m00 % p * p + m01 % p) * p + m10 % p) * p + m11 % p
+
+
+def _matrix_entries(codes, p: int) -> np.ndarray:
+    """Entry rows (m00, m01, m10, m11) of matrix codes, shape (len(codes), 4): `_matrix_code` undone."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // np.array([p ** 3, p * p, p, 1]) % p
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +208,20 @@ def _add_table(G: GroupSpec) -> np.ndarray:
     return table
 
 
+def _images(G: GroupSpec, codes) -> np.ndarray:
+    """Im(M) for every endomorphism code M of `codes`: one row per code, a bool mask over element indices.
+
+    Every M is applied to every element, in one `index_action` call.
+    """
+    masks = np.zeros((len(codes), G.order), dtype=bool)
+    np.put_along_axis(masks, G.index_action(codes, np.arange(G.order)), True, axis=1)
+    return masks
+
+
 @lru_cache(maxsize=None)
 def _image(G: GroupSpec, code: int) -> bytes:
     """Im(M) as a byte mask over element indices, the M of `code` applied to every element."""
-    mask = np.zeros(G.order, dtype=bool)
-    mask[G.index_action((code,), np.arange(G.order))[0]] = True
-    return mask.tobytes()
+    return _images(G, (code,))[0].tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -258,3 +273,18 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
     if cosets is None:
         raise ValueError(f"{M!r} is not an endomorphism of {G}")
     return cosets
+
+
+def quotients(G: GroupSpec, codes: np.ndarray) -> list:
+    """`quotient_cosets(G, m)` for every endomorphism code m of an array, in its order.
+
+    All codes are imaged in one `index_action` call, and one `_cosets` is
+    looked up per distinct image; nothing is memoised per code.
+    """
+    masks, n = _images(G, codes).tobytes(), G.order
+    images = [masks[i : i + n] for i in range(0, len(masks), n)]
+    lists = {image: _cosets(G, image) for image in set(images)}
+    if None in lists.values():
+        first = next(i for i, image in enumerate(images) if lists[image] is None)
+        raise ValueError(f"{int(codes[first])} is not an endomorphism of {G}")
+    return [lists[image] for image in images]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .quasigroup import AffineForm, CayleyTable
 
 ISO_ORDER_CAP = 16
 CLASSIFY_ORDER_CAP = 9
-LATIN_SCAN_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -154,17 +152,6 @@ def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
     return _iso_search(s.rows, _signatures(s.rows), t.rows, _signatures(t.rows))
 
 
-def relabel(t: CayleyTable, perm) -> CayleyTable:
-    """The isomorphic table with symbols renamed by the permutation."""
-    n = t.n
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of the symbols")
-    sigma = np.asarray(perm)
-    cells = np.empty_like(t.cells)
-    cells[sigma[:, None], sigma[None, :]] = sigma[t.cells]
-    return CayleyTable(n, cells)
-
-
 def all_affine_forms(G: GroupSpec) -> list:
     """Every affine form (phi, psi, c) with commuting automorphisms, unquotiented."""
     if G.order > CLASSIFY_ORDER_CAP:
@@ -248,30 +235,3 @@ def assign_to_classes(classes, tables) -> list:
         else:
             raise ValueError("table is not isomorphic to any class member")
     return result
-
-
-def all_latin_squares(n: int) -> list:
-    """Every Latin square of order n (exhaustive; capped at order 4)."""
-    if not 1 <= n <= LATIN_SCAN_CAP:
-        raise ValueError(f"Latin-square scan supports orders 1..{LATIN_SCAN_CAP}")
-    perms = list(permutations(range(n)))
-    squares = []
-    rows: list = []
-    col_used = [set() for _ in range(n)]
-
-    def place(r):
-        if r == n:
-            squares.append(CayleyTable(n, tuple(rows)))
-            return
-        for perm in perms:
-            if all(perm[j] not in col_used[j] for j in range(n)):
-                rows.append(perm)
-                for j in range(n):
-                    col_used[j].add(perm[j])
-                place(r + 1)
-                rows.pop()
-                for j in range(n):
-                    col_used[j].discard(perm[j])
-
-    place(0)
-    return squares

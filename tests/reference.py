@@ -1,0 +1,188 @@
+"""Test-only references: definitions the package no longer calls, and plain forms of its results.
+
+`_case_tag` is the per-pair case tag that the enumeration computed before
+its blocks were made from code arrays; `filter_centralizer` is the
+brute-force centralizer filter over all of GL(2, p) that the null-space
+`gl2.centralizer` replaced.  `as_matrices` and `partition_classes` turn the
+package's code arrays back into `Mat2` objects, so the tests can compare
+them with object-level references.  The rest moved here from the package
+as they were, since only the tests call them: `count_irreducible_quadratics`
+(from `fp`), `gl2_order` and `parametrized_centralizer` (from `gl2`),
+`jsonl_record` (from `enumeration`, the byte reference of the CLI's output
+templates), `relabel` and `all_latin_squares` (from `oracle`), and
+`identity_matrix` and `zero_matrix` (the classmethods `Mat2.identity` and `Mat2.zero`).
+"""
+
+from itertools import permutations
+
+import numpy as np
+
+from medialq.enumeration import _RANK_SUFFIX, CASE_TAG_CYCLIC, RepresentativeTriple, _kinds, _one_minus, group_label
+from medialq.fp import is_irreducible_quadratic
+from medialq.gl2 import (
+    DISTINCT,
+    JORDAN,
+    SCALAR,
+    ConjClassRep,
+    Mat2,
+    _gl2_entries,
+    _mul,
+    conjugacy_partition,
+    gl2_elements,
+)
+from medialq.groups import Cyclic, GroupSpec, _matrix_code, quotient_cosets
+from medialq.quasigroup import CayleyTable
+
+LATIN_SCAN_CAP = 4
+
+
+def _case_tag(G: GroupSpec, phi, psi) -> str:
+    """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi.
+
+    The rank is read from the order of the image, 1, p or p^2: the same cached
+    image that `orbit_reps_c` takes its cosets from.
+    """
+    if isinstance(G, Cyclic):
+        return CASE_TAG_CYCLIC
+    kinds = _kinds(G.p)
+    image_order = quotient_cosets(G, _one_minus(G, phi, psi)).subgroup_order
+    rank = {1: 0, G.p: 1, G.order: 2}[image_order]
+    if kinds[phi] == SCALAR:
+        state = "regular" if rank == 2 else "singular"
+        return f"case1.scalar-{kinds[psi]}.{state}"
+    if kinds[phi] == DISTINCT:
+        return "case2.distinct-diag." + _RANK_SUFFIX[rank]
+    if kinds[phi] == JORDAN:
+        return "case3.jordan." + _RANK_SUFFIX[rank]
+    return "case4.irreducible." + ("regular" if rank == 2 else "singular")
+
+
+def filter_centralizer(A: Mat2) -> list:
+    """The codes of {B in GL(2,p) : AB = BA}, ascending: every entry row of GL(2,p) multiplied both ways."""
+    p, x = A.p, _gl2_entries(A.p)
+    a = np.array(A.entries, dtype=np.int32)
+    x = x[(_mul(a, x, p) == _mul(x, a, p)).all(axis=-1)]
+    return _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p).tolist()
+
+
+def as_matrices(codes, p: int) -> tuple:
+    """The `Mat2` of each matrix code, in order; `Mat2` reduces each base-p digit mod p."""
+    return tuple(Mat2(c // p ** 3, c // (p * p), c // p, c, p) for c in np.asarray(codes).tolist())
+
+
+def partition_classes(p: int) -> tuple:
+    """`conjugacy_partition(p)` as one frozenset of `gl2_elements(p)` per class representative."""
+    gl, classes = gl2_elements(p), conjugacy_partition(p).tolist()
+    members = [set() for _ in range(max(classes) + 1)]
+    for element, i in zip(gl, classes):
+        members[i].add(element)
+    return tuple(map(frozenset, members))
+
+
+def relabel(t: CayleyTable, perm) -> CayleyTable:
+    """The isomorphic table with symbols renamed by the permutation."""
+    n = t.n
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation of the symbols")
+    sigma = np.asarray(perm)
+    cells = np.empty_like(t.cells)
+    cells[sigma[:, None], sigma[None, :]] = sigma[t.cells]
+    return CayleyTable(n, cells)
+
+
+def all_latin_squares(n: int) -> list:
+    """Every Latin square of order n (exhaustive; capped at order 4)."""
+    if not 1 <= n <= LATIN_SCAN_CAP:
+        raise ValueError(f"Latin-square scan supports orders 1..{LATIN_SCAN_CAP}")
+    perms = list(permutations(range(n)))
+    squares = []
+    rows: list = []
+    col_used = [set() for _ in range(n)]
+
+    def place(r):
+        if r == n:
+            squares.append(CayleyTable(n, tuple(rows)))
+            return
+        for perm in perms:
+            if all(perm[j] not in col_used[j] for j in range(n)):
+                rows.append(perm)
+                for j in range(n):
+                    col_used[j].add(perm[j])
+                place(r + 1)
+                rows.pop()
+                for j in range(n):
+                    col_used[j].discard(perm[j])
+
+    place(0)
+    return squares
+
+
+def count_irreducible_quadratics(p: int) -> int:
+    """Exhaustive count of pairs (a, b) with x^2 - b*x - a irreducible.
+
+    Equals (p^2 - p) / 2 for every prime p; the closed form is asserted
+    against this count in the test suite rather than trusted.
+    """
+    return sum(
+        is_irreducible_quadratic(a, b, p) for a in range(p) for b in range(p)
+    )
+
+
+def parametrized_centralizer(rep: ConjClassRep) -> tuple:
+    """Closed-form description of the centralizer of each representative kind.
+
+    Used as the cross-check target for the brute-force `centralizer` filter;
+    the two must agree element for element.
+    """
+    p = rep.p
+    if rep.kind == SCALAR:
+        return gl2_elements(p)
+    if rep.kind == DISTINCT:
+        return tuple(
+            Mat2(u, 0, 0, v, p) for u in range(1, p) for v in range(1, p)
+        )
+    if rep.kind == JORDAN:
+        return tuple(
+            Mat2(u, v, 0, u, p) for u in range(1, p) for v in range(p)
+        )
+    a, b = rep.a, rep.b
+    return tuple(
+        Mat2(u, v, a * v, u + b * v, p)
+        for u in range(p)
+        for v in range(p)
+        if (u, v) != (0, 0)
+    )
+
+
+def gl2_order(p: int) -> int:
+    return (p * p - 1) * (p * p - p)
+
+
+def jsonl_record(G: GroupSpec, triple: RepresentativeTriple, table=None) -> dict:
+    """One export record; matrices flatten row-major, elements to component lists."""
+    if isinstance(G, Cyclic):
+        phi, psi = triple.phi.value, triple.psi.value
+        c = [triple.c]
+    else:
+        phi, psi = list(triple.phi.entries), list(triple.psi.entries)
+        c = list(triple.c)
+    record = {
+        "group": group_label(G),
+        "phi": phi,
+        "psi": psi,
+        "c": c,
+        "case_tag": triple.case_tag,
+    }
+    if table is not None:
+        record["table"] = table.cells.tolist()
+    return record
+
+
+def identity_matrix(p: int) -> Mat2:
+    """The identity over F_p; formerly the classmethod `Mat2.identity`."""
+    return Mat2(1, 0, 0, 1, p)
+
+
+def zero_matrix(p: int) -> Mat2:
+    """The zero matrix over F_p; formerly the classmethod `Mat2.zero`."""
+    return Mat2(0, 0, 0, 0, p)

@@ -18,11 +18,11 @@ from medialq.enumeration import (
     CASE_TAGS_RANK2,
     block_triples,
     enumerate_forms,
-    jsonl_record,
 )
 from medialq.gl2 import centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.quasigroup import AffineForm, CayleyTable, build_table, tables_from_text, to_text
+from reference import as_matrices, jsonl_record
 
 
 def run(capsys, *argv):
@@ -651,7 +651,7 @@ def blocks(draw):
     else:
         G = ElemAbelianRank2(draw(st.sampled_from([2, 3, 5])))
         phi = draw(st.sampled_from(gl2_elements(G.p)))
-        autos, tags = centralizer(phi), CASE_TAGS_RANK2
+        autos, tags = as_matrices(centralizer(phi), G.p), CASE_TAGS_RANK2
     row = st.tuples(
         st.sampled_from(autos),
         st.sampled_from(tags),

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from medialq import enumeration, gl2, groups
 from medialq.enumeration import (
-    _case_tag,
     _one_minus,
     _orbit_reps,
     enumerate_forms,
@@ -38,6 +37,7 @@ from medialq.gl2 import (
     units,
 )
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
+from reference import _case_tag, filter_centralizer, identity_matrix, partition_classes, zero_matrix
 
 EQUIVALENCE_GROUPS = [
     Cyclic(Prime(2), 3),
@@ -60,7 +60,7 @@ def plain(f):
 
 def one_minus(G, phi, psi):
     """1 - phi - psi as `G.apply` takes it, checked against the code `_one_minus` returns."""
-    M = (1 - phi.value - psi.value) % G.order if isinstance(G, Cyclic) else Mat2.identity(G.p) - phi - psi
+    M = (1 - phi.value - psi.value) % G.order if isinstance(G, Cyclic) else identity_matrix(G.p) - phi - psi
     assert _one_minus(G, phi, psi) == int(M)
     return M
 
@@ -158,8 +158,8 @@ def test_every_pair_matches_the_reference_algorithms(G):
         )
         assert orbit_reps_c(G, phi, psi) == expected
         if isinstance(G, ElemAbelianRank2):
-            assert centralizer(phi) == ref_centralizer(phi)
-            assert centralizer(psi) == ref_centralizer(psi)
+            assert centralizer(phi).tolist() == [int(B) for B in ref_centralizer(phi)]
+            assert centralizer(psi).tolist() == [int(B) for B in ref_centralizer(psi)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -167,7 +167,7 @@ def test_every_case_tag_names_the_rank_of_the_difference_matrix(p):
     # the tag reads the rank from the image's order; the reference from the matrix
     G = ElemAbelianRank2(Prime(p))
     for phi, psi in enumeration_pairs(G):
-        rank = (Mat2.identity(p) - phi - psi).rank()
+        rank = (identity_matrix(p) - phi - psi).rank()
         state = _case_tag(G, phi, psi).rsplit(".", 1)[1]
         assert state == {2: "regular", 1: "rank1", 0: "rank0"}[rank] or (
             state == "singular" and rank < 2
@@ -176,13 +176,13 @@ def test_every_case_tag_names_the_rank_of_the_difference_matrix(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_conjugacy_partition_matches_object_conjugation(p):
-    assert conjugacy_partition(p) == ref_partition(p)
+    assert partition_classes(p) == ref_partition(p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_every_centralizer_matches_the_mul_filter(p):
     for A in gl2_elements(p):
-        assert centralizer(A) == ref_centralizer(A)
+        assert centralizer(A).tolist() == [int(B) for B in ref_centralizer(A)]
 
 
 def test_partition_raises_on_a_non_transversal(monkeypatch):
@@ -225,7 +225,7 @@ def test_partition_raises_on_a_centralizer_one_member_short(monkeypatch):
 
 
 def test_commutativity_check_names_the_first_failing_pair():
-    I = Mat2.identity(3)
+    I = identity_matrix(3)
     A, B, C = Mat2(1, 1, 0, 1, 3), Mat2(1, 0, 1, 1, 3), Mat2(2, 0, 0, 1, 3)
     members = (I, A, C, B)
     first = next(
@@ -281,7 +281,7 @@ def test_stabilizer_rejects_a_singular_matrix_of_every_kind(rep):
         for S in [Mat2(*e, 3)]
         if S.det() == 0 and S.mul(R) == R.mul(S)
     ]
-    assert Mat2.zero(3) in singular
+    assert zero_matrix(3) in singular
     for S in singular:
         for phi, psi in ((R, S), (S, R), (S, S)):
             with pytest.raises(ValueError, match="must both be invertible"):
@@ -302,7 +302,7 @@ def test_commutativity_is_checked_once_per_non_scalar_matrix(monkeypatch):
     enumerate_forms(G)
     non_scalar = {A for pair in enumeration_pairs(G) for A in pair if not A.is_scalar()}
     # once per distinct centralizer: matrices that share one share its check
-    distinct = {centralizer(A) for A in non_scalar}
+    distinct = {centralizer(A).tobytes() for A in non_scalar}
     assert len(distinct) < len(non_scalar)
     assert len(set(checked)) == len(checked)
     assert 0 < len(checked) <= len(distinct)
@@ -362,7 +362,7 @@ def test_orbits_of_arbitrary_map_lists_match_union_find(case, data):
     maps = Subgroup(data.draw(st.lists(map_strategy, max_size=6)))
     expected = ref_orbit_reps(G, maps, M)
     try:  # exact components, or refused: the least images are checked, not trusted
-        assert _orbit_reps(G, maps, cosets) == expected
+        assert _orbit_reps(G, maps.codes.tobytes(), cosets) == expected
     except ValueError as err:
         assert "moves a least image" in str(err)
 
@@ -378,7 +378,7 @@ def test_orbits_do_not_depend_on_the_block_size(G, monkeypatch):
             cosets = quotient_cosets(G, M)
             stab = stabilizer(G, phi, psi)
             expected = ref_orbit_reps(G, [plain(h) for h in stab], M)
-            assert _orbit_reps(G, stab, cosets) == expected
+            assert _orbit_reps(G, stab.codes.tobytes(), cosets) == expected
     finally:
         enumeration._orbit_reps.cache_clear()
 
@@ -388,25 +388,25 @@ def test_orbits_of_a_projection_join_its_tails(p):
     # (x, y) -> (x + y, 0) sends (0, 1) to (1, 0): the least element of that
     # component lies on a tail, which no least image reaches, so it is refused
     G = ElemAbelianRank2(Prime(p))
-    cosets = quotient_cosets(G, Mat2.zero(p))
+    cosets = quotient_cosets(G, zero_matrix(p))
     maps = Subgroup((Mat2(1, 1, 0, 0, p),))
-    assert len(ref_orbit_reps(G, maps, Mat2.zero(p))) == p
+    assert len(ref_orbit_reps(G, maps, zero_matrix(p))) == p
     with pytest.raises(ValueError, match="moves a least image"):
-        _orbit_reps(G, maps, cosets)
+        _orbit_reps(G, maps.codes.tobytes(), cosets)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_orbits_refuse_an_order_three_matrix_without_its_powers(p):
     # each orbit of <A> is a 3-cycle, and one map alone moves some least image
-    G, zero = ElemAbelianRank2(Prime(p)), Mat2.zero(p)
+    G, zero = ElemAbelianRank2(Prime(p)), zero_matrix(p)
     A = Mat2(0, 1, -1, -1, p)  # the companion matrix of x^2 + x + 1
-    I, A2 = Mat2.identity(p), A.mul(A)
+    I, A2 = identity_matrix(p), A.mul(A)
     assert A != I and A2.mul(A) == I
     cosets = quotient_cosets(G, zero)
     for alone in (A, A2):
         with pytest.raises(ValueError, match="moves a least image"):
-            _orbit_reps(G, Subgroup((alone,)), cosets)
-    assert _orbit_reps(G, Subgroup((I, A, A2)), cosets) == ref_orbit_reps(G, (I, A, A2), zero)
+            _orbit_reps(G, Subgroup((alone,)).codes.tobytes(), cosets)
+    assert _orbit_reps(G, Subgroup((I, A, A2)).codes.tobytes(), cosets) == ref_orbit_reps(G, (I, A, A2), zero)
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +439,7 @@ def generated_subgroups(draw):
 def test_orbits_of_a_generated_subgroup_match_union_find(case):
     G, maps, M = case
     expected = ref_orbit_reps(G, [plain(h) for h in maps], M)
-    assert _orbit_reps(G, maps, quotient_cosets(G, M)) == expected
+    assert _orbit_reps(G, maps.codes.tobytes(), quotient_cosets(G, M)) == expected
 
 
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)
@@ -474,8 +474,10 @@ def test_a_matrix_code_acts_as_the_matrix(M):
 
 SUBGROUPS = {
     "units": lambda: units(5, 2),
-    "centralizer-jordan": lambda: centralizer(Mat2(1, 1, 0, 1, 5)),
-    "centralizer-scalar": lambda: centralizer(Mat2(2, 0, 0, 2, 5)),
+    "centralizer-jordan": lambda: reps_y(ElemAbelianRank2(Prime(5)), Mat2(1, 1, 0, 1, 5)),
+    "centralizer-scalar": lambda: stabilizer(
+        ElemAbelianRank2(Prime(5)), Mat2(2, 0, 0, 2, 5), Mat2(2, 0, 0, 2, 5)
+    ),
     "stabilizer-rank2": lambda: stabilizer(
         ElemAbelianRank2(Prime(5)), Mat2(2, 0, 0, 2, 5), Mat2(1, 1, 0, 1, 5)
     ),
@@ -505,15 +507,21 @@ def test_a_cold_cyclic_enumeration_computes_each_unit_code_once(monkeypatch):
     assert sorted(coded, key=real) == list(units(5, 2))
 
 
-def test_a_cold_rank2_enumeration_builds_a_mat2_per_element_and_two_per_class(monkeypatch):
-    # |GL(2,5)| = 480 from gl2_elements, and each of the 24 class representatives
-    # twice (_kinds and conjugacy_partition); the pair check builds none.
+def test_a_cold_rank2_enumeration_builds_no_gl2_list_of_mat2(monkeypatch):
+    # Each of the 24 class representatives of GL(2,5) twice (_kinds and
+    # conjugacy_partition), and each member of the distinct non-scalar
+    # centralizers once, as the psi lists of reps_y: the diagonal torus, shared
+    # by every distinct-diagonal phi, (p-1)^2 = 16; the Jordan centralizer,
+    # shared by every Jordan phi, p(p-1) = 20; and p^2 - 1 = 24 for each of the
+    # (p^2 - p)/2 = 10 irreducible phi.  No GL(2,5) list, and no pair check, builds one.
     real, built = Mat2.__post_init__, []
     monkeypatch.setattr(Mat2, "__post_init__", lambda M: built.append(1) or real(M))
-    for cache in (gl2.gl2_elements, gl2.conjugacy_partition, gl2.centralizer, gl2._members, enumeration._kinds):
+    caches = (gl2.gl2_elements, gl2.conjugacy_partition, gl2.centralizer, gl2._members, gl2._acting)
+    for cache in caches + (enumeration._kinds, enumeration._class_reps):
         cache.cache_clear()
     enumerate_forms(ElemAbelianRank2(Prime(5)))
-    assert len(built) <= 480 + 2 * 24
+    assert gl2.gl2_elements.cache_info().currsize == 0
+    assert len(built) == 2 * 24 + 16 + 20 + 10 * 24
 
 
 class SquaringCyclic(Cyclic):
@@ -578,3 +586,67 @@ def test_cache_sizes_are_bounded_by_what_they_are_keyed_on(G):
     assert groups._cosets.cache_info().currsize <= subgroup_count(G)
     assert enumeration._orbit_reps.cache_info().currsize == len(orbit_keys)
     assert gl2._gl2_entries.cache_info().currsize <= 1
+
+
+# ---------------------------------------------------------------- blocks
+
+
+@pytest.mark.parametrize("G", EQUIVALENCE_GROUPS + [ElemAbelianRank2(Prime(7))], ids=str)
+def test_every_block_row_matches_the_per_pair_functions(G):
+    # the blocks take codes, images and tags for all psi at once; the per-pair
+    # functions, and the reference case tag, take one pair at a time
+    for phi, rows in enumeration.enumerate_blocks(G):
+        assert [psi for psi, _, _ in rows] == list(reps_y(G, phi))
+        for psi, tag, cs in rows:
+            assert tag == _case_tag(G, phi, psi)
+            assert cs == orbit_reps_c(G, phi, psi)
+
+
+def non_unit(value, modulus):
+    """A `Unit` that skips its own check, as a corrupted psi list could hold."""
+    u = object.__new__(Unit)
+    object.__setattr__(u, "value", value)
+    object.__setattr__(u, "modulus", modulus)
+    return u
+
+
+V5, Z9 = ElemAbelianRank2(Prime(5)), Cyclic(Prime(3), 2)
+JORDAN5 = Mat2(1, 1, 0, 1, 5)
+
+INJECTED = {
+    "not-commuting": (V5, JORDAN5, Mat2(1, 0, 1, 1, 5)),
+    "singular": (V5, JORDAN5, Mat2(0, 1, 0, 0, 5)),  # commutes with phi
+    "singular-to-a-scalar": (V5, Mat2(2, 0, 0, 2, 5), Mat2(1, 0, 0, 0, 5)),
+    "other-field": (V5, JORDAN5, Mat2(1, 0, 0, 1, 7)),
+    "non-unit": (Z9, Unit(2, 9), non_unit(3, 9)),
+    "other-modulus": (Z9, Unit(2, 9), Unit(2, 27)),
+}
+
+
+@pytest.mark.parametrize("case", INJECTED.values(), ids=INJECTED.keys())
+def test_a_bad_psi_injected_into_a_block_raises_check_pairs_message(case, monkeypatch):
+    G, phi, bad = case
+    with pytest.raises(ValueError) as expected:
+        gl2.check_pair(G, phi, bad)
+    real = enumeration.reps_y
+    good = real(G, phi)
+    for at in (0, 2, len(good)):
+        psis = Subgroup(good[:at] + (bad,) + good[at:])
+        monkeypatch.setattr(enumeration, "reps_y", lambda G, f: psis if f == phi else real(G, f))
+        with pytest.raises(ValueError) as err:
+            list(enumeration.enumerate_blocks(G))
+        assert str(err.value) == str(expected.value)
+
+
+def test_the_block_check_names_the_first_failing_pair_in_list_order():
+    good = reps_y(V5, JORDAN5)
+    singular, clash = INJECTED["singular"][2], INJECTED["not-commuting"][2]
+    for first, second in ((singular, clash), (clash, singular)):
+        with pytest.raises(ValueError) as expected:
+            gl2.check_pair(V5, JORDAN5, first)
+        with pytest.raises(ValueError) as err:
+            gl2.check_pairs(V5, JORDAN5, Subgroup(good[:3] + (first,) + good[3:] + (second,)))
+        assert str(err.value) == str(expected.value)
+    gl2.check_pairs(V5, JORDAN5, good)  # the real list passes
+    with pytest.raises(ValueError, match="must both be invertible"):
+        gl2.check_pairs(V5, Mat2(1, 1, 1, 1, 5), Subgroup((identity_matrix(5),)))  # a singular phi

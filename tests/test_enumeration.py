@@ -20,7 +20,6 @@ from medialq.enumeration import (
     enumerate_forms,
     group_label,
     interpolate_count_polynomial,
-    jsonl_record,
     orbit_reps_c,
     reps_x,
     reps_y,
@@ -30,6 +29,7 @@ from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.quasigroup import AffineForm
+from reference import as_matrices, identity_matrix, jsonl_record, zero_matrix
 
 V3 = ElemAbelianRank2(Prime(3))
 Z9 = Cyclic(Prime(3), 2)
@@ -97,7 +97,7 @@ def test_reps_x_checks_the_rank2_transversal_and_only_that(monkeypatch):
 
 
 def test_reps_y_sizes():
-    scalar = Mat2.identity(3)
+    scalar = identity_matrix(3)
     assert len(reps_y(V3, scalar)) == 8
     jordan = Mat2(1, 1, 0, 1, 3)
     assert len(reps_y(V3, jordan)) == 6
@@ -113,7 +113,7 @@ def test_reps_y_rejects_non_representative():
         reps_y(Z9, Unit(2, 3))
     # a map of the other family is no representative either
     with pytest.raises(ValueError, match="designated representative"):
-        reps_y(Z9, Mat2.identity(3))
+        reps_y(Z9, identity_matrix(3))
     with pytest.raises(ValueError, match="designated representative"):
         reps_y(V3, Unit(1, 9))
 
@@ -122,10 +122,10 @@ def test_stabilizer_examples():
     scalar2 = Mat2(2, 0, 0, 2, 3)
     assert set(stabilizer(V3, scalar2, scalar2)) == set(gl2_elements(3))
     distinct = Mat2(1, 0, 0, 2, 3)
-    for psi in centralizer(distinct):
-        assert set(stabilizer(V3, distinct, psi)) == set(centralizer(distinct))
+    for psi in as_matrices(centralizer(distinct), 3):
+        assert set(stabilizer(V3, distinct, psi)) == set(as_matrices(centralizer(distinct), 3))
     jordan = Mat2(1, 1, 0, 1, 3)
-    assert len(stabilizer(V3, Mat2.identity(3), jordan)) == 3 * 2
+    assert len(stabilizer(V3, identity_matrix(3), jordan)) == 3 * 2
     assert len(stabilizer(Z9, Unit(2, 9), Unit(5, 9))) == 6
 
 
@@ -183,8 +183,8 @@ def verdict(call):
 @settings(max_examples=300, deadline=None)
 @given(candidate_pairs())
 @example((Z9, Unit(2, 25), Unit(3, 25)))  # units of Z_25
-@example((V3, Mat2(2, 0, 0, 3, 5), Mat2.identity(5)))  # matrices over F_5
-@example((V3, Mat2.zero(3), Mat2(2, 0, 0, 2, 3)))  # phi = 0 is no automorphism
+@example((V3, Mat2(2, 0, 0, 3, 5), identity_matrix(5)))  # matrices over F_5
+@example((V3, zero_matrix(3), Mat2(2, 0, 0, 2, 3)))  # phi = 0 is no automorphism
 @example((V3, Unit(2, 9), Mat2(2, 0, 0, 2, 3)))  # a unit given to (Z_3)^2
 def test_affine_form_stabilizer_and_orbit_reps_share_one_pair_rule(case):
     G, phi, psi = case
@@ -208,8 +208,8 @@ def test_affine_form_stabilizer_and_orbit_reps_share_one_pair_rule(case):
 
 def test_orbit_reps_regular_case():
     # 1 - phi - psi invertible: only the zero orbit
-    phi, psi = Mat2.identity(3), Mat2.identity(3)
-    assert (Mat2.identity(3) - phi - psi).rank() == 2
+    phi, psi = identity_matrix(3), identity_matrix(3)
+    assert (identity_matrix(3) - phi - psi).rank() == 2
     assert orbit_reps_c(V3, phi, psi) == ((0, 0),)
 
 
@@ -217,7 +217,7 @@ def test_orbit_reps_rank_one_case():
     # 1 - phi - psi = diag(0, 1) mod 3 has rank one: reps are zero plus one vector
     phi = Mat2(2, 0, 0, 2, 3)
     psi = Mat2(2, 0, 0, 1, 3)
-    assert (Mat2.identity(3) - phi - psi).rank() == 1
+    assert (identity_matrix(3) - phi - psi).rank() == 1
     reps = orbit_reps_c(V3, phi, psi)
     assert len(reps) == 2
     assert reps[0] == (0, 0)
@@ -230,7 +230,7 @@ def test_orbit_reps_rank_zero_diagonal_case():
     G = ElemAbelianRank2(Prime(p))
     phi = Mat2(2, 0, 0, 3, p)
     psi = Mat2(1 - 2, 0, 0, 1 - 3, p)
-    assert (Mat2.identity(p) - phi - psi).rank() == 0
+    assert (identity_matrix(p) - phi - psi).rank() == 0
     reps = orbit_reps_c(G, phi, psi)
     assert reps == ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -242,7 +242,7 @@ def test_orbit_counts_in_rank_zero_cases():
     G = ElemAbelianRank2(Prime(p))
     jordan = Mat2(2, 1, 0, 2, p)  # a = 2, so u = 1-a = 4, v = -1
     psi_j = Mat2(4, p - 1, 0, 4, p)
-    assert (Mat2.identity(p) - jordan - psi_j).rank() == 0
+    assert (identity_matrix(p) - jordan - psi_j).rank() == 0
     assert orbit_reps_c(G, jordan, psi_j) == ((0, 0), (0, 1), (1, 0))
 
     from medialq.fp import is_irreducible_quadratic
@@ -255,7 +255,7 @@ def test_orbit_counts_in_rank_zero_cases():
     )
     comp = Mat2(0, 1, a, b, p)
     psi_c = Mat2(1, p - 1, a * (p - 1), 1 + b * (p - 1), p)  # u = 1, v = -1
-    assert (Mat2.identity(p) - comp - psi_c).rank() == 0
+    assert (identity_matrix(p) - comp - psi_c).rank() == 0
     reps = orbit_reps_c(G, comp, psi_c)
     assert len(reps) == 2 and reps[0] == (0, 0)
 
@@ -384,7 +384,7 @@ def test_count_composite_caps_the_order():
 
 def pooled_blocks(G, jobs):
     # the one pool helper left, oracle's, run over the phi representatives
-    return oracle._pool_map(partial(enumeration._block, G), reps_x(G), jobs)
+    return oracle._pool_map(partial(enumeration._block, G, table=[None] * G.order), reps_x(G), jobs)
 
 
 def test_pool_size_is_clamped(monkeypatch, recording_pool):
@@ -408,7 +408,7 @@ def test_pool_size_is_clamped(monkeypatch, recording_pool):
 def test_blocks_are_made_one_at_a_time(monkeypatch):
     made = []
     real = enumeration._block
-    monkeypatch.setattr(enumeration, "_block", lambda G, phi: made.append(phi) or real(G, phi))
+    monkeypatch.setattr(enumeration, "_block", lambda G, phi, table: made.append(phi) or real(G, phi, table))
     blocks = enumeration.enumerate_blocks(Z9)
     assert made == []
     phi, rows = next(blocks)

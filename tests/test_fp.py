@@ -12,11 +12,11 @@ from medialq.enumeration import factorize
 from medialq.fp import (
     MAX_PRIME,
     Prime,
-    count_irreducible_quadratics,
     fp_inv,
     is_irreducible_quadratic,
     prime_power,
 )
+from reference import count_irreducible_quadratics
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 

@@ -16,9 +16,16 @@ from medialq.gl2 import (
     conj_class_reps,
     conjugacy_partition,
     gl2_elements,
-    gl2_order,
-    parametrized_centralizer,
     units,
+)
+from reference import (
+    as_matrices,
+    filter_centralizer,
+    gl2_order,
+    identity_matrix,
+    parametrized_centralizer,
+    partition_classes,
+    zero_matrix,
 )
 
 
@@ -38,14 +45,14 @@ def brute_conjugacy_classes(p):
 
 def test_det_and_rank_examples():
     assert Mat2(2, 0, 0, 3, 5).det() == 6 % 5
-    assert Mat2.zero(3).rank() == 0
+    assert zero_matrix(3).rank() == 0
     assert Mat2(1, 1, 2, 2, 3).det() == 0
     assert Mat2(1, 1, 2, 2, 3).rank() == 1
     assert Mat2(1, 1, 0, 1, 3).rank() == 2
 
 
 def test_inverse_round_trip_over_gl2_3():
-    I = Mat2.identity(3)
+    I = identity_matrix(3)
     for A in gl2_elements(3):
         assert A.mul(A.inv()) == I
         assert A.inv().mul(A) == I
@@ -86,19 +93,42 @@ def test_representative_count_matches_brute_force(p, count):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_partition_consistent_with_library(p):
     brute = set(brute_conjugacy_classes(p))
-    assert set(conjugacy_partition(p)) == brute
+    assert set(partition_classes(p)) == brute
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_centralizers_match_parametrizations(p):
     for rep in conj_class_reps(p):
-        assert set(centralizer(rep.matrix())) == set(parametrized_centralizer(rep))
+        assert set(as_matrices(centralizer(rep.matrix()), p)) == set(parametrized_centralizer(rep))
 
 
 def test_centralizer_sizes():
     assert len(centralizer(Mat2(2, 0, 0, 2, 3))) == gl2_order(3)
     assert len(centralizer(Mat2(1, 1, 0, 1, 3))) == 3 * 2
     assert len(centralizer(Mat2(0, 1, 1, 1, 2))) == 2 * 2 - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_null_space_centralizer_is_the_filter_for_every_element(p):
+    for row in gl2._gl2_entries(p).tolist():
+        A = Mat2(*row, p)
+        C = centralizer(A)
+        assert C.tolist() == filter_centralizer(A)  # as a set, and ascending
+        assert not C.flags.writeable
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_the_null_space_centralizer_is_the_filter_for_every_representative(p):
+    for rep in conj_class_reps(p):
+        A = rep.matrix()
+        assert set(centralizer(A).tolist()) == set(filter_centralizer(A))
+        assert centralizer(A).tolist() == sorted(centralizer(A).tolist())
+
+
+def test_conjugacy_partition_labels_each_element_with_its_class():
+    classes = conjugacy_partition(5)
+    assert classes.shape == (gl2_order(5),) and not classes.flags.writeable
+    assert sorted(set(classes.tolist())) == list(range(len(conj_class_reps(5))))
 
 
 def test_centralizer_of_singular_raises():
@@ -110,7 +140,7 @@ def test_centralizer_of_singular_raises():
 def test_orbit_stabilizer(p):
     order = gl2_order(p)
     assert order == len(gl2_elements(p))
-    for rep, cls in zip(conj_class_reps(p), conjugacy_partition(p)):
+    for rep, cls in zip(conj_class_reps(p), partition_classes(p)):
         assert len(cls) * len(centralizer(rep.matrix())) == order
 
 
@@ -119,7 +149,7 @@ def test_non_scalar_centralizers_are_commutative(p):
     for rep in conj_class_reps(p):
         if rep.kind == "scalar":
             continue
-        members = centralizer(rep.matrix())
+        members = as_matrices(centralizer(rep.matrix()), p)
         for i, A in enumerate(members):
             for B in members[i + 1 :]:
                 assert A.mul(B) == B.mul(A)
@@ -128,8 +158,8 @@ def test_non_scalar_centralizers_are_commutative(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_centralizers_are_subgroups(p):
     for rep in conj_class_reps(p):
-        members = set(centralizer(rep.matrix()))
-        assert Mat2.identity(p) in members
+        members = set(as_matrices(centralizer(rep.matrix()), p))
+        assert identity_matrix(p) in members
         for A in members:
             assert A.inv() in members
             assert all(A.mul(B) in members for B in members)
@@ -148,11 +178,11 @@ def test_commutes_examples():
 
 def test_commutes_rejects_mixed_variants():
     with pytest.raises(TypeError):
-        commutes(Unit(1, 4), Mat2.identity(2))
+        commutes(Unit(1, 4), identity_matrix(2))
     with pytest.raises(ValueError):
         commutes(Unit(1, 4), Unit(1, 9))
     with pytest.raises(ValueError):
-        commutes(Mat2.identity(2), Mat2.identity(3))
+        commutes(identity_matrix(2), identity_matrix(3))
 
 
 any_matrix = st.sampled_from([2, 3, 5, 7]).flatmap(
@@ -169,7 +199,7 @@ def test_commutes_is_equality_of_both_products(A, B):
             commutes(A, B)
         return
     assert commutes(A, B) == (A.mul(B) == B.mul(A))
-    assert commutes(A, A) and commutes(A, Mat2.identity(A.p))
+    assert commutes(A, A) and commutes(A, identity_matrix(A.p))
 
 
 def test_units_listing():
@@ -277,7 +307,7 @@ matrices = st.sampled_from([2, 3, 5, 7]).flatmap(
 def test_mat2_laws(abc):
     A, B, C = abc
     p = A.p
-    I = Mat2.identity(p)
+    I = identity_matrix(p)
     assert A.mul(B).mul(C) == A.mul(B.mul(C))
     assert I.mul(A) == A == A.mul(I)
     assert A.mul(B).det() == A.det() * B.det() % p

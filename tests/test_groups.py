@@ -8,6 +8,7 @@ import pytest
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
+from reference import zero_matrix
 
 Z4 = Cyclic(Prime(2), 2)
 Z9 = Cyclic(Prime(3), 2)
@@ -75,7 +76,7 @@ def test_group_axioms_exhaustive():
 
 
 def test_quotient_zero_matrix():
-    cosets = quotient_cosets(V3, Mat2.zero(3))
+    cosets = quotient_cosets(V3, zero_matrix(3))
     assert len(cosets) == 9
     assert cosets.subgroup_order == 1
     assert cosets.representatives[0] == (0, 0)

@@ -15,12 +15,10 @@ from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import (
     IsoClass,
     all_affine_forms,
-    all_latin_squares,
     are_isomorphic,
     assign_to_classes,
     classify,
     fingerprint,
-    relabel,
 )
 from medialq.quasigroup import (
     AffineForm,
@@ -31,6 +29,7 @@ from medialq.quasigroup import (
     tables_from_text,
     to_text,
 )
+from reference import all_latin_squares, relabel
 
 Z4 = Cyclic(Prime(2), 2)
 V2 = ElemAbelianRank2(Prime(2))

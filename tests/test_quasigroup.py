@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
-from medialq.oracle import all_affine_forms, all_latin_squares, relabel
+from medialq.oracle import all_affine_forms
 from medialq.quasigroup import (
     AffineForm,
     CayleyTable,
@@ -22,6 +22,7 @@ from medialq.quasigroup import (
     to_json,
     to_text,
 )
+from reference import all_latin_squares, as_matrices, identity_matrix, relabel
 
 Z3 = Cyclic(Prime(3), 1)
 V2 = ElemAbelianRank2(Prime(2))
@@ -49,7 +50,7 @@ def test_doubling_form_direct_evaluation():
 
 
 def test_translation_form_shifts_rows():
-    I = Mat2.identity(2)
+    I = identity_matrix(2)
     t = build_table(AffineForm(V2, I, I, (1, 0)))
     base = group_table(V2)
     shift = V2.index((1, 0))
@@ -60,13 +61,13 @@ def test_form_validation():
     with pytest.raises(ValueError):
         AffineForm(Z3, Unit(1, 9), Unit(1, 3), 0)  # wrong modulus
     with pytest.raises(ValueError):
-        AffineForm(V2, Mat2(1, 1, 1, 1, 2), Mat2.identity(2), (0, 0))  # singular phi
+        AffineForm(V2, Mat2(1, 1, 1, 1, 2), identity_matrix(2), (0, 0))  # singular phi
     with pytest.raises(ValueError):
         AffineForm(V2, Mat2(1, 1, 0, 1, 2), Mat2(1, 0, 1, 1, 2), (0, 0))  # non-commuting
     with pytest.raises(ValueError):
         AffineForm(Z3, Unit(1, 3), Unit(1, 3), 5)  # c outside the group
     with pytest.raises(ValueError, match="not an element"):
-        AffineForm(V2, Mat2.identity(2), Mat2.identity(2), (True, False))  # bool coordinates
+        AffineForm(V2, identity_matrix(2), identity_matrix(2), (True, False))  # bool coordinates
 
 
 def test_every_affine_table_is_latin_and_medial():
@@ -244,7 +245,7 @@ def affine_forms(draw):
         phi, psi = (draw(st.sampled_from(units(p, G.k))) for _ in range(2))
     else:
         phi = draw(st.sampled_from(gl2_elements(p)))
-        psi = draw(st.sampled_from(centralizer(phi)))
+        psi = draw(st.sampled_from(as_matrices(centralizer(phi), p)))
     return AffineForm(G, phi, psi, draw(st.sampled_from(G.elements())))
 
 
