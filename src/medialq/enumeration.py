@@ -240,7 +240,8 @@ def _block(G: GroupSpec, phi: Automorphism, table: list) -> tuple:
     x = np.array([1, 0, 0, 1]) - np.array(phi.entries) - _matrix_entries(psis.codes, p)
     cosets = quotients(G, _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p))
 
-    def tail(psi_kind, quotient, fixed):  # the stabilizer C(phi) & C(psi) is C(fixed), as in `stabilizer`
+    # C(phi) & C(psi) is C(fixed): C(psi) for a scalar phi, else C(phi), as in `stabilizer`
+    def tail(psi_kind, quotient, fixed):
         cs = (G.zero,) if len(quotient) == 1 else _orbit_reps(G, centralizer(fixed).tobytes(), quotient)
         return _tag(p, kinds[phi], psi_kind, quotient), cs
 

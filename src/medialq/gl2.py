@@ -356,7 +356,7 @@ def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
     for f in (phi, psi):
         if not _acts_on(G, f):
             raise ValueError(f"{f} does not act on {G}")
-    if not all(f.value % G.p if cyclic else f.det() for f in (phi, psi)):
+    if not (phi.value % G.p and psi.value % G.p if cyclic else phi.det() and psi.det()):
         raise ValueError(f"phi = {phi} and psi = {psi} must both be invertible")
     if not cyclic and not commutes(phi, psi):  # units of one modulus commute
         raise ValueError("phi and psi do not commute")

@@ -16,8 +16,6 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable
