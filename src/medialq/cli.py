@@ -245,9 +245,10 @@ def _pair(c) -> str:
 def _render_block(G, block, text: bool, tables: bool) -> str:
     """The output lines of one phi block, one f-string per format, one line per triple.
 
-    Each line holds the bytes that `json.dumps` of the tests' `jsonl_record`, or the
-    text format, prints for its triple; the tests hold these templates to
-    that reference.  The group label and the case tags need no JSON escapes.
+    Each line holds the bytes that the text format, or `json.dumps` of the
+    record `jsonl_record` in `tests/reference.py`, prints for its triple; the
+    tests hold these templates to that reference.  The group label and the
+    case tags need no JSON escapes.
     """
     phi, rows = block
     if isinstance(G, Cyclic):

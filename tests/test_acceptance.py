@@ -19,7 +19,6 @@ from medialq.enumeration import (
 )
 from medialq.fp import Prime
 from medialq.gl2 import (
-    Mat2,
     centralizer,
     conj_class_reps,
     conjugacy_partition,

@@ -37,7 +37,7 @@ from medialq.gl2 import (
     units,
 )
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
-from reference import _case_tag, filter_centralizer, identity_matrix, partition_classes, zero_matrix
+from reference import _case_tag, identity_matrix, partition_classes, zero_matrix
 
 EQUIVALENCE_GROUPS = [
     Cyclic(Prime(2), 3),
