@@ -30,6 +30,7 @@ from .gl2 import (
 from .quasigroup import (
     AffineForm,
     CayleyTable,
+    affine_tables,
     build_table,
     count_idempotents,
     is_latin,
@@ -62,6 +63,7 @@ from .oracle import (
     Fingerprint,
     IsoClass,
     all_affine_forms,
+    all_affine_tables,
     are_isomorphic,
     assign_to_classes,
     classify,

@@ -32,9 +32,10 @@ from .enumeration import (
     interpolate_count_polynomial,
 )
 from .groups import Cyclic, ElemAbelianRank2
-from .oracle import CLASSIFY_ORDER_CAP, all_affine_forms, assign_to_classes, classify
+from .oracle import CLASSIFY_ORDER_CAP, all_affine_tables, assign_to_classes, classify
 from .quasigroup import (
     AffineForm,
+    affine_tables,
     build_table,
     count_idempotents,
     is_latin,
@@ -333,10 +334,9 @@ def _cmd_crosscheck(args) -> int:
             f"group of order {G.order} exceeds the oracle cap {CLASSIFY_ORDER_CAP}"
         )
     report = enumerate_forms(G)
-    forms = all_affine_forms(G)
-    tables = [build_table(f) for f in forms]
+    tables = all_affine_tables(G)
     classes = classify(tables, jobs=args.jobs)
-    print(f"affine forms over {G}: {len(forms)}")
+    print(f"affine forms over {G}: {len(tables)}")
     summary = {
         "group": group_label(G),
         "classes": len(classes),
@@ -346,9 +346,8 @@ def _cmd_crosscheck(args) -> int:
     print(f"enumerator representatives: {report.total}")
     ok = len(classes) == report.total
     if ok:
-        rep_tables = [
-            build_table(AffineForm(G, t.phi, t.psi, t.c)) for t in report.triples
-        ]
+        triples = report.triples
+        rep_tables = affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
         try:
             assignment = assign_to_classes(classes, rep_tables)
             bijective = sorted(assignment) == list(range(len(classes)))

@@ -1,13 +1,15 @@
 """Brute-force ground truth for "up to isomorphism".
 
 Isomorphism of Cayley tables is decided in one place, `_iso_search`, by
-backtracking over partial symbol bijections with per-symbol signature
+backtracking over partial symbol bijections with per-symbol invariant
 pruning, plus forced propagation: once sigma is fixed on i and j it is
-forced on i*j.  A fingerprint (the order and the diagonal's cycle type)
-buckets tables; classification compares within a bucket, and there only
-tables with equal sorted signatures.  Nothing in this module consults the
-affine theory -- it works on raw tables -- so agreement with the enumerator
-is genuine cross-validation, not a tautology.
+forced on i*j.  The invariants -- each symbol's row and column cycle types
+and whether it is idempotent, and each table's diagonal cycle type -- come
+from one array pass per call over all the tables it compares, ranked into
+integer codes.  The diagonal buckets tables; classification compares within
+a bucket, and there only tables with equal sorted codes.  Nothing in this
+module consults the affine theory -- it works on raw tables -- so agreement
+with the enumerator is genuine cross-validation, not a tautology.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gl2 import commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
-from .quasigroup import AffineForm, CayleyTable
+from .quasigroup import AffineForm, CayleyTable, affine_tables
 
 ISO_ORDER_CAP = 16
 CLASSIFY_ORDER_CAP = 9
+_INVARIANT_CHUNK = 256  # tables per step of `_invariants`
 
 
 @dataclass(frozen=True)
@@ -39,46 +44,79 @@ class IsoClass:
     fingerprint: Fingerprint
 
 
-def _cycle_lengths(f) -> tuple:
-    """Sorted lengths of the cycles in the functional graph of f.
+def _cycle_points(maps: np.ndarray) -> np.ndarray:
+    """The length of the cycle through each point of each map of `maps`, shape (..., n); 0 for a point on no cycle.
 
-    For a permutation this is its cycle type; for a general map only the
-    eventual cycles count, which is still a relabeling invariant.  One walk
-    per unreached start records the step at which each point is reached; a
-    walk that stops on a point reached during that same walk closes a cycle.
+    Point x lies on a cycle of length k iff k is the least k >= 1 with
+    f^k(x) = x, so the powers f, f^2, ..., f^n are composed in turn.  Sorted,
+    a map's lengths give its cycle type: a cycle of length L has L points of
+    length L.  For a general map only the eventual cycles count, which is
+    still a relabeling invariant.
     """
-    reached = [-1] * len(f)
-    lengths = []
-    step = 0
-    for start in range(len(f)):
-        if reached[start] >= 0:
-            continue
-        begin = step
-        x = start
-        while reached[x] < 0:
-            reached[x] = step
-            step += 1
-            x = f[x]
-        if reached[x] >= begin:
-            lengths.append(step - reached[x])
-    return tuple(sorted(lengths))
+    n = maps.shape[-1]
+    cells = maps.ravel()
+    starts = np.arange(0, cells.size, n).reshape(-1, 1)  # each map's first cell in `cells`
+    points = np.arange(n, dtype=maps.dtype)
+    lengths = np.zeros((len(starts), n), dtype=np.min_scalar_type(n))
+    power = maps.reshape(-1, n)
+    for k in range(1, n + 1):
+        lengths[(power == points) & (lengths == 0)] = k
+        if k < n:
+            power = cells[power + starts]
+    return lengths.reshape(maps.shape)
+
+
+def _cycle_type(lengths: np.ndarray) -> tuple:
+    """The sorted cycle lengths of one map, from its points' `_cycle_points`."""
+    counts = np.bincount(lengths).tolist()
+    return tuple(L for L in range(1, len(counts)) for _ in range(counts[L] // L))
 
 
 def fingerprint(t: CayleyTable) -> Fingerprint:
-    rows = t.rows
-    return Fingerprint(t.n, _cycle_lengths([rows[i][i] for i in range(t.n)]))
+    return Fingerprint(t.n, _cycle_type(_cycle_points(t.cells.diagonal())))
 
 
-def _signatures(rows) -> list:
-    """Per-symbol invariants: (row cycle type, column cycle type, idempotent?)."""
-    return [
-        (_cycle_lengths(row), _cycle_lengths(col), row[i] == i)
-        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
-    ]
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """One integer per row of a 2-D key array, equal exactly for equal rows: the row's place among the distinct rows."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
+
+
+def _invariants(stack: np.ndarray) -> tuple:
+    """Diagonal keys and symbol codes of a stack of tables of one order, shape (N, n, n).
+
+    A table's key ranks its diagonal's cycle type, so two keys are equal iff
+    the tables' fingerprints are.  Symbol i's code ranks (row i's cycle
+    type, column i's cycle type, whether i*i = i), the invariants
+    `_iso_search` prunes with.  Ranks are taken over this stack alone: keys
+    and codes compare only within one call.  The maps are walked
+    `_INVARIANT_CHUNK` tables at a time, which bounds the index temporaries.
+    """
+    N, n = stack.shape[:2]
+    if n > ISO_ORDER_CAP:
+        raise ValueError(f"order {n} exceeds the exhaustive cap {ISO_ORDER_CAP}")
+    keys = np.empty((N, n, 2 * n + 1), dtype=np.min_scalar_type(n))
+    diagonals = np.empty((N, n), dtype=keys.dtype)
+    for lo in range(0, N, _INVARIANT_CHUNK):
+        hi = lo + _INVARIANT_CHUNK
+        T = stack[lo:hi]
+        diagonal = T.diagonal(axis1=1, axis2=2)
+        maps = np.concatenate([T, T.transpose(0, 2, 1), diagonal[:, None]], axis=1)
+        lengths = np.sort(_cycle_points(maps), axis=-1)
+        keys[lo:hi, :, :n] = lengths[:, :n]
+        keys[lo:hi, :, n : 2 * n] = lengths[:, n : 2 * n]
+        keys[lo:hi, :, 2 * n] = diagonal == np.arange(n)
+        diagonals[lo:hi] = lengths[:, 2 * n]
+    return _rank(diagonals), _rank(keys.reshape(N * n, 2 * n + 1)).reshape(N, n)
 
 
 def _iso_search(s, sig_s, t, sig_t) -> bool:
-    """Whether row tuples s and t are isomorphic, given their `_signatures`.
+    """Whether row tuples s and t are isomorphic, given their symbol codes from one `_invariants` call.
 
     Every isomorphism decision in this module is made here.
     """
@@ -147,31 +185,38 @@ def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
     """Whether a bijection sigma exists with sigma(s[i][j]) = t[sigma(i)][sigma(j)]."""
     if s.n != t.n:
         return False
-    return _iso_search(s.rows, _signatures(s.rows), t.rows, _signatures(t.rows))
+    _, codes = _invariants(np.stack([s.cells, t.cells]))
+    return _iso_search(s.rows, codes[0].tolist(), t.rows, codes[1].tolist())
+
+
+def _affine_pairs(G: GroupSpec) -> list:
+    """Every ordered pair (phi, psi) of commuting automorphisms of G."""
+    if G.order > CLASSIFY_ORDER_CAP:
+        raise ValueError(f"group of order {G.order} exceeds the cap {CLASSIFY_ORDER_CAP}")
+    auts = units(G.p, G.k) if isinstance(G, Cyclic) else gl2_elements(G.p)
+    return [(phi, psi) for phi in auts for psi in auts if commutes(phi, psi)]
 
 
 def all_affine_forms(G: GroupSpec) -> list:
     """Every affine form (phi, psi, c) with commuting automorphisms, unquotiented."""
-    if G.order > CLASSIFY_ORDER_CAP:
-        raise ValueError(f"group of order {G.order} exceeds the cap {CLASSIFY_ORDER_CAP}")
     els = G.elements()
-    auts = units(G.p, G.k) if isinstance(G, Cyclic) else gl2_elements(G.p)
-    return [
-        AffineForm(G, phi, psi, c)
-        for phi in auts
-        for psi in auts
-        if commutes(phi, psi)
-        for c in els
-    ]
+    return [AffineForm(G, phi, psi, c) for phi, psi in _affine_pairs(G) for c in els]
 
 
-def _classify_bucket(indexed_rows):
+def all_affine_tables(G: GroupSpec) -> np.ndarray:
+    """The cells of every table of `all_affine_forms(G)`, in its order, as one (N, n, n) array."""
+    pairs = _affine_pairs(G)
+    return affine_tables(G, pairs, np.broadcast_to(np.arange(G.order), (len(pairs), G.order)))
+
+
+def _classify_bucket(bucket):
     # One fingerprint bucket: greedy scan keeping the first table of each class.
-    # Signatures are computed here, per bucket, so at most one bucket's are held.
-    # Classes are keyed by sorted signatures, which `_iso_search` requires equal.
-    classes: dict = {}  # sorted signatures -> [[first_index, rows, signatures, count], ...]
-    for idx, rows in indexed_rows:
-        sig = _signatures(rows)
+    # Row tuples are built per table, and kept only for each class's first table.
+    # Classes are keyed by sorted symbol codes, which `_iso_search` requires equal.
+    classes: dict = {}  # sorted codes -> [[first_index, rows, codes, count], ...]
+    indices, cells, codes = bucket
+    for idx, table, sig in zip(indices, cells, codes.tolist()):
+        rows = tuple(map(tuple, table.tolist()))
         same = classes.setdefault(tuple(sorted(sig)), [])
         for cls in same:
             if _iso_search(rows, sig, cls[1], cls[2]):
@@ -195,39 +240,69 @@ def _pool_map(fn, items: list, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
+def _as_stack(tables) -> tuple:
+    """(cells of every table as one (N, n, n) array, the tables as a list or None) of a list of tables or such an array."""
+    if isinstance(tables, np.ndarray):
+        n = tables.shape[-1] if tables.ndim == 3 else 0
+        if n < 1 or tables.shape[1] != n or tables.dtype.kind not in "biu":
+            raise ValueError("a table stack must be an integer array of shape (N, n, n), n >= 1")
+        if tables.size and (tables.min() < 0 or tables.max() >= n):
+            raise ValueError("table entries must be indices in [0, n)")
+        return tables, None
+    tables = list(tables)
+    n = tables[0].n if tables else 1
+    if any(t.n != n for t in tables):
+        raise ValueError("classify requires tables of a single order")
+    return np.array([t.cells for t in tables]) if tables else np.empty((0, n, n), dtype=np.uint8), tables
+
+
 def classify(tables, jobs: int = 1) -> list:
     """Partition tables into isomorphism classes, deterministically.
 
-    Tables are bucketed by fingerprint first; pairwise isomorphism tests run
-    only within buckets, on at most `jobs` processes.  Class order is by
-    first occurrence in the input, independent of the worker count.
+    `tables` is a list of `CayleyTable`, or their cells as one (N, n, n)
+    array (then each class's member is built from its cells).  Tables are
+    bucketed by fingerprint first; pairwise isomorphism tests run only within
+    buckets, on at most `jobs` processes.  Class order is by first occurrence
+    in the input, independent of the worker count.
     """
-    tables = list(tables)
-    n = tables[0].n if tables else 0
-    if any(t.n != n for t in tables):
-        raise ValueError("classify requires tables of a single order")
+    stack, members = _as_stack(tables)
+    n = stack.shape[1]
     if n > CLASSIFY_ORDER_CAP:
         raise ValueError(f"order {n} exceeds the classification cap {CLASSIFY_ORDER_CAP}")
-    prints = [fingerprint(t) for t in tables]
+    keys, codes = _invariants(stack)
     buckets: dict = {}
-    for idx, fp in enumerate(prints):
-        buckets.setdefault(fp, []).append((idx, tables[idx].rows))
-    results = _pool_map(_classify_bucket, list(buckets.values()), jobs)
-    merged = sorted(pair for bucket_classes in results for pair in bucket_classes)
-    return [IsoClass(tables[first], count, prints[first]) for first, count in merged]
+    for idx, key in enumerate(keys.tolist()):
+        buckets.setdefault(key, []).append(idx)
+    items = [(idx, stack[idx], codes[idx]) for idx in buckets.values()]
+    results = _pool_map(_classify_bucket, items, jobs)
+    classes = []
+    for first, count in sorted(pair for bucket_classes in results for pair in bucket_classes):
+        member = members[first] if members is not None else CayleyTable(n, stack[first])
+        classes.append(IsoClass(member, count, fingerprint(member)))
+    return classes
 
 
 def assign_to_classes(classes, tables) -> list:
-    """Index of the class each table belongs to; raises if one matches nothing."""
-    class_sigs = [_signatures(cls.canonical_member.rows) for cls in classes]
+    """Index of the class each table belongs to, the first that matches; raises if one matches nothing.
+
+    `tables` is a list of `CayleyTable` or their cells as one (N, n, n)
+    array.  The class members and the tables of each shared order are ranked
+    in one invariant pass, and a table is searched only against the members
+    whose diagonal key is its own.
+    """
+    members = [cls.canonical_member for cls in classes]
+    tables = [CayleyTable(len(cells), cells) for cells in tables] if isinstance(tables, np.ndarray) else list(tables)
+    every = members + tables
+    keys, codes = [None] * len(every), [None] * len(every)
+    for n in {t.n for t in tables} & {m.n for m in members}:
+        at = [i for i, t in enumerate(every) if t.n == n]
+        ranked = _invariants(np.stack([every[i].cells for i in at]))
+        for i, key, sig in zip(at, *(a.tolist() for a in ranked)):
+            keys[i], codes[i] = key, sig
     result = []
-    for t in tables:
-        fp = fingerprint(t)
-        sig = _signatures(t.rows)
-        for ci, cls in enumerate(classes):
-            if cls.fingerprint == fp and _iso_search(
-                t.rows, sig, cls.canonical_member.rows, class_sigs[ci]
-            ):
+    for ti, t in enumerate(tables, len(members)):
+        for ci, m in enumerate(members):
+            if m.n == t.n and keys[ci] == keys[ti] and _iso_search(t.rows, codes[ti], m.rows, codes[ci]):
                 result.append(ci)
                 break
         else:

@@ -81,12 +81,43 @@ class CayleyTable:
         return hash((self.n, self.cells.tobytes()))
 
 
+def _affine_cells(G: GroupSpec, codes: list, cs) -> np.ndarray:
+    """Cells of x*y = phi(x) + psi(y) + c for each code pair (phi, psi) of `codes` and each c of its row of `cs`.
+
+    `cs` holds element indices, one row per pair.  The tables come pair by
+    pair, in an (len(codes) * len(cs[0]), n, n) array of one-byte cells for
+    n <= 256.
+    """
+    n = G.order
+    add = _add_table(G)
+    images = G.index_action([code for pair in codes for code in pair], np.arange(n)).reshape(-1, 2, n)
+    sums = add[images[:, 0, :, None], images[:, 1, None, :]]
+    cells = add[sums[:, None], np.asarray(cs)[:, :, None, None]]
+    return cells.reshape(-1, n, n).astype(np.min_scalar_type(n - 1))
+
+
+def affine_tables(G: GroupSpec, pairs, cs) -> np.ndarray:
+    """The tables of x*y = phi(x) + psi(y) + c, for each (phi, psi) of `pairs` and each element index c of its row of `cs`.
+
+    `check_pair` runs once per pair.  Table by table, the result is
+    `build_table(AffineForm(G, phi, psi, G.elements()[c])).cells`, pair
+    after pair, and within a pair in the order of its row of `cs`.
+    """
+    pairs = list(pairs)
+    for phi, psi in pairs:
+        check_pair(G, phi, psi)
+    if not pairs:
+        return np.empty((0, G.order, G.order), dtype=np.min_scalar_type(G.order - 1))
+    cs = np.asarray(cs, dtype=np.int64).reshape(len(pairs), -1)
+    if cs.size and not (0 <= cs.min() and cs.max() < G.order):
+        raise ValueError(f"element indices of {G} must lie in [0, {G.order})")
+    return _affine_cells(G, [(int(phi), int(psi)) for phi, psi in pairs], cs)
+
+
 def build_table(form: AffineForm) -> CayleyTable:
     """Cayley table of x*y = phi(x) + psi(y) + c in the group's element order."""
     G = form.group
-    add = _add_table(G)
-    pv, qv = G.index_action((int(form.phi), int(form.psi)), np.arange(G.order))
-    return CayleyTable(G.order, add[add[pv[:, None], qv[None, :]], G.index(form.c)])
+    return CayleyTable(G.order, _affine_cells(G, [(int(form.phi), int(form.psi))], [[G.index(form.c)]])[0])
 
 
 def is_latin(t: CayleyTable) -> bool:

@@ -9,8 +9,12 @@ them with object-level references.  The rest moved here from the package
 as they were, since only the tests call them: `count_irreducible_quadratics`
 (from `fp`), `gl2_order` and `parametrized_centralizer` (from `gl2`),
 `jsonl_record` (from `enumeration`, the byte reference of the CLI's output
-templates), `relabel` and `all_latin_squares` (from `oracle`), and
-`identity_matrix` and `zero_matrix` (the classmethods `Mat2.identity` and `Mat2.zero`).
+templates), `relabel`, `all_latin_squares`, `_cycle_lengths` and
+`_signatures` (from `oracle`), and `identity_matrix` and `zero_matrix` (the
+classmethods `Mat2.identity` and `Mat2.zero`).  `walk_fingerprint` and
+`tuple_classify` are the oracle's fingerprint and `classify` as they were
+before its invariants came from one array pass: per-table walks and
+signature tuples, in one process.
 """
 
 from itertools import permutations
@@ -31,6 +35,7 @@ from medialq.gl2 import (
     gl2_elements,
 )
 from medialq.groups import Cyclic, GroupSpec, _matrix_code, quotient_cosets
+from medialq.oracle import Fingerprint, IsoClass, _iso_search
 from medialq.quasigroup import CayleyTable
 
 LATIN_SCAN_CAP = 4
@@ -186,3 +191,65 @@ def identity_matrix(p: int) -> Mat2:
 def zero_matrix(p: int) -> Mat2:
     """The zero matrix over F_p; formerly the classmethod `Mat2.zero`."""
     return Mat2(0, 0, 0, 0, p)
+
+
+def _cycle_lengths(f) -> tuple:
+    """Sorted lengths of the cycles in the functional graph of f.
+
+    For a permutation this is its cycle type; for a general map only the
+    eventual cycles count, which is still a relabeling invariant.  One walk
+    per unreached start records the step at which each point is reached; a
+    walk that stops on a point reached during that same walk closes a cycle.
+    """
+    reached = [-1] * len(f)
+    lengths = []
+    step = 0
+    for start in range(len(f)):
+        if reached[start] >= 0:
+            continue
+        begin = step
+        x = start
+        while reached[x] < 0:
+            reached[x] = step
+            step += 1
+            x = f[x]
+        if reached[x] >= begin:
+            lengths.append(step - reached[x])
+    return tuple(sorted(lengths))
+
+
+def _signatures(rows) -> list:
+    """Per-symbol invariants: (row cycle type, column cycle type, idempotent?)."""
+    return [
+        (_cycle_lengths(row), _cycle_lengths(col), row[i] == i)
+        for i, (row, col) in enumerate(zip(rows, zip(*rows)))
+    ]
+
+
+def walk_fingerprint(t: CayleyTable) -> Fingerprint:
+    rows = t.rows
+    return Fingerprint(t.n, _cycle_lengths([rows[i][i] for i in range(t.n)]))
+
+
+def tuple_classify(tables) -> list:
+    """`oracle.classify` on one process, from `walk_fingerprint` buckets and `_signatures` tuples."""
+    tables = list(tables)
+    prints = [walk_fingerprint(t) for t in tables]
+    buckets: dict = {}
+    for idx, fp in enumerate(prints):
+        buckets.setdefault(fp, []).append(idx)
+    merged = []
+    for bucket in buckets.values():
+        classes: dict = {}  # sorted signatures -> [[first_index, rows, signatures, count], ...]
+        for idx in bucket:
+            rows = tables[idx].rows
+            sig = _signatures(rows)
+            same = classes.setdefault(tuple(sorted(sig)), [])
+            for cls in same:
+                if _iso_search(rows, sig, cls[1], cls[2]):
+                    cls[3] += 1
+                    break
+            else:
+                same.append([idx, rows, sig, 1])
+        merged += [(first, count) for same in classes.values() for first, _, _, count in same]
+    return [IsoClass(tables[first], count, prints[first]) for first, count in sorted(merged)]

@@ -1,7 +1,9 @@
 import random
+import re
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,11 +12,12 @@ from medialq import oracle, quasigroup
 from medialq.cli import main
 from medialq.enumeration import enumerate_forms
 from medialq.fp import Prime
-from medialq.gl2 import gl2_elements
+from medialq.gl2 import Mat2, Unit, check_pair, gl2_elements
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import (
     IsoClass,
     all_affine_forms,
+    all_affine_tables,
     are_isomorphic,
     assign_to_classes,
     classify,
@@ -29,7 +32,7 @@ from medialq.quasigroup import (
     tables_from_text,
     to_text,
 )
-from reference import all_latin_squares, relabel
+from reference import _cycle_lengths, _signatures, all_latin_squares, relabel, tuple_classify, walk_fingerprint
 
 Z4 = Cyclic(Prime(2), 2)
 V2 = ElemAbelianRank2(Prime(2))
@@ -109,13 +112,13 @@ def test_fingerprint_runs_one_cycle_search_per_table(monkeypatch):
     monkeypatch.setattr(oracle, "count_idempotents", refuse, raising=False)
     monkeypatch.setattr(quasigroup, "count_idempotents", refuse)
     calls = []
-    cycle_lengths = oracle._cycle_lengths
-    monkeypatch.setattr(oracle, "_cycle_lengths", lambda f: calls.append(f) or cycle_lengths(f))
+    cycle_points = oracle._cycle_points
+    monkeypatch.setattr(oracle, "_cycle_points", lambda f: calls.append(f.tolist()) or cycle_points(f))
     for t in rep_tables(V3)[:5] + [group_table(Z4)]:
         calls.clear()
         fp = fingerprint(t)
         assert calls == [[t.rows[i][i] for i in range(t.n)]]
-        assert fp == oracle.Fingerprint(t.n, cycle_lengths(calls[0]))
+        assert fp == oracle.Fingerprint(t.n, _cycle_lengths(calls[0])) == walk_fingerprint(t)
 
 
 def ref_cycle_lengths(f) -> tuple:
@@ -151,7 +154,7 @@ def maps_and_permutations(draw):
 @settings(max_examples=500, deadline=None)
 @given(maps_and_permutations())
 def test_cycle_lengths_match_the_path_dict_walk(f):
-    assert oracle._cycle_lengths(f) == ref_cycle_lengths(f)
+    assert _cycle_lengths(f) == ref_cycle_lengths(f)
 
 
 def test_classify_searches_only_tables_of_equal_sorted_signatures(monkeypatch):
@@ -199,6 +202,62 @@ def test_all_affine_forms_counts():
 def test_all_affine_forms_rejects_large_groups():
     with pytest.raises(ValueError):
         all_affine_forms(Cyclic(Prime(2), 4))
+
+
+def test_the_stack_is_every_built_table_in_order():
+    for G in SMALL_GROUPS:
+        stack = all_affine_tables(G)
+        assert stack.dtype == np.uint8
+        assert np.array_equal(stack, [build_table(f).cells for f in all_affine_forms(G)])
+
+
+def test_the_representative_stack_is_their_built_tables():
+    for G in (Z4, V2, Z9, V3):
+        triples = enumerate_forms(G).triples
+        stack = quasigroup.affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
+        assert np.array_equal(stack, [t.cells for t in rep_tables(G)])
+    assert quasigroup.affine_tables(V3, [], []).shape == (0, 9, 9)
+    I = Mat2(1, 0, 0, 1, 3)
+    for c in (-1, 9):
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 9)")):
+            quasigroup.affine_tables(V3, [(I, I)], [[0, c]])
+
+
+def non_commuting_pair(p):
+    gl = gl2_elements(p)
+    return next((A, B) for A in gl for B in gl if A.mul(B) != B.mul(A))
+
+
+@pytest.mark.parametrize(
+    "G, bad",
+    [
+        (V3, non_commuting_pair(3)),
+        (V3, (Mat2(1, 0, 0, 1, 3), Mat2(1, 1, 1, 1, 3))),  # singular psi
+        (V2, (Mat2(1, 0, 0, 1, 3), Mat2(1, 0, 0, 1, 3))),  # over another field
+        (Z9, (Unit(2, 9), Unit(2, 27))),  # a unit of another modulus
+    ],
+    ids=["non-commuting", "singular", "other-field", "other-modulus"],
+)
+def test_a_bad_pair_in_the_pair_list_raises_check_pairs_message(monkeypatch, G, bad):
+    with pytest.raises(ValueError) as want:
+        check_pair(G, *bad)
+    pairs = oracle._affine_pairs(G)
+    for at in (0, len(pairs) // 2, len(pairs)):
+        monkeypatch.setattr(oracle, "_affine_pairs", lambda G: pairs[:at] + [bad] + pairs[at:])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            all_affine_tables(G)
+
+
+def test_classify_reads_a_stack_as_its_tables():
+    tables = [build_table(f) for f in all_affine_forms(Z9)]
+    classes = classify(all_affine_tables(Z9), jobs=2)
+    assert classes == classify(tables)
+    assert all(type(c.canonical_member) is CayleyTable for c in classes)
+    assert assign_to_classes(classes, all_affine_tables(Z9)) == assign_to_classes(classes, tables)
+    for bad in (np.zeros((2, 3, 4), dtype=np.uint8), np.zeros((2, 3), dtype=np.uint8),
+                np.full((1, 3, 3), 3), np.full((1, 3, 3), -1), np.zeros((1, 2, 2)), np.zeros((0, 0, 0), dtype=int)):
+        with pytest.raises(ValueError):
+            classify(bad)
 
 
 def test_classify_rejects_mixed_orders():
@@ -329,27 +388,30 @@ def test_classify_pool_size_is_clamped(monkeypatch, recording_pool):
         classify([], jobs=0)  # checked at the call, even with nothing to classify
 
 
-def test_signatures_are_computed_once_per_table(monkeypatch, capsys):
-    calls = []
-    signatures = oracle._signatures
+def test_one_invariant_pass_per_call(monkeypatch, capsys):
+    passes = []  # the number of tables of each pass
+    invariants = oracle._invariants
 
-    def counting(rows):
-        calls.append(len(rows))
-        return signatures(rows)
+    def counting(stack):
+        passes.append(len(stack))
+        return invariants(stack)
 
-    monkeypatch.setattr(oracle, "_signatures", counting)
+    monkeypatch.setattr(oracle, "_invariants", counting)
     tables = [build_table(f) for f in all_affine_forms(Z9)]
     classes = classify(tables)
-    assert 0 < len(calls) <= len(tables)
-    calls.clear()
+    assert passes == [len(tables)]
+    passes.clear()
     reps = rep_tables(Z9)
     assign_to_classes(classes, reps)
-    assert 0 < len(calls) <= len(reps) + len(classes)
-    calls.clear()
+    assert passes == [len(reps) + len(classes)]
+    passes.clear()
+    assert are_isomorphic(reps[0], reps[1]) is False
+    assert passes == [2]
+    passes.clear()
     # 3456 affine tables, then 68 representatives and 68 classes
     assert main(["crosscheck", "--group", "zp2", "--p", "3"]) == 0
     assert "68 = 68 OK" in capsys.readouterr().out
-    assert 0 < len(calls) <= 3456 + 68 + 68
+    assert passes == [3456, 68 + 68]
 
 
 # ---------------------------------------------------------------- properties
@@ -459,3 +521,78 @@ def test_any_text_parses_to_tables_or_raises_value_error(text):
     except ValueError:
         return
     assert tables_from_text("".join(to_text(t) for t in tables)) == tables
+
+
+def array_cycle_type(f) -> tuple:
+    return oracle._cycle_type(oracle._cycle_points(np.array(f, dtype=np.uint8)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(maps_and_permutations())
+def test_array_cycle_types_match_the_walk(f):
+    assert array_cycle_type(f) == _cycle_lengths(f)
+
+
+@st.composite
+def tables_of_order(draw, n):
+    # an arbitrary table of order n, or a Latin one: a relabelled isotope of Z_n
+    if draw(st.booleans()):
+        a, b, sigma = (draw(st.permutations(range(n))) for _ in range(3))
+        return CayleyTable(n, [[sigma[(a[i] + b[j]) % n] for j in range(n)] for i in range(n)])
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return CayleyTable(n, draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@st.composite
+def tables_and_copies(draw):
+    # tables of one order 1..16, each followed by zero or more relabelled copies
+    n = draw(st.integers(1, 16))
+    tables = []
+    for t in draw(st.lists(tables_of_order(n), min_size=1, max_size=3)):
+        tables.append(t)
+        tables += [relabel(t, draw(st.permutations(range(n)))) for _ in range(draw(st.integers(0, 2)))]
+    return tables
+
+
+def assert_invariants_match_the_tuples(tables):
+    keys, codes = oracle._invariants(np.array([t.cells for t in tables]))
+    # equal codes exactly for equal signatures, equal keys exactly for equal fingerprints
+    sigs = [sig for t in tables for sig in _signatures(t.rows)]
+    flat = codes.ravel().tolist()
+    assert len(set(zip(sigs, flat))) == len(set(sigs)) == len(set(flat))
+    prints = [walk_fingerprint(t) for t in tables]
+    assert [fingerprint(t) for t in tables] == prints
+    assert len(set(zip(prints, keys.tolist()))) == len(set(prints)) == len(set(keys.tolist()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_copies())
+def test_codes_and_keys_are_equal_exactly_where_the_tuples_are(tables):
+    assert_invariants_match_the_tuples(tables)
+
+
+def test_sixteen_distinct_row_cycle_types_get_sixteen_codes():
+    # row i cycles the symbols 0..i and fixes the rest: sixteen cycle types,
+    # more than a base-17 digit packing of sixteen symbols fits in 64 bits
+    n = 16
+    t = CayleyTable(n, [[(j + 1) % (i + 1) if j <= i else j for j in range(n)] for i in range(n)])
+    assert len({_cycle_lengths(row) for row in t.rows}) == n
+    copy = relabel(t, list(reversed(range(n))))
+    assert_invariants_match_the_tuples([t, copy])
+    _, codes = oracle._invariants(np.array([t.cells, copy.cells]))
+    assert len(set(codes[0].tolist())) == n
+    assert sorted(codes[0].tolist()) == sorted(codes[1].tolist())
+    assert are_isomorphic(t, copy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_classify_matches_the_tuple_path(data):
+    G = data.draw(st.sampled_from(SMALL_GROUPS))
+    tables = data.draw(st.lists(affine_tables(G), min_size=1, max_size=10))
+    copies = [relabel(t, data.draw(st.permutations(range(t.n)))) for t in tables]
+    mixed = data.draw(st.permutations(tables + copies))
+    want = tuple_classify(mixed)
+    assert classify(mixed) == want
+    assert [c.canonical_member for c in classify(mixed)] == [c.canonical_member for c in want]
+    assert classify(np.array([t.cells for t in mixed])) == want
