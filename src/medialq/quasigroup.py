@@ -89,11 +89,11 @@ def _affine_cells(G: GroupSpec, codes: list, cs) -> np.ndarray:
     n <= 256.
     """
     n = G.order
-    add = _add_table(G)
+    add = _add_table(G).ravel()  # the index of a + b at a * n + b
     images = G.index_action([code for pair in codes for code in pair], np.arange(n)).reshape(-1, 2, n)
-    sums = add[images[:, 0, :, None], images[:, 1, None, :]]
-    cells = add[sums[:, None], np.asarray(cs)[:, :, None, None]]
-    return cells.reshape(-1, n, n).astype(np.min_scalar_type(n - 1))
+    sums = add[images[:, 0, :, None] * n + images[:, 1, None, :]]
+    cells = add.astype(np.min_scalar_type(n - 1))[sums[:, None] * n + np.asarray(cs)[:, :, None, None]]
+    return cells.reshape(-1, n, n)
 
 
 def affine_tables(G: GroupSpec, pairs, cs) -> np.ndarray:
