@@ -73,22 +73,30 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jobs(value: str) -> int:
-    jobs = int(value)
+    try:
+        jobs = int(value)
+    except ValueError:
+        jobs = 0  # not an integer: refused below
     if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
     return jobs
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="medialq", description=__doc__)
-    # --jobs is a cap on processes; enumerate and export never start a second one.
-    in_one_process = "at most N processes (N >= 1): this command runs in one at any N"
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_group_args(p, groups):
         p.add_argument("--group", required=True, choices=groups)
         p.add_argument("--p", type=int, required=True)
         p.add_argument("--k", type=int, default=1)
+
+    def add_jobs_arg(p):
+        # --jobs is a cap on processes; no command starts a second one.
+        p.add_argument(
+            "--jobs", type=_jobs, default=1, metavar="N",
+            help="at most N processes (N >= 1): this command runs in one at any N",
+        )
 
     p_count = sub.add_parser("count", help="closed-form counts, cross-checked by enumeration where feasible")
     p_count.add_argument("--group", required=True, choices=["zp2", "cyclic", "order-p2", "n"])
@@ -100,22 +108,19 @@ def _build_parser() -> _Parser:
     add_group_args(p_enum, ["zp2", "cyclic"])
     p_enum.add_argument("--tables", action="store_true", help="embed Cayley tables")
     p_enum.add_argument("--format", choices=["jsonl", "text"], default="jsonl")
-    p_enum.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=in_one_process)
+    add_jobs_arg(p_enum)
 
     p_export = sub.add_parser("export", help="write one Cayley-table text file per representative")
     add_group_args(p_export, ["zp2", "cyclic"])
     p_export.add_argument("--out", required=True)
-    p_export.add_argument("--jobs", type=_jobs, default=1, metavar="N", help=in_one_process)
+    add_jobs_arg(p_export)
 
     p_verify = sub.add_parser("verify", help="report Latin/medial/idempotent status of stored tables")
     p_verify.add_argument("--in", dest="infile", required=True)
 
     p_cross = sub.add_parser("crosscheck", help="validate the enumerator against the brute-force oracle")
     add_group_args(p_cross, ["zp2", "cyclic"])
-    p_cross.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
-        help="at most N processes (N >= 1): classify's pool gets min(N, CPU count, fingerprint buckets)",
-    )
+    add_jobs_arg(p_cross)
 
     p_interp = sub.add_parser("interpolate", help="interpolate count polynomials from the first N primes")
     p_interp.add_argument("--series", required=True, choices=["zp2", "order-p2", "cyclic"])
@@ -335,7 +340,7 @@ def _cmd_crosscheck(args) -> int:
         )
     report = enumerate_forms(G)
     tables = all_affine_tables(G)
-    classes = classify(tables, jobs=args.jobs)
+    classes = classify(tables)
     print(f"affine forms over {G}: {len(tables)}")
     summary = {
         "group": group_label(G),

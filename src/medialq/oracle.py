@@ -6,16 +6,15 @@ pruning, plus forced propagation: once sigma is fixed on i and j it is
 forced on i*j.  The invariants -- each symbol's row and column cycle types
 and whether it is idempotent, and each table's diagonal cycle type -- come
 from one array pass per call over all the tables it compares, ranked into
-integer codes.  The diagonal buckets tables; classification compares within
-a bucket, and there only tables with equal sorted codes.  Nothing in this
-module consults the affine theory -- it works on raw tables -- so agreement
-with the enumerator is genuine cross-validation, not a tautology.
+integer codes.  `classify` and `assign_to_classes` index classes on (diagonal
+key, sorted codes) and search a table only against the classes of its own
+entry.  Nothing in this module consults the affine theory -- it works on raw
+tables -- so agreement with the enumerator is genuine cross-validation, not a
+tautology.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,35 +208,14 @@ def all_affine_tables(G: GroupSpec) -> np.ndarray:
     return affine_tables(G, pairs, np.broadcast_to(np.arange(G.order), (len(pairs), G.order)))
 
 
-def _classify_bucket(bucket):
-    # One fingerprint bucket: greedy scan keeping the first table of each class.
-    # Row tuples are built per table, and kept only for each class's first table.
-    # Classes are keyed by sorted symbol codes, which `_iso_search` requires equal.
-    classes: dict = {}  # sorted codes -> [[first_index, rows, codes, count], ...]
-    indices, cells, codes = bucket
-    for idx, table, sig in zip(indices, cells, codes.tolist()):
-        rows = tuple(map(tuple, table.tolist()))
-        same = classes.setdefault(tuple(sorted(sig)), [])
-        for cls in same:
-            if _iso_search(rows, sig, cls[1], cls[2]):
-                cls[3] += 1
-                break
-        else:
-            same.append([idx, rows, sig, 1])
-    return [(first, count) for same in classes.values() for first, _, _, count in same]
+def _index_key(key: int, sig: list) -> tuple:
+    # A table's index entry: `_iso_search` rejects any pair whose sorted codes differ.
+    return key, tuple(sorted(sig))
 
 
-def _pool_map(fn, items: list, jobs: int) -> list:
-    """[fn(x) for x in items], on min(jobs, CPU count, len(items)) processes; jobs must be >= 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return list(map(fn, items))
-    # concurrent.futures loads its process module on first use of this name,
-    # so a run that starts no pool never imports it.
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _first_match(same, rows, sig):
+    """The first class of index entry `same`, [member rows, member codes, ...] lists, that `_iso_search` accepts for (rows, sig), or None."""
+    return next((cls for cls in same if _iso_search(rows, sig, cls[0], cls[1])), None)
 
 
 def _as_stack(tables) -> tuple:
@@ -256,27 +234,34 @@ def _as_stack(tables) -> tuple:
     return np.array([t.cells for t in tables]) if tables else np.empty((0, n, n), dtype=np.uint8), tables
 
 
-def classify(tables, jobs: int = 1) -> list:
+def classify(tables) -> list:
     """Partition tables into isomorphism classes, deterministically.
 
     `tables` is a list of `CayleyTable`, or their cells as one (N, n, n)
-    array (then each class's member is built from its cells).  Tables are
-    bucketed by fingerprint first; pairwise isomorphism tests run only within
-    buckets, on at most `jobs` processes.  Class order is by first occurrence
-    in the input, independent of the worker count.
+    array (then each class's member is built from its cells).  One pass in
+    input order searches each table only against the classes of its index
+    entry and opens a new class when none matches.  Class order is by first
+    occurrence in the input.
     """
     stack, members = _as_stack(tables)
     n = stack.shape[1]
     if n > CLASSIFY_ORDER_CAP:
         raise ValueError(f"order {n} exceeds the classification cap {CLASSIFY_ORDER_CAP}")
     keys, codes = _invariants(stack)
-    buckets: dict = {}
-    for idx, key in enumerate(keys.tolist()):
-        buckets.setdefault(key, []).append(idx)
-    items = [(idx, stack[idx], codes[idx]) for idx in buckets.values()]
-    results = _pool_map(_classify_bucket, items, jobs)
+    index: dict = {}  # index key -> [[rows, codes, first index, count], ...]
+    found = []  # the same class lists, in order of first occurrence
+    for idx, (table, key, sig) in enumerate(zip(stack, keys.tolist(), codes.tolist())):
+        # Row tuples are built per table, and kept only for each class's first table.
+        rows = tuple(map(tuple, table.tolist()))
+        same = index.setdefault(_index_key(key, sig), [])
+        cls = _first_match(same, rows, sig)
+        if cls is None:
+            cls = [rows, sig, idx, 0]
+            same.append(cls)
+            found.append(cls)
+        cls[3] += 1
     classes = []
-    for first, count in sorted(pair for bucket_classes in results for pair in bucket_classes):
+    for _, _, first, count in found:
         member = members[first] if members is not None else CayleyTable(n, stack[first])
         classes.append(IsoClass(member, count, fingerprint(member)))
     return classes
@@ -288,23 +273,22 @@ def assign_to_classes(classes, tables) -> list:
     `tables` is a list of `CayleyTable` or their cells as one (N, n, n)
     array.  The class members and the tables of each shared order are ranked
     in one invariant pass, and a table is searched only against the members
-    whose diagonal key is its own.
+    of its index entry.
     """
     members = [cls.canonical_member for cls in classes]
     tables = [CayleyTable(len(cells), cells) for cells in tables] if isinstance(tables, np.ndarray) else list(tables)
-    every = members + tables
-    keys, codes = [None] * len(every), [None] * len(every)
+    result = [None] * len(tables)
     for n in {t.n for t in tables} & {m.n for m in members}:
-        at = [i for i, t in enumerate(every) if t.n == n]
-        ranked = _invariants(np.stack([every[i].cells for i in at]))
-        for i, key, sig in zip(at, *(a.tolist() for a in ranked)):
-            keys[i], codes[i] = key, sig
-    result = []
-    for ti, t in enumerate(tables, len(members)):
-        for ci, m in enumerate(members):
-            if m.n == t.n and keys[ci] == keys[ti] and _iso_search(t.rows, codes[ti], m.rows, codes[ci]):
-                result.append(ci)
-                break
-        else:
-            raise ValueError("table is not isomorphic to any class member")
+        at_m = [i for i, m in enumerate(members) if m.n == n]
+        at_t = [i for i, t in enumerate(tables) if t.n == n]
+        ranked = _invariants(np.stack([members[i].cells for i in at_m] + [tables[i].cells for i in at_t]))
+        keys, codes = (a.tolist() for a in ranked)
+        index: dict = {}  # index key -> [(member rows, member codes, class index), ...]
+        for ci, key, sig in zip(at_m, keys, codes):
+            index.setdefault(_index_key(key, sig), []).append((members[ci].rows, sig, ci))
+        for ti, key, sig in zip(at_t, keys[len(at_m):], codes[len(at_m):]):
+            cls = _first_match(index.get(_index_key(key, sig), ()), tables[ti].rows, sig)
+            result[ti] = cls[2] if cls else None
+    if None in result:
+        raise ValueError("table is not isomorphic to any class member")
     return result

@@ -260,10 +260,11 @@ def test_jobs_below_one_is_rejected(tmp_path, capsys):
         ["export", "--group", "zp2", "--p", "2", "--out", str(out_dir)],
         ["crosscheck", "--group", "zp2", "--p", "2"],
     ):
-        for jobs in ("0", "-4"):
+        for jobs in ("0", "-4", "x", "1.5"):
             code, out, err = run(capsys, *command, "--jobs", jobs)
             assert code == EXIT_USAGE
-            assert "--jobs" in err and ">= 1" in err
+            assert f"argument --jobs: must be an integer >= 1, got {jobs!r}" in err
+            assert "_jobs" not in err
             assert out == ""
     assert not out_dir.exists()
 
@@ -454,7 +455,7 @@ def command_lines(draw):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command_lines())
 def test_every_command_line_ends_in_an_exit_code_and_at_most_one_error_line(
-    tmp_path, capsys, monkeypatch, recording_pool, argv
+    tmp_path, capsys, monkeypatch, argv
 ):
     refuse_work(monkeypatch)
     (tmp_path / "table.txt").write_text("2\n0 1\n1 0\n")
@@ -470,7 +471,6 @@ def test_every_command_line_ends_in_an_exit_code_and_at_most_one_error_line(
     errors = sum(line.startswith("error:") for line in err.splitlines())
     assert errors == (1 if code == EXIT_USAGE else 0)
     assert code in (None, EXIT_OK, EXIT_USAGE, EXIT_MISMATCH)
-    assert recording_pool == []  # no draw reaches a pool, so none is started
 
 
 def test_verify_checks_every_order_before_printing(tmp_path, capsys, monkeypatch):
@@ -714,6 +714,7 @@ def pinned(argv):
         ["enumerate", "--group", "zp2", "--p", "7"],
         ["enumerate", "--group", "zp2", "--p", "5", "--format", "text"],
         ["enumerate", "--group", "cyclic", "--p", "3", "--k", "2", "--tables"],
+        ["crosscheck", "--group", "cyclic", "--p", "3", "--k", "2"],
     ],
 )
 def test_output_at_two_jobs_is_byte_identical(capsys, argv):
@@ -726,42 +727,12 @@ def test_output_at_two_jobs_is_byte_identical(capsys, argv):
         assert hashlib.sha256(one.encode()).hexdigest() == pinned(argv)
 
 
-def test_crosscheck_starts_one_pool(capsys, monkeypatch, recording_pool):
-    # the enumeration runs in process; only the oracle's classify starts a pool
-    from medialq import oracle
-
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    argv = ["crosscheck", "--group", "cyclic", "--p", "3", "--k", "2"]
-    code, out, _ = run(capsys, *argv, "--jobs", "2")
-    assert code == EXIT_OK
-    assert recording_pool == [2]
-    assert hashlib.sha256(out.encode()).hexdigest() == pinned(argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["enumerate", "--group", "cyclic", "--p", "11"],
-        ["export", "--group", "cyclic", "--p", "3", "--k", "2", "--out", "{tmp}"],
-    ],
-)
-def test_enumerate_and_export_start_no_pool(tmp_path, capsys, monkeypatch, recording_pool, argv):
-    # --jobs is a cap: these commands run in one process at any N
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    code, _, _ = run(capsys, *(a.format(tmp=tmp_path) for a in argv), "--jobs", "2")
-    assert code == EXIT_OK
-    assert recording_pool == []
-
-
 def test_help_says_what_jobs_does(capsys):
-    for command, says in [
-        ("enumerate", "at most N processes (N >= 1): this command runs in one at any N"),
-        ("export", "at most N processes (N >= 1): this command runs in one at any N"),
-        ("crosscheck", "classify's pool gets min(N, CPU count, fingerprint buckets)"),
-    ]:
+    for command in ("enumerate", "export", "crosscheck"):
         with pytest.raises(SystemExit) as exit_:
             main([command, "--help"])
         assert exit_.value.code == EXIT_OK
+        says = "at most N processes (N >= 1): this command runs in one at any N"
         assert says in " ".join(capsys.readouterr().out.split())
 
 

@@ -1,13 +1,12 @@
 import re
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medialq import enumeration, oracle
+from medialq import enumeration
 from medialq.enumeration import (
     CASE_TAGS_RANK2,
     MAX_COMPOSITE_ORDER,
@@ -382,27 +381,11 @@ def test_count_composite_caps_the_order():
         count_composite(1000000000000000003)
 
 
-def pooled_blocks(G, jobs):
-    # the one pool helper left, oracle's, run over the phi representatives
-    return oracle._pool_map(partial(enumeration._block, G, table=[None] * G.order), reps_x(G), jobs)
-
-
-def test_pool_size_is_clamped(monkeypatch, recording_pool):
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    assert pooled_blocks(V3, 10 ** 6) == list(enumeration.enumerate_blocks(V3))  # 8 phi reps, 3 CPUs
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    V2 = ElemAbelianRank2(Prime(2))
-    assert pooled_blocks(V2, 50) == list(enumeration.enumerate_blocks(V2))  # 3 phi reps
-    Z27 = Cyclic(Prime(3), 3)
-    assert pooled_blocks(Z27, 50) == list(enumeration.enumerate_blocks(Z27))  # 18 units
-    assert enumerate_forms(Z27).triples  # the enumeration itself starts no pool
-    assert recording_pool == [3, 3, 18]
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one process
-    assert pooled_blocks(V3, 8) == list(enumeration.enumerate_blocks(V3))
-    assert recording_pool == [3, 3, 18]
-    for jobs in (0, -4):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            pooled_blocks(V3, jobs)
+def test_a_block_with_a_fresh_table_equals_the_shared_one():
+    # each block filled from its own empty cyclic table, as against the one table enumerate_blocks shares
+    for G in (V3, ElemAbelianRank2(Prime(2)), Cyclic(Prime(3), 3)):
+        fresh = [enumeration._block(G, phi, [None] * G.order) for phi in reps_x(G)]
+        assert fresh == list(enumeration.enumerate_blocks(G))
 
 
 def test_blocks_are_made_one_at_a_time(monkeypatch):

@@ -250,7 +250,7 @@ def test_a_bad_pair_in_the_pair_list_raises_check_pairs_message(monkeypatch, G, 
 
 def test_classify_reads_a_stack_as_its_tables():
     tables = [build_table(f) for f in all_affine_forms(Z9)]
-    classes = classify(all_affine_tables(Z9), jobs=2)
+    classes = classify(all_affine_tables(Z9))
     assert classes == classify(tables)
     assert all(type(c.canonical_member) is CayleyTable for c in classes)
     assert assign_to_classes(classes, all_affine_tables(Z9)) == assign_to_classes(classes, tables)
@@ -279,11 +279,10 @@ def test_classify_small_groups():
     assert classes_v2[0].canonical_member is tables_v2[0]
 
 
-def test_classify_deterministic_and_parallel():
+def test_classify_is_deterministic():
     tables = [build_table(f) for f in all_affine_forms(Z9)]
     seq = classify(tables)
     assert classify(tables) == seq
-    assert classify(tables, jobs=2) == seq
     assert len(seq) == 48
 
 
@@ -293,6 +292,29 @@ def test_assign_to_classes_bijection():
     reps = rep_tables(Z4)
     assignment = assign_to_classes(classes, reps)
     assert sorted(assignment) == list(range(len(classes)))
+
+
+def test_assign_to_classes_takes_the_first_matching_class_of_each_order():
+    classes4, classes9 = classify(all_affine_tables(Z4)), classify(all_affine_tables(Z9))
+    reps4, reps9 = rep_tables(Z4), rep_tables(Z9)
+    first4, first9 = assign_to_classes(classes4, reps4), assign_to_classes(classes9, reps9)
+    # each class twice, the orders interleaved: every table still gets its first copy
+    doubled = classes9 + classes4 + classes9 + classes4
+    assert assign_to_classes(doubled, reps4 + reps9) == [len(classes9) + i for i in first4] + first9
+
+
+def test_assign_to_classes_searches_only_members_of_equal_sorted_signatures(monkeypatch):
+    equal = []
+    iso_search = oracle._iso_search
+
+    def recording(s, sig_s, t, sig_t):
+        equal.append(sorted(sig_s) == sorted(sig_t))
+        return iso_search(s, sig_s, t, sig_t)
+
+    classes = classify(all_affine_tables(V3))
+    monkeypatch.setattr(oracle, "_iso_search", recording)
+    assert sorted(assign_to_classes(classes, rep_tables(V3))) == list(range(68))
+    assert equal and all(equal), f"{equal.count(False)} of {len(equal)} calls"
 
 
 def test_assign_to_classes_rejects_stranger():
@@ -363,29 +385,6 @@ def test_every_small_medial_square_is_affine():
         assert len(classes) == expected_classes[n]
         assignment = assign_to_classes(classes, reps)
         assert sorted(assignment) == list(range(len(classes)))
-
-
-def test_classify_pool_size_is_clamped(monkeypatch, recording_pool):
-    # min(jobs, CPU count, fingerprint buckets) processes, and a pool only for two or more
-    tables = [build_table(f) for f in all_affine_forms(V2)]  # 4 buckets
-    seq = classify(tables)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-    assert classify(tables, jobs=10 ** 6) == seq
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-    assert classify(tables, jobs=50) == seq
-    tables_z9 = [build_table(f) for f in all_affine_forms(Z9)]  # 7 buckets
-    assert classify(tables_z9, jobs=50) == classify(tables_z9)
-    tables_z4 = [build_table(f) for f in all_affine_forms(Z4)]  # 1 bucket
-    assert classify(tables_z4, jobs=50) == classify(tables_z4)
-    assert recording_pool == [3, 4, 7]
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)  # unknown: one process
-    assert classify(tables, jobs=8) == seq
-    assert recording_pool == [3, 4, 7]
-    for jobs in (0, -4):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            classify(tables, jobs=jobs)
-    with pytest.raises(ValueError, match="jobs must be >= 1"):
-        classify([], jobs=0)  # checked at the call, even with nothing to classify
 
 
 def test_one_invariant_pass_per_call(monkeypatch, capsys):
