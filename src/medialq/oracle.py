@@ -30,7 +30,7 @@ _INVARIANT_CHUNK = 256  # tables per step of `_invariants`
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Cheap relabeling-invariant data used to bucket tables before isomorphism tests."""
+    """Cheap relabeling-invariant data of a table, kept on each `IsoClass`: its order and its diagonal's cycle type."""
 
     order: int
     diagonal_cycle_type: tuple
