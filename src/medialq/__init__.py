@@ -17,7 +17,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .fp import MAX_PRIME, Prime, fp_inv, is_irreducible_quadratic
 from .groups import CosetList, Cyclic, ElemAbelianRank2, GroupSpec, quotient_cosets
 from .gl2 import (
-    ConjClassRep,
     Mat2,
     Unit,
     centralizer,

@@ -105,15 +105,9 @@ def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> int:
 
 
 @lru_cache(maxsize=None)
-def _kinds(p: int) -> dict:
-    """Kind of each conjugacy-class representative of GL(2, p), keyed on its matrix, in `conj_class_reps` order."""
-    return {rep.matrix(): rep.kind for rep in conj_class_reps(p)}
-
-
-@lru_cache(maxsize=None)
 def _class_reps(p: int) -> Subgroup:
-    """The matrices of `_kinds(p)`, in its order."""
-    return Subgroup(_kinds(p))
+    """The matrices of `conj_class_reps(p)`, in its order."""
+    return Subgroup(conj_class_reps(p))
 
 
 def reps_x(G: GroupSpec) -> Subgroup:
@@ -135,11 +129,11 @@ def reps_y(G: GroupSpec, phi: Automorphism) -> Subgroup:
     For a unit or a scalar phi the centralizer is all of Aut(G), so the
     `reps_x` transversal is reused.  For the other kinds `gl2._members` has
     verified C(phi) to be commutative, so it is its own transversal.  phi must
-    be in `reps_x(G)`: any unit of G's modulus, or a key of `_kinds`.
+    be in `reps_x(G)`: any unit of G's modulus, or a key of `conj_class_reps`.
     """
     reps = reps_x(G)  # checks the transversal
     cyclic = isinstance(G, Cyclic)
-    if not (isinstance(phi, Unit) and phi.modulus == G.order if cyclic else phi in _kinds(G.p)):
+    if not (isinstance(phi, Unit) and phi.modulus == G.order if cyclic else phi in conj_class_reps(G.p)):
         raise ValueError(f"{phi} is not a designated representative")
     if cyclic or phi.is_scalar():
         return reps
@@ -236,7 +230,7 @@ def _block(G: GroupSpec, phi: Automorphism, table: list) -> tuple:
         for i in [i for i, c in enumerate(cs) if c is None]:
             cs[i] = table[ms[i]] = orbit_reps_c(G, phi, psis[i])
         return phi, tuple(zip(psis, repeat(CASE_TAG_CYCLIC), cs))
-    p, kinds = G.p, _kinds(G.p)
+    p, kinds = G.p, conj_class_reps(G.p)
     x = np.array([1, 0, 0, 1]) - np.array(phi.entries) - _matrix_entries(psis.codes, p)
     cosets = quotients(G, _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p))
 

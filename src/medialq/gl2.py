@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from types import MappingProxyType
+from typing import Union
 
 import numpy as np
 
@@ -56,37 +57,8 @@ class Mat2:
     def entries(self) -> tuple:
         return (self.m00, self.m01, self.m10, self.m11)
 
-    def mul(self, other: "Mat2") -> "Mat2":
-        return Mat2(*_product(self, other), self.p)
-
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        if self.p != other.p:
-            raise ValueError("matrices over different fields")
-        p = self.p
-        return Mat2(
-            self.m00 - other.m00,
-            self.m01 - other.m01,
-            self.m10 - other.m10,
-            self.m11 - other.m11,
-            p,
-        )
-
     def det(self) -> int:
         return (self.m00 * self.m11 - self.m01 * self.m10) % self.p
-
-    def rank(self) -> int:
-        if self.det() != 0:
-            return 2
-        return 0 if self.entries == (0, 0, 0, 0) else 1
-
-    def inv(self) -> "Mat2":
-        d = self.det()
-        if d == 0:
-            raise ValueError(f"{self} is singular")
-        di = fp_inv(d, self.p)
-        return Mat2(
-            di * self.m11, -di * self.m01, -di * self.m10, di * self.m00, self.p
-        )
 
     def is_scalar(self) -> bool:
         return self.m01 == 0 and self.m10 == 0 and self.m00 == self.m11
@@ -171,9 +143,11 @@ def _assert_commutative(members: tuple) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ConjClassRep:
-    """One conjugacy-class representative of GL(2, p).
+@lru_cache(maxsize=None)
+def conj_class_reps(p: int) -> MappingProxyType:
+    """All p^2 - 1 conjugacy-class representatives of GL(2, p), each mapped to its kind, read-only.
+
+    The kinds come in this order, each with its normal form:
 
     kind        matrix            constraint
     scalar      [[a,0],[0,a]]     a != 0
@@ -181,54 +155,12 @@ class ConjClassRep:
     jordan      [[a,1],[0,a]]     a != 0
     irreducible [[0,1],[a,b]]     x^2 - b*x - a irreducible over F_p
     """
-
-    kind: str
-    a: int
-    b: Optional[int]
-    p: int
-
-    def __post_init__(self):
-        p, a, b = self.p, self.a, self.b
-        if self.kind in (SCALAR, JORDAN):
-            if not (0 < a < p and b is None):
-                raise ValueError(f"bad {self.kind} representative ({a}, {b})")
-        elif self.kind == DISTINCT:
-            if b is None or not 0 < a < b < p:
-                raise ValueError(f"bad distinct-diagonal representative ({a}, {b})")
-        elif self.kind == IRREDUCIBLE:
-            if b is None or not is_irreducible_quadratic(a, b, p):
-                raise ValueError(f"x^2 - {b}x - {a} is reducible mod {p}")
-        else:
-            raise ValueError(f"unknown representative kind {self.kind!r}")
-
-    def matrix(self) -> Mat2:
-        if self.kind == SCALAR:
-            return Mat2(self.a, 0, 0, self.a, self.p)
-        if self.kind == DISTINCT:
-            return Mat2(self.a, 0, 0, self.b, self.p)
-        if self.kind == JORDAN:
-            return Mat2(self.a, 1, 0, self.a, self.p)
-        return Mat2(0, 1, self.a, self.b, self.p)
-
-
-@lru_cache(maxsize=None)
-def conj_class_reps(p: int) -> tuple:
-    """All p^2 - 1 conjugacy-class representatives of GL(2, p), deterministically ordered."""
     p = Prime(p)
-    reps = [ConjClassRep(SCALAR, a, None, p) for a in range(1, p)]
-    reps += [
-        ConjClassRep(DISTINCT, a, b, p)
-        for a in range(1, p)
-        for b in range(a + 1, p)
-    ]
-    reps += [ConjClassRep(JORDAN, a, None, p) for a in range(1, p)]
-    reps += [
-        ConjClassRep(IRREDUCIBLE, a, b, p)
-        for a in range(p)
-        for b in range(p)
-        if is_irreducible_quadratic(a, b, p)
-    ]
-    return tuple(reps)
+    reps = {Mat2(a, 0, 0, a, p): SCALAR for a in range(1, p)}
+    reps.update({Mat2(a, 0, 0, b, p): DISTINCT for a in range(1, p) for b in range(a + 1, p)})
+    reps.update({Mat2(a, 1, 0, a, p): JORDAN for a in range(1, p)})
+    reps.update({Mat2(0, 1, a, b, p): IRREDUCIBLE for a in range(p) for b in range(p) if is_irreducible_quadratic(a, b, p)})
+    return MappingProxyType(reps)
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +248,7 @@ def conjugacy_partition(p: int) -> np.ndarray:
     p = Prime(p)
     keys = _class_key(_gl2_entries(p), p)
     classes = np.full(len(keys), -1, dtype=np.int32)
-    for i, rep in enumerate(conj_class_reps(p)):
-        R = rep.matrix()
+    for i, R in enumerate(conj_class_reps(p)):
         cls = keys == _class_key(np.array(R.entries), p)
         size, stabilizer = int(cls.sum()), len(centralizer(R))
         if size * stabilizer != len(keys):

@@ -9,6 +9,7 @@ that order, which makes enumeration output reproducible run to run.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
@@ -59,17 +60,8 @@ class Cyclic:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 
-    def add(self, a, b) -> int:
-        self.check(a)
-        self.check(b)
-        return (a + b) % self.order
-
     def index(self, a) -> int:
         return self.check(a)
-
-    def apply(self, m: int, a: int) -> int:
-        """Image of a under the endomorphism x -> m*x (m need not be a unit)."""
-        return (m * a) % self.order
 
     def index_add(self, a, b) -> np.ndarray:
         """Index of a + b for element-index arrays a and b (broadcast)."""
@@ -119,21 +111,9 @@ class ElemAbelianRank2:
             raise ValueError(f"{a!r} is not an element of {self}")
         return a
 
-    def add(self, a, b) -> tuple:
-        self.check(a)
-        self.check(b)
-        p = self.p
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
     def index(self, a) -> int:
         self.check(a)
         return a[0] * self.p + a[1]
-
-    def apply(self, m, a) -> tuple:
-        """Image of the column vector a under a 2x2 matrix (not necessarily invertible)."""
-        p = self.p
-        x, y = a
-        return ((m.m00 * x + m.m01 * y) % p, (m.m10 * x + m.m11 * y) % p)
 
     def index_add(self, a, b) -> np.ndarray:
         """Index of a + b for element-index arrays a and b (broadcast)."""
@@ -219,12 +199,6 @@ def _images(G: GroupSpec, codes) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _image(G: GroupSpec, code: int) -> bytes:
-    """Im(M) as a byte mask over element indices, the M of `code` applied to every element."""
-    return _images(G, (code,))[0].tobytes()
-
-
-@lru_cache(maxsize=None)
 def _cosets(G: GroupSpec, image: bytes) -> CosetList | None:
     """Greedy coset list of the element set `image` (a byte mask) in G.
 
@@ -252,24 +226,28 @@ def _cosets(G: GroupSpec, image: bytes) -> CosetList | None:
 def quotient_cosets(G: GroupSpec, M) -> CosetList:
     """Cosets of Im(M) in G, where M is any endomorphism of G.
 
-    M is an integer code, taken as given, or an object whose `int(M)` is one:
-    a multiplier with the `modulus` of a cyclic G, or a matrix with the
-    field `p` of Z_p x Z_p.  An object of another group raises ValueError.
+    M is an integer code (anything `operator.index` takes, numpy ints
+    included), taken as given, or an object whose `int(M)` is one: a
+    multiplier with the `modulus` of a cyclic G, or a matrix with the field
+    `p` of Z_p x Z_p.  An object of another group raises ValueError.
 
     The image subgroup is computed by exhaustive application of M; structural
     shortcuts (gcd for cyclic groups, column spaces for matrices) are used
-    only as cross-check properties in the tests.  Images are memoised per
-    endomorphism code `int(M)` and coset lists per image subgroup, so the
-    list returned for one subgroup is the same object every time.
+    only as cross-check properties in the tests.  Nothing is memoised per
+    code: coset lists are, per image subgroup, so the list returned for one
+    subgroup is the same object every time.
     """
-    if not isinstance(M, int):
+    try:
+        code = operator.index(M)
+    except TypeError:
         if isinstance(G, Cyclic):
             foreign = getattr(M, "modulus", None) != G.order
         else:
             foreign = getattr(M, "p", None) != G.p
         if foreign:
-            raise ValueError(f"{M} does not act on {G}")
-    cosets = _cosets(G, _image(G, int(M)))
+            raise ValueError(f"{M} does not act on {G}") from None
+        code = int(M)
+    cosets = _cosets(G, _images(G, (code,)).tobytes())
     if cosets is None:
         raise ValueError(f"{M!r} is not an endomorphism of {G}")
     return cosets

@@ -10,8 +10,10 @@ as they were, since only the tests call them: `count_irreducible_quadratics`
 (from `fp`), `gl2_order` and `parametrized_centralizer` (from `gl2`),
 `jsonl_record` (from `enumeration`, the byte reference of the CLI's output
 templates), `relabel`, `all_latin_squares`, `_cycle_lengths` and
-`_signatures` (from `oracle`), and `identity_matrix` and `zero_matrix` (the
-classmethods `Mat2.identity` and `Mat2.zero`).  `walk_fingerprint` and
+`_signatures` (from `oracle`), `identity_matrix` and `zero_matrix` (the
+classmethods `Mat2.identity` and `Mat2.zero`), `mul`, `sub`, `rank` and `inv`
+(the `Mat2` methods `mul`, `__sub__`, `rank` and `inv`), and `add` and
+`apply` (the methods of `Cyclic` and `ElemAbelianRank2`).  `walk_fingerprint` and
 `tuple_classify` are the oracle's fingerprint and `classify` as they were
 before its invariants came from one array pass: per-table walks and
 signature tuples, in one process.
@@ -21,16 +23,17 @@ from itertools import permutations
 
 import numpy as np
 
-from medialq.enumeration import _RANK_SUFFIX, CASE_TAG_CYCLIC, RepresentativeTriple, _kinds, _one_minus, group_label
-from medialq.fp import is_irreducible_quadratic
+from medialq.enumeration import _RANK_SUFFIX, CASE_TAG_CYCLIC, RepresentativeTriple, _one_minus, group_label
+from medialq.fp import fp_inv, is_irreducible_quadratic
 from medialq.gl2 import (
     DISTINCT,
     JORDAN,
     SCALAR,
-    ConjClassRep,
     Mat2,
     _gl2_entries,
     _mul,
+    _product,
+    conj_class_reps,
     conjugacy_partition,
     gl2_elements,
 )
@@ -49,7 +52,7 @@ def _case_tag(G: GroupSpec, phi, psi) -> str:
     """
     if isinstance(G, Cyclic):
         return CASE_TAG_CYCLIC
-    kinds = _kinds(G.p)
+    kinds = conj_class_reps(G.p)
     image_order = quotient_cosets(G, _one_minus(G, phi, psi)).subgroup_order
     rank = {1: 0, G.p: 1, G.order: 2}[image_order]
     if kinds[phi] == SCALAR:
@@ -133,24 +136,24 @@ def count_irreducible_quadratics(p: int) -> int:
     )
 
 
-def parametrized_centralizer(rep: ConjClassRep) -> tuple:
-    """Closed-form description of the centralizer of each representative kind.
+def parametrized_centralizer(R: Mat2, kind: str) -> tuple:
+    """Closed-form description of the centralizer of a representative R of each kind.
 
     Used as the cross-check target for the brute-force `centralizer` filter;
     the two must agree element for element.
     """
-    p = rep.p
-    if rep.kind == SCALAR:
+    p = R.p
+    if kind == SCALAR:
         return gl2_elements(p)
-    if rep.kind == DISTINCT:
+    if kind == DISTINCT:
         return tuple(
             Mat2(u, 0, 0, v, p) for u in range(1, p) for v in range(1, p)
         )
-    if rep.kind == JORDAN:
+    if kind == JORDAN:
         return tuple(
             Mat2(u, v, 0, u, p) for u in range(1, p) for v in range(p)
         )
-    a, b = rep.a, rep.b
+    a, b = R.m10, R.m11  # R = [[0,1],[a,b]]
     return tuple(
         Mat2(u, v, a * v, u + b * v, p)
         for u in range(p)
@@ -191,6 +194,67 @@ def identity_matrix(p: int) -> Mat2:
 def zero_matrix(p: int) -> Mat2:
     """The zero matrix over F_p; formerly the classmethod `Mat2.zero`."""
     return Mat2(0, 0, 0, 0, p)
+
+
+def mul(A: Mat2, B: Mat2) -> Mat2:
+    """AB; formerly `Mat2.mul`."""
+    return Mat2(*_product(A, B), A.p)
+
+
+def sub(A: Mat2, B: Mat2) -> Mat2:
+    """A - B; formerly `Mat2.__sub__`."""
+    if A.p != B.p:
+        raise ValueError("matrices over different fields")
+    p = A.p
+    return Mat2(
+        A.m00 - B.m00,
+        A.m01 - B.m01,
+        A.m10 - B.m10,
+        A.m11 - B.m11,
+        p,
+    )
+
+
+def rank(A: Mat2) -> int:
+    """The rank of A over F_p; formerly `Mat2.rank`."""
+    if A.det() != 0:
+        return 2
+    return 0 if A.entries == (0, 0, 0, 0) else 1
+
+
+def inv(A: Mat2) -> Mat2:
+    """The inverse of A, raising for a singular A; formerly `Mat2.inv`."""
+    d = A.det()
+    if d == 0:
+        raise ValueError(f"{A} is singular")
+    di = fp_inv(d, A.p)
+    return Mat2(
+        di * A.m11, -di * A.m01, -di * A.m10, di * A.m00, A.p
+    )
+
+
+def add(G: GroupSpec, a, b):
+    """a + b in G, both checked to be elements of G; formerly `G.add`."""
+    G.check(a)
+    G.check(b)
+    if isinstance(G, Cyclic):
+        return (a + b) % G.order
+    p = G.p
+    return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+
+def apply(G: GroupSpec, m, a):
+    """The image of a under an endomorphism of G, formerly `G.apply`.
+
+    For Z_{p^k}, m is a multiplier (not necessarily a unit) and this is m*a;
+    for Z_p x Z_p, m is a 2x2 matrix (not necessarily invertible) applied to
+    the column vector a.
+    """
+    if isinstance(G, Cyclic):
+        return (m * a) % G.order
+    p = G.p
+    x, y = a
+    return ((m.m00 * x + m.m01 * y) % p, (m.m10 * x + m.m11 * y) % p)
 
 
 def _cycle_lengths(f) -> tuple:

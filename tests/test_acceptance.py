@@ -26,7 +26,7 @@ from medialq.gl2 import (
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import all_affine_forms, assign_to_classes, classify
 from medialq.quasigroup import AffineForm, build_table, is_latin, is_medial
-from reference import as_matrices, gl2_order, identity_matrix, parametrized_centralizer, partition_classes
+from reference import as_matrices, gl2_order, identity_matrix, parametrized_centralizer, partition_classes, sub
 
 CYCLIC_CASES = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]
 
@@ -155,13 +155,13 @@ def test_criterion_06_conjugacy_and_centralizers():
             conjugacy_partition(p)  # raises unless a brute-force transversal
             classes = partition_classes(p)
             assert len(classes) == p * p - 1
-            matrices = [r.matrix() for r in reps]
+            matrices = list(reps)
             for cls in classes:
                 assert sum(m in cls for m in matrices) == 1
             assert sum(len(cls) for cls in classes) == gl2_order(p)
-            for rep in reps:
-                brute = set(as_matrices(centralizer(rep.matrix()), p))
-                assert brute == set(parametrized_centralizer(rep))
+            for R, kind in reps.items():
+                brute = set(as_matrices(centralizer(R), p))
+                assert brute == set(parametrized_centralizer(R, kind))
 
 
 def test_criterion_07_all_representatives_latin_and_medial():
@@ -183,14 +183,13 @@ def test_criterion_08_companion_determinant_identity():
             G = ElemAbelianRank2(Prime(p))
             I = identity_matrix(p)
             singular_pairs = 0
-            irreducible = [r for r in conj_class_reps(p) if r.kind == "irreducible"]
+            irreducible = [R for R, kind in conj_class_reps(p).items() if kind == "irreducible"]
             assert len(irreducible) == (p * p - p) // 2
-            for rep in irreducible:
-                a, b = rep.a, rep.b
-                phi = rep.matrix()
+            for phi in irreducible:
+                a, b = phi.m10, phi.m11  # phi = [[0,1],[a,b]]
                 for psi in as_matrices(centralizer(phi), p):
                     u, v = psi.m00, psi.m01
-                    det = (I - phi - psi).det()
+                    det = sub(sub(I, phi), psi).det()
                     identity = (
                         (1 - u) ** 2 - b * (1 - u) * (1 + v) - a * (1 + v) ** 2
                     ) % p

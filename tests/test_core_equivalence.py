@@ -1,10 +1,10 @@
 """The integer-coded core against the plain-object algorithms it replaced.
 
 The reference functions below are the earlier implementations, kept here as
-test-only oracles: greedy cosets from exhaustive `G.apply`/`G.add`, orbit
+test-only oracles: greedy cosets from exhaustive `apply`/`add`, orbit
 representatives by union-find over every (map, coset) pair, centralizers by
-`Mat2.mul` filtering and the conjugacy partition by conjugating `Mat2`
-objects.  The core must agree with them exactly, ordering included.
+`mul` filtering and the conjugacy partition by conjugating `Mat2` objects.
+The core must agree with them exactly, ordering included.
 """
 
 from functools import lru_cache
@@ -37,7 +37,7 @@ from medialq.gl2 import (
     units,
 )
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
-from reference import _case_tag, identity_matrix, partition_classes, zero_matrix
+from reference import _case_tag, add, apply, identity_matrix, inv, mul, partition_classes, rank, sub, zero_matrix
 
 EQUIVALENCE_GROUPS = [
     Cyclic(Prime(2), 3),
@@ -54,20 +54,20 @@ EQUIVALENCE_GROUPS = [
 
 
 def plain(f):
-    """What `G.apply` takes: the multiplier of a unit, or the matrix itself."""
+    """What `apply` takes: the multiplier of a unit, or the matrix itself."""
     return f.value if isinstance(f, Unit) else f
 
 
 def one_minus(G, phi, psi):
-    """1 - phi - psi as `G.apply` takes it, checked against the code `_one_minus` returns."""
-    M = (1 - phi.value - psi.value) % G.order if isinstance(G, Cyclic) else identity_matrix(G.p) - phi - psi
+    """1 - phi - psi as `apply` takes it, checked against the code `_one_minus` returns."""
+    M = (1 - phi.value - psi.value) % G.order if isinstance(G, Cyclic) else sub(sub(identity_matrix(G.p), phi), psi)
     assert _one_minus(G, phi, psi) == int(M)
     return M
 
 
 def ref_quotient_cosets(G, M):
     els = G.elements()
-    image_set = {G.apply(M, g) for g in els}
+    image_set = {apply(G, M, g) for g in els}
     image = [g for g in els if g in image_set]
     reps = []
     coset_index = {}
@@ -77,7 +77,7 @@ def ref_quotient_cosets(G, M):
         idx = len(reps)
         reps.append(g)
         for im in image:
-            coset_index[G.add(g, im)] = idx
+            coset_index[add(G, g, im)] = idx
     return tuple(reps), len(image), coset_index
 
 
@@ -103,7 +103,7 @@ def ref_orbit_reps(G, maps, M):
     uf = UnionFind(len(representatives))
     for m in maps:
         for i, r in enumerate(representatives):
-            uf.union(i, coset_index[G.apply(m, r)])
+            uf.union(i, coset_index[apply(G, m, r)])
     roots = {}
     for i, r in enumerate(representatives):
         root = uf.find(i)
@@ -114,14 +114,14 @@ def ref_orbit_reps(G, maps, M):
 
 @lru_cache(maxsize=None)
 def ref_centralizer(A):
-    return tuple(B for B in gl2_elements(A.p) if A.mul(B) == B.mul(A))
+    return tuple(B for B in gl2_elements(A.p) if mul(A, B) == mul(B, A))
 
 
 def ref_partition(p):
-    pairs = [(h, h.inv()) for h in gl2_elements(p)]
+    pairs = [(h, inv(h)) for h in gl2_elements(p)]
     return tuple(
-        frozenset(h.mul(rep.matrix()).mul(hi) for h, hi in pairs)
-        for rep in conj_class_reps(p)
+        frozenset(mul(mul(h, R), hi) for h, hi in pairs)
+        for R in conj_class_reps(p)
     )
 
 
@@ -131,7 +131,7 @@ def ref_stabilizer(G, phi, psi):
     return tuple(
         B
         for B in gl2_elements(G.p)
-        if B.mul(phi) == phi.mul(B) and B.mul(psi) == psi.mul(B)
+        if mul(B, phi) == mul(phi, B) and mul(B, psi) == mul(psi, B)
     )
 
 
@@ -167,10 +167,10 @@ def test_every_case_tag_names_the_rank_of_the_difference_matrix(p):
     # the tag reads the rank from the image's order; the reference from the matrix
     G = ElemAbelianRank2(Prime(p))
     for phi, psi in enumeration_pairs(G):
-        rank = (identity_matrix(p) - phi - psi).rank()
+        r = rank(sub(sub(identity_matrix(p), phi), psi))
         state = _case_tag(G, phi, psi).rsplit(".", 1)[1]
-        assert state == {2: "regular", 1: "rank1", 0: "rank0"}[rank] or (
-            state == "singular" and rank < 2
+        assert state == {2: "regular", 1: "rank1", 0: "rank0"}[r] or (
+            state == "singular" and r < 2
         )
 
 
@@ -186,12 +186,14 @@ def test_every_centralizer_matches_the_mul_filter(p):
 
 
 def test_partition_raises_on_a_non_transversal(monkeypatch):
-    reps = conj_class_reps(3)
+    reps = dict(conj_class_reps(3))
     partition = conjugacy_partition.__wrapped__  # bypass the cache
-    monkeypatch.setattr(gl2, "conj_class_reps", lambda p: reps + (reps[-1],))
+    # diag(2, 1) is conjugate to the representative diag(1, 2), but not equal to it
+    assert Mat2(1, 0, 0, 2, 3) in reps and Mat2(2, 0, 0, 1, 3) not in reps
+    monkeypatch.setattr(gl2, "conj_class_reps", lambda p: {**reps, Mat2(2, 0, 0, 1, 3): "distinct"})
     with pytest.raises(ValueError, match="conjugate to an earlier one"):
         partition(3)
-    monkeypatch.setattr(gl2, "conj_class_reps", lambda p: reps[:-1])
+    monkeypatch.setattr(gl2, "conj_class_reps", lambda p: dict(list(reps.items())[:-1]))
     with pytest.raises(ValueError, match="do not cover"):
         partition(3)
 
@@ -232,7 +234,7 @@ def test_commutativity_check_names_the_first_failing_pair():
         (X, Y)
         for i, X in enumerate(members)
         for Y in members[i + 1 :]
-        if X.mul(Y) != Y.mul(X)
+        if mul(X, Y) != mul(Y, X)
     )
     with pytest.raises(ValueError) as err:
         _assert_commutative(members)
@@ -255,7 +257,7 @@ def commuting_matrix_pairs(draw):
         B
         for e in np.ndindex((p,) * 4)
         for B in [Mat2(*e, p)]
-        if B.mul(phi) == phi.mul(B)
+        if mul(B, phi) == mul(phi, B)
     ]
     return ElemAbelianRank2(Prime(p)), phi, draw(st.sampled_from(commutant))
 
@@ -271,15 +273,22 @@ def test_stabilizer_is_the_brute_force_intersection_for_any_commuting_pair(case)
         assert stabilizer(G, phi, psi) == ref_stabilizer(G, phi, psi)
 
 
-@pytest.mark.parametrize("rep", conj_class_reps(3), ids=lambda r: f"{r.kind}-{r.a}-{r.b}")
+def rep_id(rep):
+    """kind-a-b of a representative: a and b are the free entries of its normal form, None if it has one."""
+    R, kind = rep
+    a, b = (R.m10, R.m11) if kind == "irreducible" else (R.m00, R.m11 if kind == "distinct" else None)
+    return f"{kind}-{a}-{b}"
+
+
+@pytest.mark.parametrize("rep", conj_class_reps(3).items(), ids=rep_id)
 def test_stabilizer_rejects_a_singular_matrix_of_every_kind(rep):
     # every singular matrix commuting with the representative, on either side
-    G, R = ElemAbelianRank2(Prime(3)), rep.matrix()
+    G, (R, _) = ElemAbelianRank2(Prime(3)), rep
     singular = [
         S
         for e in np.ndindex((3,) * 4)
         for S in [Mat2(*e, 3)]
-        if S.det() == 0 and S.mul(R) == R.mul(S)
+        if S.det() == 0 and mul(S, R) == mul(R, S)
     ]
     assert zero_matrix(3) in singular
     for S in singular:
@@ -400,8 +409,8 @@ def test_orbits_refuse_an_order_three_matrix_without_its_powers(p):
     # each orbit of <A> is a 3-cycle, and one map alone moves some least image
     G, zero = ElemAbelianRank2(Prime(p)), zero_matrix(p)
     A = Mat2(0, 1, -1, -1, p)  # the companion matrix of x^2 + x + 1
-    I, A2 = identity_matrix(p), A.mul(A)
-    assert A != I and A2.mul(A) == I
+    I, A2 = identity_matrix(p), mul(A, A)
+    assert A != I and mul(A2, A) == I
     cosets = quotient_cosets(G, zero)
     for alone in (A, A2):
         with pytest.raises(ValueError, match="moves a least image"):
@@ -422,14 +431,14 @@ def generated_subgroups(draw):
     if isinstance(G, Cyclic):
         gens = draw(st.lists(st.sampled_from(units(G.p, G.k)), min_size=1, max_size=2))
         M = draw(st.integers(0, G.order - 1))
-        mul = lambda a, b: Unit(a.value * b.value, G.order)
+        times = lambda a, b: Unit(a.value * b.value, G.order)
     else:
         gens = draw(st.lists(st.sampled_from(gl2_elements(G.p)), min_size=1, max_size=2))
-        M = draw(st.sampled_from([E for E in all_matrices(G.p) if all(E.mul(g) == g.mul(E) for g in gens)]))
-        mul = Mat2.mul
+        M = draw(st.sampled_from([E for E in all_matrices(G.p) if all(mul(E, g) == mul(g, E) for g in gens)]))
+        times = mul
     members, frontier = dict.fromkeys(gens), list(gens)
     while frontier:
-        frontier = [h for h in dict.fromkeys(mul(a, g) for a in frontier for g in gens) if h not in members]
+        frontier = [h for h in dict.fromkeys(times(a, g) for a in frontier for g in gens) if h not in members]
         members.update(dict.fromkeys(frontier))
     return G, Subgroup(members), M
 
@@ -445,10 +454,10 @@ def test_orbits_of_a_generated_subgroup_match_union_find(case):
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)
 def test_index_level_arithmetic_matches_element_level(G):
     els = G.elements()
-    add = groups._add_table(G)
+    table = groups._add_table(G)
     for a in els:
         for b in els:
-            assert add[G.index(a), G.index(b)] == G.index(G.add(a, b))
+            assert table[G.index(a), G.index(b)] == G.index(add(G, a, b))
     # every multiplier and every unit, or 50 invertible and 50 singular matrices
     if isinstance(G, Cyclic):
         maps = list(range(G.order)) + list(units(G.p, G.k))
@@ -457,7 +466,7 @@ def test_index_level_arithmetic_matches_element_level(G):
         maps = list(gl2_elements(G.p)[:50]) + singular[:50]
     action = G.index_action([int(m) for m in maps], np.arange(G.order))
     for row, m in zip(action.tolist(), maps):
-        assert row == [G.index(G.apply(plain(m), g)) for g in els]
+        assert row == [G.index(apply(G, plain(m), g)) for g in els]
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,7 +477,7 @@ def test_a_matrix_code_acts_as_the_matrix(M):
     # any 2x2 matrix over F_p, singular ones included
     G = ElemAbelianRank2(Prime(M.p))
     row = G.index_action((int(M),), np.arange(G.order))[0]
-    assert row.tolist() == [G.index(G.apply(M, g)) for g in G.elements()]
+    assert row.tolist() == [G.index(apply(G, M, g)) for g in G.elements()]
     assert int(M) == sum(e * M.p ** (3 - i) for i, e in enumerate(M.entries))  # base-p digits, m00 first
 
 
@@ -508,20 +517,20 @@ def test_a_cold_cyclic_enumeration_computes_each_unit_code_once(monkeypatch):
 
 
 def test_a_cold_rank2_enumeration_builds_no_gl2_list_of_mat2(monkeypatch):
-    # Each of the 24 class representatives of GL(2,5) twice (_kinds and
-    # conjugacy_partition), and each member of the distinct non-scalar
+    # Each of the 24 class representatives of GL(2,5) once (conj_class_reps,
+    # which both conjugacy_partition and the blocks read), and each member of the distinct non-scalar
     # centralizers once, as the psi lists of reps_y: the diagonal torus, shared
     # by every distinct-diagonal phi, (p-1)^2 = 16; the Jordan centralizer,
     # shared by every Jordan phi, p(p-1) = 20; and p^2 - 1 = 24 for each of the
     # (p^2 - p)/2 = 10 irreducible phi.  No GL(2,5) list, and no pair check, builds one.
     real, built = Mat2.__post_init__, []
     monkeypatch.setattr(Mat2, "__post_init__", lambda M: built.append(1) or real(M))
-    caches = (gl2.gl2_elements, gl2.conjugacy_partition, gl2.centralizer, gl2._members, gl2._acting)
-    for cache in caches + (enumeration._kinds, enumeration._class_reps):
+    caches = (gl2.gl2_elements, gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer, gl2._members, gl2._acting)
+    for cache in caches + (enumeration._class_reps,):
         cache.cache_clear()
     enumerate_forms(ElemAbelianRank2(Prime(5)))
     assert gl2.gl2_elements.cache_info().currsize == 0
-    assert len(built) == 2 * 24 + 16 + 20 + 10 * 24
+    assert len(built) == 24 + 16 + 20 + 10 * 24
 
 
 class SquaringCyclic(Cyclic):
@@ -555,7 +564,6 @@ def test_every_quotient_call_rejects_a_non_endomorphism():
 
 NEW_CACHES = (
     groups._add_table,
-    groups._image,
     groups._cosets,
     enumeration._orbit_reps,
     gl2._gl2_entries,
@@ -575,14 +583,12 @@ def test_cache_sizes_are_bounded_by_what_they_are_keyed_on(G):
         cache.cache_clear()
     enumerate_forms(G)
     pairs = enumeration_pairs(G)
-    endomorphisms_seen = {_one_minus(G, phi, psi) for phi, psi in pairs}
     orbit_keys = set()
     for phi, psi in pairs:
         cosets = quotient_cosets(G, _one_minus(G, phi, psi))
         if len(cosets) > 1:
             orbit_keys.add((stabilizer(G, phi, psi), id(cosets)))
     assert groups._add_table.cache_info().currsize == 1
-    assert groups._image.cache_info().currsize <= len(endomorphisms_seen)
     assert groups._cosets.cache_info().currsize <= subgroup_count(G)
     assert enumeration._orbit_reps.cache_info().currsize == len(orbit_keys)
     assert gl2._gl2_entries.cache_info().currsize <= 1

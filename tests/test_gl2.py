@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from medialq import gl2
 from medialq.fp import Prime
+from medialq.fp import is_irreducible_quadratic
 from medialq.gl2 import (
-    ConjClassRep,
     Mat2,
     Unit,
     centralizer,
@@ -23,8 +23,12 @@ from reference import (
     filter_centralizer,
     gl2_order,
     identity_matrix,
+    inv,
+    mul,
     parametrized_centralizer,
     partition_classes,
+    rank,
+    sub,
     zero_matrix,
 )
 
@@ -37,7 +41,7 @@ def brute_conjugacy_classes(p):
     for g in gl:  # deterministic seed order
         if g not in remaining:
             continue
-        cls = {h.mul(g).mul(h.inv()) for h in gl}
+        cls = {mul(mul(h, g), inv(h)) for h in gl}
         remaining -= cls
         classes.append(frozenset(cls))
     return classes
@@ -45,38 +49,49 @@ def brute_conjugacy_classes(p):
 
 def test_det_and_rank_examples():
     assert Mat2(2, 0, 0, 3, 5).det() == 6 % 5
-    assert zero_matrix(3).rank() == 0
+    assert rank(zero_matrix(3)) == 0
     assert Mat2(1, 1, 2, 2, 3).det() == 0
-    assert Mat2(1, 1, 2, 2, 3).rank() == 1
-    assert Mat2(1, 1, 0, 1, 3).rank() == 2
+    assert rank(Mat2(1, 1, 2, 2, 3)) == 1
+    assert rank(Mat2(1, 1, 0, 1, 3)) == 2
 
 
 def test_inverse_round_trip_over_gl2_3():
     I = identity_matrix(3)
     for A in gl2_elements(3):
-        assert A.mul(A.inv()) == I
-        assert A.inv().mul(A) == I
+        assert mul(A, inv(A)) == I
+        assert mul(inv(A), A) == I
 
 
 def test_inverse_of_singular_raises():
     with pytest.raises(ValueError, match="singular"):
-        Mat2(1, 1, 2, 2, 3).inv()
+        inv(Mat2(1, 1, 2, 2, 3))
 
 
 def test_representative_matrices():
-    assert ConjClassRep("scalar", 2, None, 3).matrix() == Mat2(2, 0, 0, 2, 3)
-    assert ConjClassRep("jordan", 1, None, 3).matrix() == Mat2(1, 1, 0, 1, 3)
-    assert ConjClassRep("irreducible", 1, 1, 2).matrix() == Mat2(0, 1, 1, 1, 2)
-    assert ConjClassRep("distinct", 1, 2, 3).matrix() == Mat2(1, 0, 0, 2, 3)
+    assert conj_class_reps(3)[Mat2(2, 0, 0, 2, 3)] == "scalar"
+    assert conj_class_reps(3)[Mat2(1, 1, 0, 1, 3)] == "jordan"
+    assert conj_class_reps(2)[Mat2(0, 1, 1, 1, 2)] == "irreducible"
+    assert conj_class_reps(3)[Mat2(1, 0, 0, 2, 3)] == "distinct"
 
 
-def test_representative_invariants_enforced():
-    with pytest.raises(ValueError):
-        ConjClassRep("scalar", 0, None, 3)
-    with pytest.raises(ValueError):
-        ConjClassRep("distinct", 2, 1, 5)
-    with pytest.raises(ValueError):
-        ConjClassRep("irreducible", 1, 0, 5)  # x^2 - 1 has roots
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_the_representatives_keep_their_normal_forms(p):
+    reps = conj_class_reps(p)
+    for R, kind in reps.items():
+        m00, m01, m10, m11 = R.entries
+        if kind == "scalar":
+            assert (m01, m10) == (0, 0) and m00 == m11 != 0
+        elif kind == "distinct":
+            assert (m01, m10) == (0, 0) and 0 < m00 < m11
+        elif kind == "jordan":
+            assert (m01, m10) == (1, 0) and m00 == m11 != 0
+        else:
+            assert kind == "irreducible" and (m00, m01) == (0, 1) and is_irreducible_quadratic(m10, m11, p)
+    kinds = list(reps.values())
+    counts = {"scalar": p - 1, "distinct": (p - 1) * (p - 2) // 2, "jordan": p - 1, "irreducible": (p * p - p) // 2}
+    assert kinds == [kind for kind, n in counts.items() for _ in range(n)]  # in this order, this many of each
+    with pytest.raises(TypeError):
+        reps[identity_matrix(p)] = "scalar"
 
 
 @pytest.mark.parametrize("p,count", [(2, 3), (3, 8), (5, 24)])
@@ -85,7 +100,7 @@ def test_representative_count_matches_brute_force(p, count):
     assert len(reps) == count == p * p - 1
     brute = brute_conjugacy_classes(p)
     assert len(brute) == count
-    matrices = [r.matrix() for r in reps]
+    matrices = list(reps)
     for cls in brute:
         assert sum(m in cls for m in matrices) == 1
 
@@ -98,8 +113,8 @@ def test_partition_consistent_with_library(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_centralizers_match_parametrizations(p):
-    for rep in conj_class_reps(p):
-        assert set(as_matrices(centralizer(rep.matrix()), p)) == set(parametrized_centralizer(rep))
+    for R, kind in conj_class_reps(p).items():
+        assert set(as_matrices(centralizer(R), p)) == set(parametrized_centralizer(R, kind))
 
 
 def test_centralizer_sizes():
@@ -119,8 +134,7 @@ def test_the_null_space_centralizer_is_the_filter_for_every_element(p):
 
 @pytest.mark.parametrize("p", [11, 13])
 def test_the_null_space_centralizer_is_the_filter_for_every_representative(p):
-    for rep in conj_class_reps(p):
-        A = rep.matrix()
+    for A in conj_class_reps(p):
         assert set(centralizer(A).tolist()) == set(filter_centralizer(A))
         assert centralizer(A).tolist() == sorted(centralizer(A).tolist())
 
@@ -140,29 +154,29 @@ def test_centralizer_of_singular_raises():
 def test_orbit_stabilizer(p):
     order = gl2_order(p)
     assert order == len(gl2_elements(p))
-    for rep, cls in zip(conj_class_reps(p), partition_classes(p)):
-        assert len(cls) * len(centralizer(rep.matrix())) == order
+    for R, cls in zip(conj_class_reps(p), partition_classes(p)):
+        assert len(cls) * len(centralizer(R)) == order
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_non_scalar_centralizers_are_commutative(p):
-    for rep in conj_class_reps(p):
-        if rep.kind == "scalar":
+    for R, kind in conj_class_reps(p).items():
+        if kind == "scalar":
             continue
-        members = as_matrices(centralizer(rep.matrix()), p)
+        members = as_matrices(centralizer(R), p)
         for i, A in enumerate(members):
             for B in members[i + 1 :]:
-                assert A.mul(B) == B.mul(A)
+                assert mul(A, B) == mul(B, A)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_centralizers_are_subgroups(p):
-    for rep in conj_class_reps(p):
-        members = set(as_matrices(centralizer(rep.matrix()), p))
+    for R in conj_class_reps(p):
+        members = set(as_matrices(centralizer(R), p))
         assert identity_matrix(p) in members
         for A in members:
-            assert A.inv() in members
-            assert all(A.mul(B) in members for B in members)
+            assert inv(A) in members
+            assert all(mul(A, B) in members for B in members)
 
 
 def test_commutes_examples():
@@ -172,7 +186,7 @@ def test_commutes_examples():
     A = Mat2(1, 1, 0, 1, 3)
     B = Mat2(1, 0, 1, 1, 3)
     # independent check by multiplying both ways
-    assert A.mul(B) != B.mul(A)
+    assert mul(A, B) != mul(B, A)
     assert commutes(A, B) is False
 
 
@@ -193,12 +207,12 @@ any_matrix = st.sampled_from([2, 3, 5, 7]).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(any_matrix, any_matrix)
 def test_commutes_is_equality_of_both_products(A, B):
-    # singular matrices included; the entry product must agree with Mat2.mul both ways
+    # singular matrices included; the entry product must agree with mul both ways
     if A.p != B.p:
         with pytest.raises(ValueError, match="different fields"):
             commutes(A, B)
         return
-    assert commutes(A, B) == (A.mul(B) == B.mul(A))
+    assert commutes(A, B) == (mul(A, B) == mul(B, A))
     assert commutes(A, A) and commutes(A, identity_matrix(A.p))
 
 
@@ -254,7 +268,7 @@ def test_mat2_and_unit_take_prime_and_prime_power_moduli(make, message):
 def test_mat2_arithmetic_keeps_its_prime():
     M = Mat2(1, 2, 0, 1, 7)
     assert type(M.p) is Prime and str(M) == "[[1,2],[0,1]] mod 7"
-    for result in (M.mul(M), M - M, M.inv()):
+    for result in (mul(M, M), sub(M, M), inv(M)):
         assert result.p is M.p
 
 
@@ -308,23 +322,23 @@ def test_mat2_laws(abc):
     A, B, C = abc
     p = A.p
     I = identity_matrix(p)
-    assert A.mul(B).mul(C) == A.mul(B.mul(C))
-    assert I.mul(A) == A == A.mul(I)
-    assert A.mul(B).det() == A.det() * B.det() % p
-    assert (A.rank() == 2) == (A.det() != 0)
+    assert mul(mul(A, B), C) == mul(A, mul(B, C))
+    assert mul(I, A) == A == mul(A, I)
+    assert mul(A, B).det() == A.det() * B.det() % p
+    assert (rank(A) == 2) == (A.det() != 0)
     if A.det() != 0:
-        assert A.inv().mul(A) == I == A.mul(A.inv())
-        assert A.inv().inv() == A
+        assert mul(inv(A), A) == I == mul(A, inv(A))
+        assert inv(inv(A)) == A
     else:
         with pytest.raises(ValueError, match="singular"):
-            A.inv()
+            inv(A)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]).flatmap(lambda p: st.lists(st.sampled_from(gl2_elements(p)), min_size=2, max_size=2)))
 def test_conjugation_keeps_trace_determinant_and_scalarness(Mh):
     M, h = Mh
-    C = h.mul(M).mul(h.inv())
+    C = mul(mul(h, M), inv(h))
     assert (C.m00 + C.m11) % C.p == (M.m00 + M.m11) % M.p
     assert C.det() == M.det()
     assert C.is_scalar() == M.is_scalar()

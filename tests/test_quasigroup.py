@@ -22,7 +22,7 @@ from medialq.quasigroup import (
     to_json,
     to_text,
 )
-from reference import all_latin_squares, as_matrices, identity_matrix, relabel
+from reference import add, all_latin_squares, as_matrices, identity_matrix, relabel
 
 Z3 = Cyclic(Prime(3), 1)
 V2 = ElemAbelianRank2(Prime(2))
@@ -32,7 +32,7 @@ def group_table(G):
     els = G.elements()
     idx = {g: i for i, g in enumerate(els)}
     return CayleyTable(
-        G.order, tuple(tuple(idx[G.add(a, b)] for b in els) for a in els)
+        G.order, tuple(tuple(idx[add(G, a, b)] for b in els) for a in els)
     )
 
 
