@@ -132,15 +132,39 @@ def _class_key(x: np.ndarray, p: int) -> np.ndarray:
     return (((a + d) % p) * p + (a * d - b * c) % p) * 2 + scalar
 
 
+def _span_basis(x: np.ndarray, p: int) -> list:
+    """Positions of entry rows of x, at most 4, that form a basis of the rows' span over F_p.
+
+    Elimination keeps, in turn, the first row that the rows kept so far do
+    not span, and clears its pivot entry from every row.
+    """
+    r, basis = x.astype(np.int64) % p, []
+    while r.any():
+        i = int(r.any(axis=1).argmax())
+        col = int(np.flatnonzero(r[i])[0])
+        pivot = r[i] * fp_inv(int(r[i, col]), p) % p
+        r = (r - r[:, col : col + 1] * pivot) % p
+        basis.append(i)
+    return basis
+
+
 def _assert_commutative(members: tuple) -> bool:
-    """Raise unless every pair of the matrices commutes; every pair is multiplied."""
+    """Raise unless every pair of the matrices commutes.
+
+    AB - BA is bilinear in (A, B), so every pair commutes iff every member
+    commutes with each matrix of a basis of the members' span over F_p.
+    Only when one does not is every pair multiplied, to name the first
+    failing pair.
+    """
+    p = members[0].p
     x = np.array([m.entries for m in members], dtype=np.int32)
-    products = _mul(x[:, None], x[None, :], members[0].p)  # [i, j] = members[i] members[j]
-    clash = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))
-    if clash.size:
-        i, j = clash[0]  # the first failing pair in row-major order, so i < j
-        raise ValueError(f"centralizer is not commutative: {members[i]} vs {members[j]}")
-    return True
+    basis = x[_span_basis(x, p)]
+    if (_mul(x[:, None], basis, p) == _mul(basis, x[:, None], p)).all():
+        return True
+    products = _mul(x[:, None], x[None, :], p)  # [i, j] = members[i] members[j]
+    # the first failing pair in row-major order, so i < j
+    i, j = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))[0]
+    raise ValueError(f"centralizer is not commutative: {members[i]} vs {members[j]}")
 
 
 @lru_cache(maxsize=None)

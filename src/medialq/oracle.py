@@ -24,7 +24,7 @@ from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable, affine_tables
 
 ISO_ORDER_CAP = 16
-CLASSIFY_ORDER_CAP = 9
+CLASSIFY_ORDER_CAP = ISO_ORDER_CAP
 _INVARIANT_CHUNK = 256  # tables per step of `_invariants`
 
 

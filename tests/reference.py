@@ -16,7 +16,8 @@ classmethods `Mat2.identity` and `Mat2.zero`), `mul`, `sub`, `rank` and `inv`
 `apply` (the methods of `Cyclic` and `ElemAbelianRank2`).  `walk_fingerprint` and
 `tuple_classify` are the oracle's fingerprint and `classify` as they were
 before its invariants came from one array pass: per-table walks and
-signature tuples, in one process.
+signature tuples, in one process.  `medial_scan` is `quasigroup.is_medial`
+as it was before the affine certificate: every quadruple, one x at a time.
 """
 
 from itertools import permutations
@@ -85,6 +86,16 @@ def partition_classes(p: int) -> tuple:
     for element, i in zip(gl, classes):
         members[i].add(element)
     return tuple(map(frozenset, members))
+
+
+def medial_scan(t: CayleyTable) -> bool:
+    """Exhaustive check of (x*y)*(u*v) == (x*u)*(y*v) over all n^4 quadruples, one x at a time."""
+    src = t.cells
+    for row in src:
+        A = np.take(src[row], src, axis=1)
+        if not (A == A.transpose(1, 0, 2)).all():
+            return False
+    return True
 
 
 def relabel(t: CayleyTable, perm) -> CayleyTable:

@@ -17,6 +17,7 @@ from medialq.enumeration import (
     CASE_TAG_CYCLIC,
     CASE_TAGS_RANK2,
     block_triples,
+    closed_form_cyclic,
     enumerate_forms,
 )
 from medialq.gl2 import centralizer, gl2_elements, units
@@ -226,10 +227,19 @@ def test_crosscheck_z4(capsys):
     assert "4 = 4 OK" in out
 
 
+@pytest.mark.parametrize("p, k, classes", [(11, 1, 109), (13, 1, 155), (2, 4, 64)])
+def test_crosscheck_reaches_the_isomorphism_cap(capsys, p, k, classes):
+    code, out, _ = run(capsys, "crosscheck", "--group", "cyclic", "--p", str(p), "--k", str(k))
+    assert code == EXIT_OK
+    assert classes == closed_form_cyclic(p, k)
+    assert out.endswith(f"representative-to-class match: bijective\n{classes} = {classes} OK\n")
+
+
 def test_crosscheck_oversize(capsys):
-    code, _, err = run(capsys, "crosscheck", "--group", "zp2", "--p", "5")
-    assert code == EXIT_USAGE
-    assert "cap" in err
+    for argv in (["--group", "zp2", "--p", "5"], ["--group", "cyclic", "--p", "17"]):
+        code, out, err = run(capsys, "crosscheck", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "exceeds the oracle cap 16" in err
 
 
 def test_interpolate_cyclic(capsys):

@@ -30,6 +30,7 @@ from medialq.gl2 import (
     Subgroup,
     Unit,
     _assert_commutative,
+    _span_basis,
     centralizer,
     conj_class_reps,
     conjugacy_partition,
@@ -37,7 +38,19 @@ from medialq.gl2 import (
     units,
 )
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
-from reference import _case_tag, add, apply, identity_matrix, inv, mul, partition_classes, rank, sub, zero_matrix
+from reference import (
+    _case_tag,
+    add,
+    apply,
+    as_matrices,
+    identity_matrix,
+    inv,
+    mul,
+    partition_classes,
+    rank,
+    sub,
+    zero_matrix,
+)
 
 EQUIVALENCE_GROUPS = [
     Cyclic(Prime(2), 3),
@@ -240,6 +253,51 @@ def test_commutativity_check_names_the_first_failing_pair():
         _assert_commutative(members)
     assert str(err.value) == f"centralizer is not commutative: {first[0]} vs {first[1]}"
     assert _assert_commutative((I, A, Mat2(2, 2, 0, 2, 3))) is True
+
+
+@st.composite
+def entry_rows(draw):
+    # up to 10 rows of 4 entries over F_p, not reduced mod p
+    p = draw(st.sampled_from([2, 3, 5]))
+    rows = draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=4, max_size=4), max_size=10))
+    return p, np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_rows())
+def test_the_span_basis_is_independent_and_spans_every_row(case):
+    p, x = case
+    basis = x[_span_basis(x, p)]
+    span = {tuple(np.array(c, dtype=np.int64) @ basis % p) for c in np.ndindex((p,) * len(basis))}
+    assert len(span) == p ** len(basis) <= p ** 4
+    assert {tuple(row % p) for row in x} <= span
+
+
+@st.composite
+def centralizers_with_a_stranger(draw):
+    # the members of a non-scalar centralizer, maybe with one more invertible
+    # matrix put in at some place
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    A = draw(st.sampled_from([A for A in gl2_elements(p) if not A.is_scalar()]))
+    members = list(as_matrices(centralizer(A), p))
+    if draw(st.booleans()):
+        members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(gl2_elements(p))))
+    return tuple(members)
+
+
+@settings(max_examples=150, deadline=None)
+@given(centralizers_with_a_stranger())
+def test_the_basis_check_decides_what_every_pair_decides(members):
+    first = next(
+        ((X, Y) for i, X in enumerate(members) for Y in members[i + 1 :] if mul(X, Y) != mul(Y, X)),
+        None,
+    )
+    if first is None:
+        assert _assert_commutative(members) is True
+    else:
+        with pytest.raises(ValueError) as err:
+            _assert_commutative(members)
+        assert str(err.value) == f"centralizer is not commutative: {first[0]} vs {first[1]}"
 
 
 

@@ -91,8 +91,8 @@ def test_order_cap_enforced():
         are_isomorphic(big, big)
     with pytest.raises(ValueError, match="exhaustive cap"):
         assign_to_classes([IsoClass(big, 1, fingerprint(big))], [big])
-    with pytest.raises(ValueError, match="cap"):
-        classify([group_table(Cyclic(Prime(11), 1))])
+    with pytest.raises(ValueError, match="classification cap 16"):
+        classify([big])
     with pytest.raises(ValueError):
         all_latin_squares(5)
 
@@ -200,8 +200,10 @@ def test_all_affine_forms_counts():
 
 
 def test_all_affine_forms_rejects_large_groups():
-    with pytest.raises(ValueError):
-        all_affine_forms(Cyclic(Prime(2), 4))
+    with pytest.raises(ValueError, match="exceeds the cap 16"):
+        all_affine_forms(Cyclic(Prime(17), 1))
+    with pytest.raises(ValueError, match="exceeds the cap 16"):
+        all_affine_forms(ElemAbelianRank2(Prime(5)))
 
 
 def test_the_stack_is_every_built_table_in_order():

@@ -1,19 +1,24 @@
 import json
 import random
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medialq import quasigroup
+from medialq.enumeration import block_triples, enumerate_blocks
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
-from medialq.oracle import all_affine_forms
+from medialq.oracle import all_affine_forms, all_affine_tables
 from medialq.quasigroup import (
     AffineForm,
     CayleyTable,
+    _certificate_failure,
+    affine_tables,
     build_table,
     count_idempotents,
     is_latin,
@@ -22,7 +27,7 @@ from medialq.quasigroup import (
     to_json,
     to_text,
 )
-from reference import add, all_latin_squares, as_matrices, identity_matrix, relabel
+from reference import add, all_latin_squares, apply, as_matrices, identity_matrix, medial_scan, relabel
 
 Z3 = Cyclic(Prime(3), 1)
 V2 = ElemAbelianRank2(Prime(2))
@@ -212,14 +217,151 @@ def test_is_medial_agrees_with_the_n4_reference(case):
 def test_is_medial_memory_grows_as_n_cubed():
     # order 101: the n^4 reference would need about 200 MB for its gather alone
     G = Cyclic(Prime(101), 1)
-    table = build_table(AffineForm(G, Unit(2, 101), Unit(3, 101), 5))
-    tracemalloc.start()
-    try:
-        assert is_medial(table) is True
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2 ** 20
+    affine = build_table(AffineForm(G, Unit(2, 101), Unit(3, 101), 5))
+    constant = CayleyTable(101, np.zeros((101, 101), dtype=int))  # medial, and no quasigroup
+    for table, bound in ((affine, 2 ** 20), (constant, 40 * 2 ** 20)):
+        tracemalloc.start()
+        try:
+            assert is_medial(table) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound  # the certificate holds O(n^2) entries, the scan O(n^3)
+
+
+# ------------------------------------------- the affine certificate against the full scan
+
+
+def affine_rows(G, phi, psi, c) -> list:
+    """x*y = phi(x) + psi(y) + c over G by the reference arithmetic; phi and psi need not commute."""
+    els = G.elements()
+    idx = {g: i for i, g in enumerate(els)}
+    right = [add(G, apply(G, psi, y), c) for y in els]
+    return [[idx[add(G, apply(G, phi, x), b)] for b in right] for x in els]
+
+
+_S3 = list(permutations(range(3)))
+S3_ROWS = [[_S3.index(tuple(a[b[i]] for i in range(3))) for b in _S3] for a in _S3]
+
+
+@st.composite
+def medial_candidates(draw):
+    # a random table, an affine table over Z_{p^k} or (Z_p)^2 (with commuting
+    # or with arbitrary phi and psi), or the group table of S_3; as it is,
+    # relabelled or as a row-and-column isotope; and maybe with a cell changed
+    kind = draw(st.sampled_from(["random", "cyclic", "rank2", "any-pair", "s3"]))
+    if kind == "random":
+        n = draw(st.integers(1, 8))
+        rows = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    elif kind == "s3":
+        rows = [list(row) for row in S3_ROWS]
+    elif kind == "cyclic":
+        p, k = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]))
+        G = Cyclic(Prime(p), k)
+        phi, psi = (draw(st.sampled_from(units(p, k))).value for _ in range(2))
+        rows = affine_rows(G, phi, psi, draw(st.sampled_from(G.elements())))
+    else:
+        p = draw(st.sampled_from([2, 3, 5]))
+        G = ElemAbelianRank2(Prime(p))
+        phi = draw(st.sampled_from(gl2_elements(p)))
+        pool = gl2_elements(p) if kind == "any-pair" else as_matrices(centralizer(phi), p)
+        rows = affine_rows(G, phi, draw(st.sampled_from(pool)), draw(st.sampled_from(G.elements())))
+    n = len(rows)
+    shape = draw(st.sampled_from(["as is", "relabelled", "isotope"]))
+    if shape != "as is":
+        r, s, u = (draw(st.permutations(range(n))) for _ in range(3))
+        if shape == "relabelled":
+            r = s = [u.index(x) for x in range(n)]  # u^-1, so that u(x) * u(y) = u(x*y)
+        rows = [[u[rows[r[x]][s[y]]] for y in range(n)] for x in range(n)]
+    if draw(st.booleans()):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[x][y] = draw(st.integers(0, n - 1))
+    return CayleyTable(n, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(medial_candidates())
+def test_is_medial_is_the_full_scan(t):
+    assert is_medial(t) is medial_scan(t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(medial_candidates())
+def test_the_certificate_accepts_no_table_the_scan_rejects(t):
+    if _certificate_failure(t) is None:
+        assert medial_scan(t) is True
+    elif is_latin(t):
+        # Toyoda-Bruck: every medial quasigroup is affine over each of its principal loop isotopes
+        assert medial_scan(t) is False
+
+
+def _z5_non_affine_rows():
+    # x*y = f(x) + y + 1 over Z_5 with the permutation f = (1 2), which is no affine map
+    f = [0, 2, 1, 3, 4]
+    return [[(f[x] + y + 1) % 5 for y in range(5)] for x in range(5)]
+
+
+def _fano_rows():
+    # the Steiner quasigroup of the Fano plane: x*x = x, and x*y the third point of the line on x and y
+    rows = [[x] * 7 for x in range(7)]
+    for line in ((0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0), (5, 6, 1), (6, 0, 2)):
+        for x, y, z in permutations(line):
+            rows[x][y] = z
+    return rows
+
+
+def _edited_affine_rows():
+    # x*y = 2x + 3y + 1 over Z_7 with cell (1, 1) changed from 6 to 0
+    rows = [[(2 * x + 3 * y + 1) % 7 for y in range(7)] for x in range(7)]
+    rows[1][1] = 0
+    return rows
+
+
+CLAUSE_FAILURES = [
+    pytest.param("isotope", [[0, 1, 2], [1, 2, 0], [1, 0, 1]], id="isotope"),  # column 0 is no permutation
+    pytest.param("affine", _edited_affine_rows(), id="affine"),
+    pytest.param("commutative", S3_ROWS, id="commutative"),
+    pytest.param("associative", _fano_rows(), id="associative"),
+    pytest.param("additive", _z5_non_affine_rows(), id="additive-phi"),
+    pytest.param("additive", [list(col) for col in zip(*_z5_non_affine_rows())], id="additive-psi"),
+    pytest.param(
+        "commuting",
+        affine_rows(ElemAbelianRank2(Prime(3)), Mat2(1, 1, 0, 1, 3), Mat2(1, 0, 1, 1, 3), (0, 0)),
+        id="commuting",
+    ),
+]
+
+
+@pytest.mark.parametrize("clause, rows", CLAUSE_FAILURES)
+def test_each_clause_has_a_table_that_fails_it_first_and_the_scan_says_no(monkeypatch, clause, rows):
+    t = CayleyTable(len(rows), rows)
+    assert _certificate_failure(t) == clause  # and no clause checked before it
+    scanned, scan = [], quasigroup._medial_scan
+    monkeypatch.setattr(quasigroup, "_medial_scan", lambda table: scanned.append(table) or scan(table))
+    assert is_medial(t) is False
+    assert scanned == [t]
+
+
+def _refuse_the_scan(monkeypatch):
+    def refuse(table):
+        raise AssertionError(f"the certificate failed: {_certificate_failure(table)}")
+
+    monkeypatch.setattr(quasigroup, "_medial_scan", refuse)
+
+
+@pytest.mark.parametrize("G", [Cyclic(Prime(7), 2), ElemAbelianRank2(Prime(5))], ids=str)
+def test_every_exported_table_is_certified_without_the_scan(monkeypatch, G):
+    # the tables `export` writes: build_table of each listed triple, as one stack
+    triples = list(block_triples(enumerate_blocks(G)))
+    cells = affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
+    _refuse_the_scan(monkeypatch)
+    assert all(is_medial(CayleyTable(G.order, table)) for table in cells)
+
+
+def test_every_affine_table_of_order_9_is_certified_without_the_scan(monkeypatch):
+    _refuse_the_scan(monkeypatch)
+    for G in (Cyclic(Prime(3), 2), ElemAbelianRank2(Prime(3))):
+        assert all(is_medial(CayleyTable(G.order, table)) for table in all_affine_tables(G))
 
 
 def test_the_tokenizer_reads_no_more_than_it_needs():
