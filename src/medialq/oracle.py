@@ -1,16 +1,19 @@
 """Brute-force ground truth for "up to isomorphism".
 
-Isomorphism of Cayley tables is decided in one place, `_iso_search`, by
-backtracking over partial symbol bijections with per-symbol invariant
-pruning, plus forced propagation: once sigma is fixed on i and j it is
-forced on i*j.  The invariants -- each symbol's row and column cycle types
-and whether it is idempotent, and each table's diagonal cycle type -- come
-from one array pass per call over all the tables it compares, ranked into
-integer codes.  `classify` and `assign_to_classes` index classes on (diagonal
-key, sorted codes) and search a table only against the classes of its own
-entry.  Nothing in this module consults the affine theory -- it works on raw
-tables -- so agreement with the enumerator is genuine cross-validation, not a
-tautology.
+Tables are compared through per-symbol invariants -- each symbol's row and
+column cycle types and whether it is idempotent, and each table's diagonal
+cycle type -- from one array pass per call over all the tables it compares,
+ranked into integer codes.  `classify` and `assign_to_classes` index tables
+on (diagonal key, sorted codes), and `_matches` tests every unplaced table of
+an entry against one class representative at once: the images of the
+representative's generators fix an isomorphism through the words that reach
+every other symbol, so each code-respecting choice of images is extended and
+checked on every cell.  A representative of more than `_GENERATOR_CAP`
+generators, and `are_isomorphic`, go to `_iso_search`: backtracking over
+partial symbol bijections with invariant pruning and forced propagation.  A
+table joins a class only through a checked isomorphism.  Nothing in this
+module consults the affine theory -- it works on raw tables -- so agreement
+with the enumerator is genuine cross-validation, not a tautology.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .quasigroup import AffineForm, CayleyTable, affine_tables
 ISO_ORDER_CAP = 16
 CLASSIFY_ORDER_CAP = ISO_ORDER_CAP
 _INVARIANT_CHUNK = 256  # tables per step of `_invariants`
+_GENERATOR_CAP = 3  # a class representative of more generators is searched table by table
+_ROW_CHUNK = 1 << 14  # candidate rows per step of `_matches`
 
 
 @dataclass(frozen=True)
@@ -115,10 +120,7 @@ def _invariants(stack: np.ndarray) -> tuple:
 
 
 def _iso_search(s, sig_s, t, sig_t) -> bool:
-    """Whether row tuples s and t are isomorphic, given their symbol codes from one `_invariants` call.
-
-    Every isomorphism decision in this module is made here.
-    """
+    """Whether row tuples s and t are isomorphic, given their symbol codes from one `_invariants` call."""
     n = len(s)
     if n > ISO_ORDER_CAP:
         raise ValueError(f"order {n} exceeds the exhaustive cap {ISO_ORDER_CAP}")
@@ -208,16 +210,6 @@ def all_affine_tables(G: GroupSpec) -> np.ndarray:
     return affine_tables(G, pairs, np.broadcast_to(np.arange(G.order), (len(pairs), G.order)))
 
 
-def _index_key(key: int, sig: list) -> tuple:
-    # A table's index entry: `_iso_search` rejects any pair whose sorted codes differ.
-    return key, tuple(sorted(sig))
-
-
-def _first_match(same, rows, sig):
-    """The first class of index entry `same`, [member rows, member codes, ...] lists, that `_iso_search` accepts for (rows, sig), or None."""
-    return next((cls for cls in same if _iso_search(rows, sig, cls[0], cls[1])), None)
-
-
 def _as_stack(tables) -> tuple:
     """(cells of every table as one (N, n, n) array, the tables as a list or None) of a list of tables or such an array."""
     if isinstance(tables, np.ndarray):
@@ -226,7 +218,7 @@ def _as_stack(tables) -> tuple:
             raise ValueError("a table stack must be an integer array of shape (N, n, n), n >= 1")
         if tables.size and (tables.min() < 0 or tables.max() >= n):
             raise ValueError("table entries must be indices in [0, n)")
-        return tables, None
+        return tables.astype(np.min_scalar_type(n - 1), copy=False), None
     tables = list(tables)
     n = tables[0].n if tables else 1
     if any(t.n != n for t in tables):
@@ -234,34 +226,105 @@ def _as_stack(tables) -> tuple:
     return np.array([t.cells for t in tables]) if tables else np.empty((0, n, n), dtype=np.uint8), tables
 
 
+def _words(t: list) -> tuple:
+    """(generators, words) of the table with rows t: every other symbol z is one (z, x, y) of `words`, z = t[x][y].
+
+    Each generator is the least symbol not yet reached; the reached set is then
+    closed under the product, breadth first.  x and y are reached before z.
+    """
+    n = len(t)
+    reached = [False] * n
+    order: list = []  # the symbols in the order reached
+    gens, words, head = [], [], 0
+    for g in range(n):
+        if reached[g]:
+            continue
+        gens.append(g)
+        reached[g] = True
+        order.append(g)
+        while head < len(order):
+            k = order[head]
+            head += 1
+            for j in order[:head]:
+                for x, y in ((k, j), (j, k)):
+                    z = t[x][y]
+                    if not reached[z]:
+                        reached[z] = True
+                        order.append(z)
+                        words.append((z, x, y))
+    return gens, words
+
+
+def _matches(t, sig_t, stack, codes) -> np.ndarray:
+    """Which tables s of `stack` (M, n, n) are isomorphic to table t (n, n), as M booleans; codes from one `_invariants` call.
+
+    An isomorphism sigma, s[sigma(x)][sigma(y)] = sigma(t[x][y]), maps each
+    generator of t to a symbol of equal code and is fixed by the words.  So
+    each such choice of images is a candidate row, the words extend it (a row
+    goes at its first image of another code), and s matches iff some row is
+    a bijection that maps every cell.  Rows are made at most `_ROW_CHUNK` at
+    a time.
+    """
+    gens, words = _words(t.tolist())
+    M, n = codes.shape
+    if len(gens) > _GENERATOR_CAP:
+        rows_t, sig = tuple(map(tuple, t.tolist())), sig_t.tolist()
+        return np.array([_iso_search(tuple(map(tuple, s.tolist())), c.tolist(), rows_t, sig)
+                         for s, c in zip(stack, codes)], dtype=bool)
+    found = np.zeros(M, dtype=bool)
+    fits = codes[:, None, :] == sig_t[gens][:, None]  # (M, generator, image)
+    step = max(1, _ROW_CHUNK // n ** len(gens))
+    for lo in range(0, M, step):
+        rows = fits[lo : lo + step, 0]
+        for i in range(1, len(gens)):
+            rows = rows[..., None] & fits[lo : lo + step, i].reshape((-1,) + (1,) * i + (n,))
+        table, *images = np.nonzero(rows)
+        table += lo
+        sigma = np.empty((len(table), n), dtype=stack.dtype)
+        sigma[:, gens] = np.stack(images, axis=1)
+        for z, x, y in words:
+            sigma[:, z] = image = stack[table, sigma[:, x], sigma[:, y]]
+            keep = codes[table, image] == sig_t[z]
+            table, sigma = table[keep], sigma[keep]
+        keep = (np.sort(sigma, axis=1) == np.arange(n)).all(axis=1)
+        table, sigma = table[keep], sigma[keep]
+        keep = (stack[table[:, None, None], sigma[:, :, None], sigma[:, None, :]] == sigma[:, t]).all(axis=(1, 2))
+        found[table[keep]] = True
+    return found
+
+
+def _entries(keys, codes) -> list:
+    """The indices of each index entry, in order: tables of one diagonal key and one multiset of codes, the only ones that can be isomorphic."""
+    entries: dict = {}
+    for i, entry in enumerate(zip(keys.tolist(), map(tuple, np.sort(codes, axis=1).tolist()))):
+        entries.setdefault(entry, []).append(i)
+    return list(entries.values())
+
+
 def classify(tables) -> list:
     """Partition tables into isomorphism classes, deterministically.
 
     `tables` is a list of `CayleyTable`, or their cells as one (N, n, n)
-    array (then each class's member is built from its cells).  One pass in
-    input order searches each table only against the classes of its index
-    entry and opens a new class when none matches.  Class order is by first
-    occurrence in the input.
+    array (then each class's member is built from its cells).  In each index
+    entry the first table not yet placed opens a class, and one `_matches`
+    call places every later table of the entry isomorphic to it.  Class
+    order is by first occurrence in the input.
     """
     stack, members = _as_stack(tables)
     n = stack.shape[1]
     if n > CLASSIFY_ORDER_CAP:
         raise ValueError(f"order {n} exceeds the classification cap {CLASSIFY_ORDER_CAP}")
-    keys, codes = _invariants(stack)
-    index: dict = {}  # index key -> [[rows, codes, first index, count], ...]
-    found = []  # the same class lists, in order of first occurrence
-    for idx, (table, key, sig) in enumerate(zip(stack, keys.tolist(), codes.tolist())):
-        # Row tuples are built per table, and kept only for each class's first table.
-        rows = tuple(map(tuple, table.tolist()))
-        same = index.setdefault(_index_key(key, sig), [])
-        cls = _first_match(same, rows, sig)
-        if cls is None:
-            cls = [rows, sig, idx, 0]
-            same.append(cls)
-            found.append(cls)
-        cls[3] += 1
+    _, codes = ranked = _invariants(stack)
+    found = []  # (first index, members) of each class
+    for entry in _entries(*ranked):
+        left = np.array(entry)
+        while len(left):
+            first, left = left[0], left[1:]
+            same = _matches(stack[first], codes[first], stack[left], codes[left])
+            found.append((first, 1 + int(same.sum())))
+            left = left[~same]
     classes = []
-    for _, _, first, count in found:
+    for first, count in sorted(found):
         member = members[first] if members is not None else CayleyTable(n, stack[first])
         classes.append(IsoClass(member, count, fingerprint(member)))
     return classes
@@ -272,8 +335,8 @@ def assign_to_classes(classes, tables) -> list:
 
     `tables` is a list of `CayleyTable` or their cells as one (N, n, n)
     array.  The class members and the tables of each shared order are ranked
-    in one invariant pass, and a table is searched only against the members
-    of its index entry.
+    in one invariant pass; each member, in class order, takes the tables of
+    its index entry not yet placed in one `_matches` call.
     """
     members = [cls.canonical_member for cls in classes]
     tables = [CayleyTable(len(cells), cells) for cells in tables] if isinstance(tables, np.ndarray) else list(tables)
@@ -281,14 +344,19 @@ def assign_to_classes(classes, tables) -> list:
     for n in {t.n for t in tables} & {m.n for m in members}:
         at_m = [i for i, m in enumerate(members) if m.n == n]
         at_t = [i for i, t in enumerate(tables) if t.n == n]
-        ranked = _invariants(np.stack([members[i].cells for i in at_m] + [tables[i].cells for i in at_t]))
-        keys, codes = (a.tolist() for a in ranked)
-        index: dict = {}  # index key -> [(member rows, member codes, class index), ...]
-        for ci, key, sig in zip(at_m, keys, codes):
-            index.setdefault(_index_key(key, sig), []).append((members[ci].rows, sig, ci))
-        for ti, key, sig in zip(at_t, keys[len(at_m):], codes[len(at_m):]):
-            cls = _first_match(index.get(_index_key(key, sig), ()), tables[ti].rows, sig)
-            result[ti] = cls[2] if cls else None
+        stack = np.stack([members[i].cells for i in at_m] + [tables[i].cells for i in at_t])
+        _, codes = ranked = _invariants(stack)
+        m = len(at_m)
+        for entry in _entries(*ranked):
+            reps = [i for i in entry if i < m]  # the members come first, in class order
+            left = np.array(entry[len(reps):], dtype=np.intp)
+            for i in reps:
+                if not len(left):
+                    break
+                same = _matches(stack[i], codes[i], stack[left], codes[left])
+                for j in left[same].tolist():
+                    result[at_t[j - m]] = at_m[i]
+                left = left[~same]
     if None in result:
         raise ValueError("table is not isomorphic to any class member")
     return result

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from functools import lru_cache
 from itertools import permutations
 
@@ -157,19 +158,28 @@ def test_cycle_lengths_match_the_path_dict_walk(f):
     assert _cycle_lengths(f) == ref_cycle_lengths(f)
 
 
-def test_classify_searches_only_tables_of_equal_sorted_signatures(monkeypatch):
-    # `_iso_search` rejects any other pair on its multiset check, so calling it is waste
-    equal = []
-    iso_search = oracle._iso_search
+def recording_matches(monkeypatch):
+    # each batch `_matches` is given, as (whether every table shares the
+    # representative's index entry, the number of tables)
+    batches = []
+    matches = oracle._matches
 
-    def recording(s, sig_s, t, sig_t):
-        equal.append(sorted(sig_s) == sorted(sig_t))
-        return iso_search(s, sig_s, t, sig_t)
+    def recording(t, sig_t, stack, codes):
+        entry = (fingerprint(CayleyTable(len(t), t)), sorted(sig_t.tolist()))
+        same = all((fingerprint(CayleyTable(len(s), s)), sorted(c.tolist())) == entry for s, c in zip(stack, codes))
+        batches.append((same, len(stack)))
+        return matches(t, sig_t, stack, codes)
 
-    monkeypatch.setattr(oracle, "_iso_search", recording)
+    monkeypatch.setattr(oracle, "_matches", recording)
+    return batches
+
+
+def test_classify_tests_only_tables_of_the_representatives_index_entry(monkeypatch):
+    # no other table can be isomorphic to the representative, so testing one is waste
+    batches = recording_matches(monkeypatch)
     classes = classify([build_table(f) for f in all_affine_forms(V3)])
     assert len(classes) == 68
-    assert equal and all(equal), f"{equal.count(False)} of {len(equal)} calls"
+    assert len(batches) == 68 and all(same for same, _ in batches)  # one batch per class
 
 
 def test_are_isomorphic_symmetric():
@@ -262,6 +272,15 @@ def test_classify_reads_a_stack_as_its_tables():
             classify(bad)
 
 
+def test_a_stack_of_any_integer_or_bool_dtype_classifies_alike():
+    stack = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[1, 1], [1, 1]]])
+    want = classify([CayleyTable(2, t) for t in stack])
+    assert [c.members for c in want] == [2, 1]
+    for dtype in (bool, np.int8, np.uint16, np.int64):
+        assert classify(stack.astype(dtype)) == want
+        assert assign_to_classes(want, stack.astype(dtype)) == [0, 0, 1]
+
+
 def test_classify_rejects_mixed_orders():
     with pytest.raises(ValueError, match="single order"):
         classify([group_table(Z4), group_table(Z9)])
@@ -305,18 +324,12 @@ def test_assign_to_classes_takes_the_first_matching_class_of_each_order():
     assert assign_to_classes(doubled, reps4 + reps9) == [len(classes9) + i for i in first4] + first9
 
 
-def test_assign_to_classes_searches_only_members_of_equal_sorted_signatures(monkeypatch):
-    equal = []
-    iso_search = oracle._iso_search
-
-    def recording(s, sig_s, t, sig_t):
-        equal.append(sorted(sig_s) == sorted(sig_t))
-        return iso_search(s, sig_s, t, sig_t)
-
+def test_assign_to_classes_tests_only_tables_of_the_members_index_entry(monkeypatch):
     classes = classify(all_affine_tables(V3))
-    monkeypatch.setattr(oracle, "_iso_search", recording)
+    batches = recording_matches(monkeypatch)
     assert sorted(assign_to_classes(classes, rep_tables(V3))) == list(range(68))
-    assert equal and all(equal), f"{equal.count(False)} of {len(equal)} calls"
+    assert batches and all(same for same, _ in batches)
+    assert sum(size for _, size in batches) >= 68
 
 
 def test_assign_to_classes_rejects_stranger():
@@ -468,9 +481,9 @@ def test_classes_survive_relabelling_each_table(data):
 
 
 @st.composite
-def any_tables(draw):
-    # an arbitrary table of order <= 9, Latin or not
-    n = draw(st.integers(1, 9))
+def any_tables(draw, n=None):
+    # an arbitrary table of order n, or of order <= 9, Latin or not
+    n = n or draw(st.integers(1, 9))
     row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     return CayleyTable(n, draw(st.lists(row, min_size=n, max_size=n)))
 
@@ -597,3 +610,117 @@ def test_classify_matches_the_tuple_path(data):
     assert classify(mixed) == want
     assert [c.canonical_member for c in classify(mixed)] == [c.canonical_member for c in want]
     assert classify(np.array([t.cells for t in mixed])) == want
+
+
+# ------------------------------------------- the batched word-map test
+
+@st.composite
+def row_constant_tables(draw, n):
+    # x*y = f(x): every symbol that f misses is one more generator
+    f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return CayleyTable(n, [[f[x]] * n for x in range(n)])
+
+
+@st.composite
+def mixed_tables(draw):
+    # tables of one order: affine over a small group, one-cell edits of those
+    # (not Latin), arbitrary and row-constant tables, and a relabelled copy
+    # of each, shuffled
+    G = draw(st.sampled_from(SMALL_GROUPS))
+    kinds = affine_tables(G) | any_tables(G.order) | row_constant_tables(G.order)
+    tables = draw(st.lists(kinds, min_size=1, max_size=8))
+    copies = [relabel(t, draw(st.permutations(range(t.n)))) for t in tables]
+    return draw(st.permutations(tables + copies))
+
+
+def search_assign(classes, tables) -> list:
+    # one `_iso_search` per pair: each table's first class whose member it accepts
+    return [next((ci for ci, c in enumerate(classes) if are_isomorphic(c.canonical_member, t)), None) for t in tables]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_tables(), st.data())
+def test_classify_and_assign_decide_what_the_search_decides(tables, data):
+    want = tuple_classify(tables)
+    got = classify(tables)
+    assert got == want
+    assert [c.canonical_member for c in got] == [c.canonical_member for c in want]
+    # some classes, maybe repeated or missing, so a table may match twice or not at all
+    classes = data.draw(st.lists(st.sampled_from(got), min_size=1, max_size=len(got) + 2))
+    want = search_assign(classes, tables)
+    if None in want:
+        with pytest.raises(ValueError, match="not isomorphic to any class member"):
+            assign_to_classes(classes, tables)
+    else:
+        assert assign_to_classes(classes, tables) == want
+
+
+def assert_one_entry_two_classes(t, s):
+    keys, codes = oracle._invariants(np.array([t.cells, s.cells]))
+    assert keys[0] == keys[1] and sorted(codes[0].tolist()) == sorted(codes[1].tolist())
+    assert len(oracle._words(t.cells.tolist())[0]) <= oracle._GENERATOR_CAP
+    assert [c.members for c in classify([t, s])] == [1, 1]
+    with pytest.raises(ValueError, match="not isomorphic to any class member"):
+        assign_to_classes(classify([t]), [s])
+
+
+def test_a_row_that_passes_every_word_must_still_map_every_cell():
+    # 0 and 1 generate t, and 2 = 0*1; s differs only in the cell (2, 2),
+    # and every symbol keeps its code: sigma = id passes the word and is a
+    # bijection, but fails that cell
+    t = CayleyTable(3, [[0, 2, 0], [0, 0, 1], [2, 2, 1]])
+    s = CayleyTable(3, [[0, 2, 0], [0, 0, 1], [2, 2, 0]])
+    assert oracle._words(t.cells.tolist()) == ([0, 1], [(2, 0, 1)])
+    assert not brute_isomorphic(t, s)
+    assert_one_entry_two_classes(t, s)
+
+
+def test_a_row_that_maps_every_cell_must_still_be_a_bijection():
+    # x*y = 3x + 5y and 5x + 3y over Z_7 are idempotent, and every symbol of
+    # both has one code, so sending every symbol to one symbol passes every
+    # word and every cell; the tables are not isomorphic
+    t = CayleyTable(7, [[(3 * x + 5 * y) % 7 for y in range(7)] for x in range(7)])
+    s = CayleyTable(7, [[(5 * x + 3 * y) % 7 for y in range(7)] for x in range(7)])
+    assert all(t.rows[x][x] == s.rows[x][x] == x for x in range(7))
+    assert not brute_isomorphic(t, s)
+    assert_one_entry_two_classes(t, s)
+
+
+def left_projection(n):
+    return CayleyTable(n, [[x] * n for x in range(n)])
+
+
+@pytest.mark.parametrize(
+    "t, generators",
+    [
+        (left_projection(16), 16),
+        (CayleyTable(16, [[5] * 16] * 16), 15),
+        (CayleyTable(16, [[x ^ y for y in range(16)] for x in range(16)]), 5),  # the group (Z_2)^4
+    ],
+    ids=["x*y=x", "constant", "Z2^4"],
+)
+def test_a_representative_of_many_generators_is_searched_table_by_table(monkeypatch, t, generators):
+    assert len(oracle._words(t.cells.tolist())[0]) == generators > oracle._GENERATOR_CAP
+    rng = random.Random(generators)
+    tables = [t] + [relabel(t, rng.sample(range(16), 16)) for _ in range(50)]
+    searches = []
+    iso_search = oracle._iso_search
+    monkeypatch.setattr(oracle, "_iso_search", lambda *args: searches.append(1) or iso_search(*args))
+    start = time.process_time()
+    classes = classify(tables)
+    assert time.process_time() - start < 0.5
+    assert len(searches) == 50
+    assert classes == tuple_classify(tables) and [c.members for c in classes] == [51]
+    assert assign_to_classes(classes, tables) == [0] * 51
+
+
+@pytest.mark.parametrize("G, classes", [(Cyclic(Prime(2), 4), 64), (V3, 68)], ids=["Z16", "Z3^2"])
+def test_affine_tables_never_take_the_search(monkeypatch, G, classes):
+    def refuse(*args):
+        raise AssertionError("_iso_search called")
+
+    monkeypatch.setattr(oracle, "_iso_search", refuse)
+    stack = all_affine_tables(G)
+    found = classify(stack)
+    assert len(found) == classes
+    assert sorted(set(assign_to_classes(found, stack))) == list(range(classes))
