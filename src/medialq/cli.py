@@ -14,13 +14,11 @@ import os
 import stat
 import sys
 from itertools import count, takewhile
-from operator import attrgetter
 from pathlib import Path
 
 from .fp import Prime, _least_factor
 from .enumeration import (
     MAX_COMPOSITE_ORDER,
-    block_triples,
     closed_form_cyclic,
     closed_form_order_p2,
     closed_form_zp2,
@@ -31,16 +29,16 @@ from .enumeration import (
     group_label,
     interpolate_count_polynomial,
 )
-from .groups import Cyclic, ElemAbelianRank2
+from .groups import Cyclic, ElemAbelianRank2, _matrix_entries
 from .oracle import CLASSIFY_ORDER_CAP, all_affine_tables, assign_to_classes, classify
 from .quasigroup import (
-    AffineForm,
+    CayleyTable,
+    _affine_cells,
+    _iter_tables,
     affine_tables,
-    build_table,
     count_idempotents,
     is_latin,
     is_medial,
-    tables_from_text,
     to_json,
     to_text,
 )
@@ -240,12 +238,16 @@ def _cmd_count(args) -> int:
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
-def _entries(f) -> list:
-    return list(f.entries)
-
-
 def _pair(c) -> str:
     return f"{c[0]}, {c[1]}"
+
+
+def _block_tables(G, block):
+    """(case tag, table) of each triple of a block, in order, from its codes; `check_pairs` has checked every pair."""
+    phi, psis, tags, cs = block
+    for psi, tag, c_reps in zip(psis.tolist(), tags, cs):
+        for cells in _affine_cells(G, [(phi, psi)], [[G.index(c) for c in c_reps]]):
+            yield tag, CayleyTable(G.order, cells)
 
 
 def _render_block(G, block, text: bool, tables: bool) -> str:
@@ -253,33 +255,35 @@ def _render_block(G, block, text: bool, tables: bool) -> str:
 
     Each line holds the bytes that the text format, or `json.dumps` of the
     record `jsonl_record` in `tests/reference.py`, prints for its triple; the
-    tests hold these templates to that reference.  The group label and the
-    case tags need no JSON escapes.
+    tests hold these templates to that reference.  phi and psi print from
+    their codes.  The group label and the case tags need no JSON escapes.
     """
-    phi, rows = block
+    phi, psis, tags, cs = block
+    codes = [phi, *psis.tolist()]
     if isinstance(G, Cyclic):
-        show, element = attrgetter("value"), str
+        (shown, *psis_shown), element = codes, str
     else:
-        show, element = _entries, _pair
+        (shown, *psis_shown), element = _matrix_entries(codes, G.p).tolist(), _pair
+    rows = zip(psis_shown, tags, cs)
     if text:
-        shown = show(phi)
         return "".join([
-            f"{tag} phi={shown} psi={show(psi)} c=[{element(c)}]\n"
-            for psi, tag, cs in rows
-            for c in cs
+            f"{tag} phi={shown} psi={psi} c=[{element(c)}]\n"
+            for psi, tag, c_reps in rows
+            for c in c_reps
         ])
-    head = f'{{"group": "{group_label(G)}", "phi": {show(phi)}, "psi": '
+    head = f'{{"group": "{group_label(G)}", "phi": {shown}, "psi": '
     if tables:
+        made = _block_tables(G, block)  # in the order of the lines
         return "".join([
-            f'{head}{show(psi)}, "c": [{element(c)}], "case_tag": "{tag}", '
-            f'"table": {to_json(build_table(AffineForm(G, phi, psi, c)))}}}\n'
-            for psi, tag, cs in rows
-            for c in cs
+            f'{head}{psi}, "c": [{element(c)}], "case_tag": "{tag}", '
+            f'"table": {to_json(next(made)[1])}}}\n'
+            for psi, tag, c_reps in rows
+            for c in c_reps
         ])
     return "".join([
-        f'{head}{show(psi)}, "c": [{element(c)}], "case_tag": "{tag}"}}\n'
-        for psi, tag, cs in rows
-        for c in cs
+        f'{head}{psi}, "c": [{element(c)}], "case_tag": "{tag}"}}\n'
+        for psi, tag, c_reps in rows
+        for c in c_reps
     ])
 
 
@@ -308,10 +312,10 @@ def _cmd_export(args) -> int:
     out = Path(args.out)
     _file_io(out.mkdir, parents=True, exist_ok=True)
     total = 0
-    for triple in block_triples(enumerate_blocks(G)):
-        table = build_table(AffineForm(G, triple.phi, triple.psi, triple.c))
-        _file_io((out / f"{total:04d}_{triple.case_tag}.txt").write_text, to_text(table))
-        total += 1
+    for block in enumerate_blocks(G):
+        for tag, table in _block_tables(G, block):
+            _file_io((out / f"{total:04d}_{tag}.txt").write_text, to_text(table))
+            total += 1
     print(f"wrote {total} tables to {out}")
     return EXIT_OK
 
@@ -322,7 +326,9 @@ def _cmd_verify(args) -> int:
     if not stat.S_ISREG(_file_io(path.stat).st_mode):
         raise UsageError(f"{path} is not a regular file")
     text = _file_io(path.read_text)
-    for i, t in enumerate(tables_from_text(text, max_order=MAX_TABLE_ORDER)):
+    for _ in _iter_tables(text, MAX_TABLE_ORDER):
+        pass  # every error is raised before the first line, and no table is kept
+    for i, t in enumerate(_iter_tables(text, MAX_TABLE_ORDER)):
         latin = "yes" if is_latin(t) else "no"
         medial = "yes" if is_medial(t) else "no"
         print(

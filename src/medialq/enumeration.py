@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -30,11 +29,9 @@ from .gl2 import (
     JORDAN,
     SCALAR,
     Automorphism,
-    Subgroup,
+    Mat2,
     Unit,
-    _members,
     centralizer,
-    check_pair,
     check_pairs,
     conj_class_reps,
     conjugacy_partition,
@@ -91,63 +88,56 @@ class EnumerationReport:
         return len(self.triples)
 
 
-def _one_minus(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> int:
-    """The code `int(M)` of the endomorphism M = 1 - phi - psi, building no `Mat2`.
-
-    A residue for Z_{p^k}; for Z_p x Z_p the `_matrix_code` of the (possibly
-    singular) matrix.
-    """
+def _one_minus(G: GroupSpec, phi: int, psis) -> np.ndarray:
+    """The codes of the endomorphisms 1 - phi - psi, one per psi code of `psis`: residues, or (possibly singular) matrix codes."""
     if isinstance(G, Cyclic):
-        return (1 - phi.value - psi.value) % G.order
-    return _matrix_code(
-        1 - phi.m00 - psi.m00, -phi.m01 - psi.m01, -phi.m10 - psi.m10, 1 - phi.m11 - psi.m11, G.p
-    )
+        return (1 - phi - np.asarray(psis, dtype=np.int64)) % G.order
+    x = np.array([1, 0, 0, 1]) - _matrix_entries([phi], G.p) - _matrix_entries(psis, G.p)
+    return _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], G.p)
 
 
 @lru_cache(maxsize=None)
-def _class_reps(p: int) -> Subgroup:
-    """The matrices of `conj_class_reps(p)`, in its order."""
-    return Subgroup(conj_class_reps(p))
+def reps_x(G: GroupSpec) -> np.ndarray:
+    """The codes of the conjugacy-class representatives of Aut(G), in a read-only array, made once per group.
 
-
-def reps_x(G: GroupSpec) -> Subgroup:
-    """Conjugacy-class representatives of Aut(G).
-
-    Aut of a cyclic group is abelian, so every unit is its own class; for
-    Z_p x Z_p the representatives are the four matrix kinds, checked (once
-    per prime, by `conjugacy_partition`) to be a transversal of GL(2, p).
+    Aut of a cyclic group is abelian, so every unit is its own class.  For
+    Z_p x Z_p they are the keys of `conj_class_reps(p)`, in its order,
+    checked (once per prime, by `conjugacy_partition`) to be a transversal.
+    Every block reads this array, to check its phi and to find its kind.
     """
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
     conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
-    return _class_reps(G.p)
+    codes = np.array([int(R) for R in conj_class_reps(G.p)], dtype=np.int64)
+    codes.setflags(write=False)
+    return codes
 
 
-def reps_y(G: GroupSpec, phi: Automorphism) -> Subgroup:
-    """Conjugacy-class representatives of C(phi), conjugating inside C(phi).
+def reps_y(G: GroupSpec, phi: int) -> np.ndarray:
+    """The codes of the conjugacy-class representatives of C(phi), conjugating inside C(phi).
 
     For a unit or a scalar phi the centralizer is all of Aut(G), so the
-    `reps_x` transversal is reused.  For the other kinds `gl2._members` has
-    verified C(phi) to be commutative, so it is its own transversal.  phi must
-    be in `reps_x(G)`: any unit of G's modulus, or a key of `conj_class_reps`.
+    `reps_x` transversal is reused.  For the other kinds `gl2.centralizer`
+    has verified C(phi) to be commutative, so it is its own transversal.
+    phi must be the code of a representative in `reps_x(G)`.
     """
     reps = reps_x(G)  # checks the transversal
     cyclic = isinstance(G, Cyclic)
-    if not (isinstance(phi, Unit) and phi.modulus == G.order if cyclic else phi in conj_class_reps(G.p)):
-        raise ValueError(f"{phi} is not a designated representative")
-    if cyclic or phi.is_scalar():
+    if not (isinstance(phi, (int, np.integer)) and (0 < phi < G.order and phi % G.p if cyclic else phi in reps.tolist())):
+        raise ValueError(f"{phi!r} is not the code of a designated representative of {G}")
+    if cyclic or phi % (G.p ** 3 + 1) == 0:  # the scalar codes a(p^3 + 1), digits (a, 0, 0, a)
         return reps
-    return _members(G.p, centralizer(phi).tobytes())
+    return centralizer(G.p, phi)
 
 
-def stabilizer(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> Subgroup:
-    """C(phi) & C(psi): every automorphism commuting with both."""
-    check_pair(G, phi, psi)
+def stabilizer(G: GroupSpec, phi: int, psi: int) -> np.ndarray:
+    """The codes of C(phi) & C(psi), every automorphism commuting with both, in a read-only array."""
+    check_pairs(G, phi, (psi,))
     if isinstance(G, Cyclic):
         return units(G.p, G.k)
     # A scalar phi is central, so this is C(psi).  Otherwise psi lies in C(phi),
-    # which `gl2._members` checks to be commutative, so this is C(phi).
-    return _members(G.p, centralizer(psi if phi.is_scalar() else phi).tobytes())
+    # which `centralizer` checks to be commutative, so this is C(phi).
+    return centralizer(G.p, psi if phi % (G.p ** 3 + 1) == 0 else phi)
 
 
 _ACTION_CHUNK = 1 << 14  # action-array entries held at a time by _orbit_reps
@@ -189,13 +179,13 @@ def _orbit_reps(G: GroupSpec, maps: bytes, cosets: CosetList) -> tuple:
     return tuple(cosets.representatives[i] for i in roots)
 
 
-def orbit_reps_c(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> tuple:
-    """Orbit representatives of C(phi) & C(psi) on G / Im(1 - phi - psi)."""
-    check_pair(G, phi, psi)
-    cosets = quotient_cosets(G, _one_minus(G, phi, psi))
+def orbit_reps_c(G: GroupSpec, phi: int, psi: int) -> tuple:
+    """Orbit representatives of C(phi) & C(psi) on G / Im(1 - phi - psi), for automorphism codes phi and psi."""
+    check_pairs(G, phi, (psi,))
+    cosets = quotient_cosets(G, _one_minus(G, phi, (psi,))[0])
     if len(cosets) == 1:
         return (G.zero,)
-    return _orbit_reps(G, stabilizer(G, phi, psi).codes.tobytes(), cosets)
+    return _orbit_reps(G, stabilizer(G, phi, psi).tobytes(), cosets)
 
 
 _RANK_SUFFIX = {2: "regular", 1: "rank1", 0: "rank0"}  # the rank-split tags of cases 2 and 3
@@ -213,61 +203,68 @@ def _tag(p: int, phi_kind: str, psi_kind: str, cosets: CosetList) -> str:
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
-def _block(G: GroupSpec, phi: Automorphism, table: list) -> tuple:
-    """The block of phi: (phi, rows), one row (psi, case tag, c representatives) per psi.
+def _block(G: GroupSpec, phi: int, table: list) -> tuple:
+    """The block of the phi code: (phi, psis, tags, cs), one case tag and one tuple of c representatives per psi.
 
-    The pair check, 1 - phi - psi and its image are computed for all psi at
-    once, from their codes.  For Z_{p^k} every stabilizer is all of Aut(G),
-    so the c representatives depend on the residue m = 1 - phi - psi alone:
-    `table`, shared by one enumeration's blocks, holds them by m, each found
-    by `orbit_reps_c` for the first pair that reaches m.  Rank-2 blocks do not read it.
+    psis holds the psi codes, `reps_y(G, phi)`.  The pair check, 1 - phi -
+    psi and its image are computed for all psi at once, from their codes.
+    For Z_{p^k} every stabilizer is all of Aut(G), so the c representatives
+    depend on the residue m = 1 - phi - psi alone: `table`, shared by one
+    enumeration's blocks, holds them by m, each found by `orbit_reps_c` for
+    the first pair that reaches m.  Rank-2 blocks do not read it.
     """
     psis = reps_y(G, phi)
     check_pairs(G, phi, psis)
     if isinstance(G, Cyclic):
-        ms = ((1 - phi.value - psis.codes) % G.order).tolist()
+        ms = _one_minus(G, phi, psis).tolist()
         cs = list(map(table.__getitem__, ms))
         for i in [i for i, c in enumerate(cs) if c is None]:
-            cs[i] = table[ms[i]] = orbit_reps_c(G, phi, psis[i])
-        return phi, tuple(zip(psis, repeat(CASE_TAG_CYCLIC), cs))
-    p, kinds = G.p, conj_class_reps(G.p)
-    x = np.array([1, 0, 0, 1]) - np.array(phi.entries) - _matrix_entries(psis.codes, p)
-    cosets = quotients(G, _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p))
+            cs[i] = table[ms[i]] = orbit_reps_c(G, phi, int(psis[i]))
+        return phi, psis, (CASE_TAG_CYCLIC,) * len(psis), tuple(cs)
+    p, kinds = G.p, tuple(conj_class_reps(G.p).values())
+    kind = kinds[reps_x(G).tolist().index(phi)]
+    cosets = quotients(G, _one_minus(G, phi, psis))
 
     # C(phi) & C(psi) is C(fixed): C(psi) for a scalar phi, else C(phi), as in `stabilizer`
     def tail(psi_kind, quotient, fixed):
-        cs = (G.zero,) if len(quotient) == 1 else _orbit_reps(G, centralizer(fixed).tobytes(), quotient)
-        return _tag(p, kinds[phi], psi_kind, quotient), cs
+        cs = (G.zero,) if len(quotient) == 1 else _orbit_reps(G, centralizer(p, fixed).tobytes(), quotient)
+        return _tag(p, kind, psi_kind, quotient), cs
 
-    if kinds[phi] == SCALAR:  # psis are `_class_reps(p)`, in the order of their kinds
-        tails = [tail(k, q, psi) for psi, k, q in zip(psis, kinds.values(), cosets)]
+    if kind == SCALAR:  # psis are `reps_x(G)`, in the order of their kinds
+        tails = [tail(k, q, psi) for psi, k, q in zip(psis.tolist(), kinds, cosets)]
     else:  # one stabilizer, C(phi), for every psi
         by_quotient = {q: tail(None, q, phi) for q in set(cosets)}
         tails = [by_quotient[q] for q in cosets]
-    return phi, tuple((psi, tag, cs) for psi, (tag, cs) in zip(psis, tails))
+    return phi, psis, tuple(tag for tag, _ in tails), tuple(cs for _, cs in tails)
 
 
 def enumerate_blocks(G: GroupSpec):
     """Yield the block of every phi representative, in phi order, as each is made.
 
-    A block is `(phi, rows)`, one row `(psi, case_tag, cs)` per psi
-    representative, where `cs` holds the c representatives.
+    A block is `(phi, psis, tags, cs)`: the phi code, the psi codes of
+    `reps_y(G, phi)` in one read-only int64 array, and per psi its case tag
+    and the tuple of its c representatives.
     """
     table = [None] * G.order
-    return (_block(G, phi, table) for phi in reps_x(G))
+    return (_block(G, phi, table) for phi in reps_x(G).tolist())
 
 
 def enumerate_forms(G: GroupSpec) -> EnumerationReport:
     """Full representative-triple list for G, with per-case tallies."""
-    return EnumerationReport(G, tuple(block_triples(enumerate_blocks(G))))
+    return EnumerationReport(G, tuple(block_triples(G, enumerate_blocks(G))))
 
 
-def block_triples(blocks):
-    """Yield the `RepresentativeTriple`s of a stream of blocks, in order."""
-    for phi, rows in blocks:
-        for psi, tag, cs in rows:
-            for c in cs:
-                yield RepresentativeTriple(phi, psi, c, tag)
+def block_triples(G: GroupSpec, blocks):
+    """Yield the `RepresentativeTriple`s of a stream of blocks of G, in order: a `Unit` or `Mat2` built once per phi and per psi."""
+    for phi, psis, tags, cs in blocks:
+        codes = [phi, *psis.tolist()]
+        if isinstance(G, Cyclic):
+            autos = [Unit(code, G.order) for code in codes]
+        else:
+            autos = [Mat2(*entries, G.p) for entries in _matrix_entries(codes, G.p).tolist()]
+        for psi, tag, c_reps in zip(autos[1:], tags, cs):
+            for c in c_reps:
+                yield RepresentativeTriple(autos[0], psi, c, tag)
 
 
 def closed_form_cyclic(p: int, k: int) -> int:

@@ -10,6 +10,8 @@ and its singular members dropped; the conjugacy partition follows from
 trace, determinant and orbit-stabilizer, conjugating nothing.  Both run on
 integer arrays of matrix entries (one row per matrix, columns m00, m01,
 m10, m11) or of matrix codes, and build no `Mat2` per element of GL(2, p).
+The enumeration carries each automorphism as its code (a residue, or a
+`groups._matrix_code`); `Unit` and `Mat2` are for library callers.
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ class Mat2:
     def entries(self) -> tuple:
         return (self.m00, self.m01, self.m10, self.m11)
 
-    def det(self) -> int:
-        return (self.m00 * self.m11 - self.m01 * self.m10) % self.p
-
-    def is_scalar(self) -> bool:
-        return self.m01 == 0 and self.m10 == 0 and self.m00 == self.m11
-
     def __int__(self) -> int:
         return _matrix_code(self.m00, self.m01, self.m10, self.m11, self.p)
 
@@ -104,20 +100,6 @@ class Unit:
 Automorphism = Union[Unit, Mat2]
 
 
-class Subgroup(tuple):
-    """A tuple of automorphisms with their codes `int(f)` in one read-only array; hashed once."""
-
-    def __new__(cls, members):
-        self = super().__new__(cls, members)
-        self.codes = np.array([int(f) for f in self], dtype=np.int64)
-        self.codes.setflags(write=False)
-        self._hash = tuple.__hash__(self)
-        return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-
 def _mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """Matrix products of entry arrays x, y of shape (..., 4), broadcast, reduced mod p."""
     a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
@@ -148,23 +130,21 @@ def _span_basis(x: np.ndarray, p: int) -> list:
     return basis
 
 
-def _assert_commutative(members: tuple) -> bool:
-    """Raise unless every pair of the matrices commutes.
+def _assert_commutative(x: np.ndarray, p: int) -> bool:
+    """Raise unless every pair of the matrices over F_p with entry rows x, shape (n, 4), commutes.
 
     AB - BA is bilinear in (A, B), so every pair commutes iff every member
     commutes with each matrix of a basis of the members' span over F_p.
     Only when one does not is every pair multiplied, to name the first
-    failing pair.
+    failing pair, whose two `Mat2` are the only ones built.
     """
-    p = members[0].p
-    x = np.array([m.entries for m in members], dtype=np.int32)
     basis = x[_span_basis(x, p)]
     if (_mul(x[:, None], basis, p) == _mul(basis, x[:, None], p)).all():
         return True
-    products = _mul(x[:, None], x[None, :], p)  # [i, j] = members[i] members[j]
+    products = _mul(x[:, None], x[None, :], p)  # [i, j] = x[i] x[j]
     # the first failing pair in row-major order, so i < j
     i, j = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))[0]
-    raise ValueError(f"centralizer is not commutative: {members[i]} vs {members[j]}")
+    raise ValueError(f"centralizer is not commutative: {Mat2(*x[i].tolist(), p)} vs {Mat2(*x[j].tolist(), p)}")
 
 
 @lru_cache(maxsize=None)
@@ -187,9 +167,11 @@ def conj_class_reps(p: int) -> MappingProxyType:
     return MappingProxyType(reps)
 
 
-@lru_cache(maxsize=None)
 def _gl2_entries(p: int) -> np.ndarray:
-    """Entry rows of every invertible 2x2 matrix over F_p, lexicographic by entries."""
+    """Entry rows of every invertible 2x2 matrix over F_p, lexicographic by entries.
+
+    Not cached: its callers, `gl2_elements` and `conjugacy_partition`, cache their own results.
+    """
     p = Prime(p)
     x = np.indices((p,) * 4, dtype=np.int32).reshape(4, -1).T
     x = x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
@@ -224,37 +206,31 @@ def _null_space(rows: list, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def centralizer(A: Mat2) -> np.ndarray:
-    """The codes `int(B)` of C(A) = {B in GL(2,p) : AB = BA}, ascending, in a read-only array.
+def centralizer(p: int, A: int) -> np.ndarray:
+    """The codes of C(A) = {B in GL(2,p) : AB = BA}, for the matrix code A over F_p, ascending, in a read-only array.
 
     The matrices commuting with A are the null space of the linear map
     B -> AB - BA on the 2x2 matrices over F_p.  Its span is listed from a
-    basis, and the singular matrices are dropped.
+    basis, and the singular matrices are dropped.  Unless A is scalar, C(A)
+    is checked to be commutative, which `reps_y` and `stabilizer` rely on.
     """
-    if A.det() == 0:
-        raise ValueError(f"{A} is singular; centralizers are taken in GL(2,p)")
-    p, (a, b, c, d) = A.p, A.entries
+    p = Prime(p)
+    if not 0 <= A < p ** 4:
+        raise ValueError(f"{A} is not the code of a 2x2 matrix over F_{p}")
+    a, b, c, d = _matrix_entries([A], p)[0].tolist()
+    if (a * d - b * c) % p == 0:
+        raise ValueError(f"{Mat2(a, b, c, d, p)} is singular; centralizers are taken in GL(2,p)")
     # row i holds entry i of AB - BA as a linear form in B's entries
     basis = _null_space([[0, -c, b, 0], [-b, a - d, 0, b], [c, 0, d - a, -c], [0, c, -b, 0]], p)
     x = np.indices((p,) * len(basis)).reshape(len(basis), -1).T @ basis % p
     x = x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
-    codes = np.sort(_matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p))
+    codes = _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p)
+    order = np.argsort(codes)
+    if len(basis) < 4:  # else A is scalar and C(A) all of GL(2,p)
+        _assert_commutative(x[order], p)
+    codes = codes[order]
     codes.setflags(write=False)
     return codes
-
-
-@lru_cache(maxsize=None)
-def _members(p: int, codes: bytes) -> Subgroup:
-    """The matrices over F_p of the int64 codes in `codes`, as a `Subgroup` in their order.
-
-    Keyed on the codes, so a centralizer shared by many matrices is built,
-    and checked to commute unless it is all of GL(2,p) (a scalar's), once.
-    """
-    rows = _matrix_entries(np.frombuffer(codes, dtype=np.int64), p).tolist()
-    members = Subgroup(Mat2(*row, p) for row in rows)
-    if len(members) < len(_gl2_entries(p)):
-        _assert_commutative(members)
-    return members
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +250,7 @@ def conjugacy_partition(p: int) -> np.ndarray:
     classes = np.full(len(keys), -1, dtype=np.int32)
     for i, R in enumerate(conj_class_reps(p)):
         cls = keys == _class_key(np.array(R.entries), p)
-        size, stabilizer = int(cls.sum()), len(centralizer(R))
+        size, stabilizer = int(cls.sum()), len(centralizer(p, int(R)))
         if size * stabilizer != len(keys):
             raise ValueError(
                 f"orbit-stabilizer fails for {R}: {size} share its key, {stabilizer} commute,"
@@ -300,55 +276,68 @@ def commutes(A: Automorphism, B: Automorphism) -> bool:
     raise TypeError("cannot mix a unit with a matrix")
 
 
-def _acts_on(G: GroupSpec, f) -> bool:
-    """Whether f is a map of G's family over G itself: a `Unit` of its modulus, or a `Mat2` over its field."""
-    return isinstance(f, Unit) and f.modulus == G.order if isinstance(G, Cyclic) else isinstance(f, Mat2) and f.p == G.p
+def _codes(G: GroupSpec, maps) -> list:
+    """The codes of the maps; ValueError names the first that is not a `Unit` of G's modulus or a `Mat2` over its field."""
+    cyclic = isinstance(G, Cyclic)
+    for f in maps:
+        if not (isinstance(f, Unit) and f.modulus == G.order if cyclic else isinstance(f, Mat2) and f.p == G.p):
+            raise ValueError(f"{f} does not act on {G}")
+    return [int(f) for f in maps]
 
 
 def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
-    """Raise ValueError unless phi and psi are invertible, commuting automorphisms of G itself."""
-    cyclic = isinstance(G, Cyclic)
-    for f in (phi, psi):
-        if not _acts_on(G, f):
-            raise ValueError(f"{f} does not act on {G}")
-    if not (phi.value % G.p and psi.value % G.p if cyclic else phi.det() and psi.det()):
-        raise ValueError(f"phi = {phi} and psi = {psi} must both be invertible")
-    if not cyclic and not commutes(phi, psi):  # units of one modulus commute
-        raise ValueError("phi and psi do not commute")
+    """Raise ValueError unless phi and psi are invertible, commuting automorphisms of G itself.
 
-
-def check_pairs(G: GroupSpec, phi: Automorphism, psis: Subgroup) -> None:
-    """`check_pair(G, phi, psi)` for every psi of `psis`, in one numpy pass over their codes.
-
-    Raises what `check_pair` raises for the first pair, in list order, that fails it.
+    Each must be a `Unit` of G's modulus or a `Mat2` over G's field, and
+    `check_pairs` checks their codes.
     """
+    phi, psi = _codes(G, (phi, psi))
+    check_pairs(G, phi, (psi,))
+
+
+def _shown(G: GroupSpec, code: int) -> str:
+    """The automorphism of a code as its `Unit` or `Mat2` prints."""
     if isinstance(G, Cyclic):
-        fails = psis.codes % G.p == 0  # a unit's code is its residue
+        return f"{code} mod {G.order}"
+    return str(Mat2(*_matrix_entries([code], G.p)[0].tolist(), G.p))
+
+
+def check_pairs(G: GroupSpec, phi, codes) -> None:
+    """Raise ValueError unless each (phi, psi), psi in `codes`, codes a pair of invertible, commuting automorphisms of G.
+
+    phi is one code, or one code per psi: a residue for Z_{p^k}, a
+    `groups._matrix_code` for Z_p x Z_p.  One numpy pass checks every pair;
+    the message names the first failing pair, in list order, by the first
+    clause it fails: a code out of range (phi's first), a map that is not
+    invertible, a pair that does not commute.
+    """
+    psis = np.asarray(codes, dtype=np.int64)
+    x = np.empty((len(psis), 2), dtype=np.int64)  # row i: (phi, psi) of pair i
+    x[:, 0], x[:, 1] = phi, psis
+    cyclic, p = isinstance(G, Cyclic), G.p
+    outside = (x < 0) | (x >= (G.order if cyclic else p ** 4))
+    if cyclic:  # units of one modulus commute
+        singular, clash = x % p == 0, np.zeros(len(x), dtype=bool)
     else:
-        p, a = G.p, np.array(phi.entries)
-        x = _matrix_entries(psis.codes, p)
-        fails = (x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p == 0
-        fails |= (_mul(a, x, p) != _mul(x, a, p)).any(axis=-1)
-    fails |= ~_acting(G, psis)
-    if len(psis):
-        check_pair(G, phi, psis[0])  # phi itself, in the first pair
-    if fails.any():
-        first = psis[int(fails.argmax())]
-        check_pair(G, phi, first)  # raises that pair's ValueError
-        raise AssertionError(f"check_pair passes {first}, which check_pairs fails")
-
-
-@lru_cache(maxsize=None)
-def _acting(G: GroupSpec, autos: Subgroup) -> np.ndarray:
-    """`_acts_on(G, f)` for each member, in a read-only array; a list that many blocks share is walked once."""
-    acting = np.array([_acts_on(G, f) for f in autos], dtype=bool)
-    acting.setflags(write=False)
-    return acting
+        e = _matrix_entries(x.ravel(), p).reshape(-1, 2, 4)
+        singular = (e[..., 0] * e[..., 3] - e[..., 1] * e[..., 2]) % p == 0
+        clash = (_mul(e[:, 0], e[:, 1], p) != _mul(e[:, 1], e[:, 0], p)).any(axis=-1)
+    if not ((outside | singular).any() or clash.any()):
+        return
+    i = int(((outside | singular).any(axis=1) | clash).argmax())
+    for code, out in zip(x[i].tolist(), outside[i]):
+        if out:
+            raise ValueError(f"{code} is not the code of an automorphism of {G}")
+    if singular[i].any():
+        raise ValueError(f"phi = {_shown(G, int(x[i, 0]))} and psi = {_shown(G, int(x[i, 1]))} must both be invertible")
+    raise ValueError("phi and psi do not commute")
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: units(3, True) must reach the check, not hit units(3, 1)
-def units(p: int, k: int = 1) -> Subgroup:
-    """Aut(Z_{p^k}): all residues coprime to p, ascending; count p^k - p^(k-1)."""
+def units(p: int, k: int = 1) -> np.ndarray:
+    """Aut(Z_{p^k}) as the residues coprime to p, ascending, in a read-only int64 array; count p^k - p^(k-1)."""
     G = Cyclic(p, k)  # checks p and k
-    p, n = G.p, G.order
-    return Subgroup(Unit(u, n) for u in range(1, n) if u % p != 0)
+    residues = np.arange(1, G.order, dtype=np.int64)
+    residues = residues[residues % G.p != 0]
+    residues.setflags(write=False)
+    return residues

@@ -38,7 +38,7 @@ class Cyclic:
             raise ValueError(f"exponent k must be an int, not {self.k!r}") from None
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
-        # Stored once, like gl2.Subgroup's: every cache keyed on the group hashes it.
+        # Stored once: every cache keyed on the group hashes it on each lookup.
         object.__setattr__(self, "_hash", hash((self.p, self.k)))
 
     def __hash__(self) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gl2 import commutes, gl2_elements, units
+from .gl2 import Unit, commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable, affine_tables
 
@@ -194,7 +194,7 @@ def _affine_pairs(G: GroupSpec) -> list:
     """Every ordered pair (phi, psi) of commuting automorphisms of G."""
     if G.order > CLASSIFY_ORDER_CAP:
         raise ValueError(f"group of order {G.order} exceeds the cap {CLASSIFY_ORDER_CAP}")
-    auts = units(G.p, G.k) if isinstance(G, Cyclic) else gl2_elements(G.p)
+    auts = [Unit(u, G.order) for u in units(G.p, G.k).tolist()] if isinstance(G, Cyclic) else gl2_elements(G.p)
     return [(phi, psi) for phi in auts for psi in auts if commutes(phi, psi)]
 
 

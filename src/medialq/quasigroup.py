@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gl2 import Automorphism, check_pair
+from .gl2 import Automorphism, _codes, check_pair, check_pairs
 from .groups import GroupSpec, _add_table
 
 
@@ -99,19 +99,20 @@ def _affine_cells(G: GroupSpec, codes: list, cs) -> np.ndarray:
 def affine_tables(G: GroupSpec, pairs, cs) -> np.ndarray:
     """The tables of x*y = phi(x) + psi(y) + c, for each (phi, psi) of `pairs` and each element index c of its row of `cs`.
 
-    `check_pair` runs once per pair.  Table by table, the result is
-    `build_table(AffineForm(G, phi, psi, G.elements()[c])).cells`, pair
-    after pair, and within a pair in the order of its row of `cs`.
+    The pairs are checked as `check_pair` checks one, all their codes in one
+    `check_pairs` pass.  Table by table, the result is `build_table(AffineForm(G,
+    phi, psi, G.elements()[c])).cells`, pair after pair, and within a pair in
+    the order of its row of `cs`.
     """
     pairs = list(pairs)
-    for phi, psi in pairs:
-        check_pair(G, phi, psi)
+    codes = _codes(G, [f for pair in pairs for f in pair])
+    check_pairs(G, codes[0::2], codes[1::2])
     if not pairs:
         return np.empty((0, G.order, G.order), dtype=np.min_scalar_type(G.order - 1))
     cs = np.asarray(cs, dtype=np.int64).reshape(len(pairs), -1)
     if cs.size and not (0 <= cs.min() and cs.max() < G.order):
         raise ValueError(f"element indices of {G} must lie in [0, {G.order})")
-    return _affine_cells(G, [(int(phi), int(psi)) for phi, psi in pairs], cs)
+    return _affine_cells(G, list(zip(codes[0::2], codes[1::2])), cs)
 
 
 def build_table(form: AffineForm) -> CayleyTable:
@@ -257,14 +258,13 @@ def _tokens(text: str, chunk: int = 1 << 16):
         start = end
 
 
-def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
-    """Parse one or more concatenated text-format tables.
+def _iter_tables(text: str, max_order: Optional[int] = None):
+    """Parse one or more concatenated text-format tables, yielding each as it is parsed.
 
     A table whose order is below 1 or exceeds `max_order` is rejected as
     soon as its order is read, before any of its cells.
     """
     tokens = _tokens(text)
-    tables = []
     for token in tokens:
         try:
             n = int(token)
@@ -283,5 +283,9 @@ def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
             cells = np.fromiter(map(int, words), dtype=np.int64, count=n * n)
         except OverflowError:
             raise ValueError("table entries must be indices in [0, n)")
-        tables.append(CayleyTable(n, cells.reshape(n, n)))
-    return tables
+        yield CayleyTable(n, cells.reshape(n, n))
+
+
+def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
+    """The tables of `_iter_tables(text, max_order)`, as a list."""
+    return list(_iter_tables(text, max_order))

@@ -3,16 +3,20 @@
 `_case_tag` is the per-pair case tag that the enumeration computed before
 its blocks were made from code arrays; `filter_centralizer` is the
 brute-force centralizer filter over all of GL(2, p) that the null-space
-`gl2.centralizer` replaced.  `as_matrices` and `partition_classes` turn the
-package's code arrays back into `Mat2` objects, so the tests can compare
-them with object-level references.  The rest moved here from the package
+`gl2.centralizer` replaced.  `ref_reps_x`, `ref_reps_y` and
+`ref_stabilizer` list, as `Unit` and `Mat2` objects found by brute force,
+what `enumeration.reps_x`, `reps_y` and `stabilizer` return as codes, in
+their order.  `automorphism`, `as_matrices` and `partition_classes` turn
+the package's codes back into `Unit` and `Mat2` objects, so the tests can
+compare them with object-level references.  The rest moved here from the package
 as they were, since only the tests call them: `count_irreducible_quadratics`
 (from `fp`), `gl2_order` and `parametrized_centralizer` (from `gl2`),
 `jsonl_record` (from `enumeration`, the byte reference of the CLI's output
 templates), `relabel`, `all_latin_squares`, `_cycle_lengths` and
 `_signatures` (from `oracle`), `identity_matrix` and `zero_matrix` (the
 classmethods `Mat2.identity` and `Mat2.zero`), `mul`, `sub`, `rank` and `inv`
-(the `Mat2` methods `mul`, `__sub__`, `rank` and `inv`), and `add` and
+(the `Mat2` methods `mul`, `__sub__`, `rank` and `inv`), `det` and
+`is_scalar` (the `Mat2` methods of those names), and `add` and
 `apply` (the methods of `Cyclic` and `ElemAbelianRank2`).  `walk_fingerprint` and
 `tuple_classify` are the oracle's fingerprint and `classify` as they were
 before its invariants came from one array pass: per-table walks and
@@ -31,6 +35,7 @@ from medialq.gl2 import (
     JORDAN,
     SCALAR,
     Mat2,
+    Unit,
     _gl2_entries,
     _mul,
     _product,
@@ -45,7 +50,7 @@ from medialq.quasigroup import CayleyTable
 LATIN_SCAN_CAP = 4
 
 
-def _case_tag(G: GroupSpec, phi, psi) -> str:
+def _case_tag(G: GroupSpec, phi: Mat2, psi: Mat2) -> str:
     """The constant cyclic tag, or the rank-2 case from the kinds and the rank of 1 - phi - psi.
 
     The rank is read from the order of the image, 1, p or p^2: the same cached
@@ -54,7 +59,7 @@ def _case_tag(G: GroupSpec, phi, psi) -> str:
     if isinstance(G, Cyclic):
         return CASE_TAG_CYCLIC
     kinds = conj_class_reps(G.p)
-    image_order = quotient_cosets(G, _one_minus(G, phi, psi)).subgroup_order
+    image_order = quotient_cosets(G, _one_minus(G, int(phi), (int(psi),))[0]).subgroup_order
     rank = {1: 0, G.p: 1, G.order: 2}[image_order]
     if kinds[phi] == SCALAR:
         state = "regular" if rank == 2 else "singular"
@@ -77,6 +82,32 @@ def filter_centralizer(A: Mat2) -> list:
 def as_matrices(codes, p: int) -> tuple:
     """The `Mat2` of each matrix code, in order; `Mat2` reduces each base-p digit mod p."""
     return tuple(Mat2(c // p ** 3, c // (p * p), c // p, c, p) for c in np.asarray(codes).tolist())
+
+
+def automorphism(G: GroupSpec, code: int):
+    """The `Unit` or `Mat2` of an automorphism code of G."""
+    return Unit(code, G.order) if isinstance(G, Cyclic) else as_matrices([code], G.p)[0]
+
+
+def ref_reps_x(G: GroupSpec) -> list:
+    """Aut(G) listed by brute force for Z_{p^k}, every coprime residue; the `conj_class_reps` keys for Z_p x Z_p."""
+    if isinstance(G, Cyclic):
+        return [Unit(u, G.order) for u in range(1, G.order) if u % G.p]
+    return list(conj_class_reps(G.p))
+
+
+def ref_stabilizer(G: GroupSpec, phi, psi) -> list:
+    """Every automorphism of G commuting with phi and psi, in element order: all units, or a filter of GL(2, p)."""
+    if isinstance(G, Cyclic):
+        return ref_reps_x(G)
+    return [B for B in gl2_elements(G.p) if mul(B, phi) == mul(phi, B) and mul(B, psi) == mul(psi, B)]
+
+
+def ref_reps_y(G: GroupSpec, phi) -> list:
+    """The psi representatives of phi: `ref_reps_x` for a unit or a scalar phi, else all of C(phi)."""
+    if isinstance(G, Cyclic) or conj_class_reps(G.p)[phi] == SCALAR:
+        return ref_reps_x(G)
+    return ref_stabilizer(G, phi, phi)
 
 
 def partition_classes(p: int) -> tuple:
@@ -226,16 +257,26 @@ def sub(A: Mat2, B: Mat2) -> Mat2:
     )
 
 
+def det(A: Mat2) -> int:
+    """The determinant of A over F_p; formerly `Mat2.det`."""
+    return (A.m00 * A.m11 - A.m01 * A.m10) % A.p
+
+
+def is_scalar(A: Mat2) -> bool:
+    """Whether A is a*I; formerly `Mat2.is_scalar`."""
+    return A.m01 == 0 and A.m10 == 0 and A.m00 == A.m11
+
+
 def rank(A: Mat2) -> int:
     """The rank of A over F_p; formerly `Mat2.rank`."""
-    if A.det() != 0:
+    if det(A) != 0:
         return 2
     return 0 if A.entries == (0, 0, 0, 0) else 1
 
 
 def inv(A: Mat2) -> Mat2:
     """The inverse of A, raising for a singular A; formerly `Mat2.inv`."""
-    d = A.det()
+    d = det(A)
     if d == 0:
         raise ValueError(f"{A} is singular")
     di = fp_inv(d, A.p)

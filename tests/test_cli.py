@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from medialq.enumeration import (
 from medialq.gl2 import centralizer, gl2_elements, units
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.quasigroup import AffineForm, CayleyTable, build_table, tables_from_text, to_text
-from reference import as_matrices, jsonl_record
+from reference import jsonl_record
 
 
 def run(capsys, *argv):
@@ -202,8 +203,16 @@ def test_verify_rejects_an_order_below_one_before_any_cell(tmp_path, capsys, tex
             ("enumerate", "--group", "cyclic", "--p", "17", "--k", "2"),
             "f3f707f8c0b6d03b8880ea198dd7d76a89eb41e549876287a556ab50c06f2369",
         ),
+        (
+            ("enumerate", "--group", "zp2", "--p", "5", "--format", "text"),
+            "464cb21367a4007d1676212d8fe589da8d14367d36db78965a92482120775d89",
+        ),
+        (
+            ("enumerate", "--group", "cyclic", "--p", "7", "--k", "2", "--tables"),
+            "634401c4e1949cddb4792f24fec3d458e225e74a20510dbca42f3ef4a69ae60e",
+        ),
     ],
-    ids=["zp2-11", "cyclic-17-2"],
+    ids=["zp2-11", "cyclic-17-2", "zp2-5-text", "cyclic-7-2-tables"],
 )
 def test_full_size_enumerations_print_the_pinned_bytes(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv)
@@ -376,7 +385,7 @@ def refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an input over a bound")
 
-    for name in ("enumerate_forms", "enumerate_blocks", "build_table", "is_latin", "is_medial"):
+    for name in ("enumerate_forms", "enumerate_blocks", "_block_tables", "is_latin", "is_medial"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -513,6 +522,41 @@ def test_verify_rejects_an_oversized_table_as_its_order_is_read(tmp_path, capsys
     assert "tables of order 1000 exceed the bound n <= 81" in err
     assert out == ""
     assert built == [2]
+
+
+def test_verify_holds_one_table_at_a_time(tmp_path, monkeypatch):
+    # Held until the first line, every parsed order-1 table adds about 250
+    # bytes of peak; read one at a time, only the text grows, 4 bytes a
+    # table.  The table checks are stubbed, to keep the test short.
+    from medialq import cli
+
+    class Lines:
+        def __init__(self):
+            self.count = 0
+
+        def write(self, s):
+            self.count += s.count("\n")
+            return len(s)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "is_latin", lambda t: True)
+    monkeypatch.setattr(cli, "is_medial", lambda t: True)
+    peaks = []
+    for tables in (5000, 15000):
+        path = tmp_path / f"{tables}.txt"
+        path.write_text("1\n0\n" * tables)
+        lines = Lines()
+        monkeypatch.setattr(sys, "stdout", lines)
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--in", str(path)]) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert lines.count == tables
+    assert peaks[1] - peaks[0] < 1 << 20  # 10000 more tables; held, they took about 2.4 MB
 
 
 def verify_in_a_process(path):
@@ -653,21 +697,23 @@ def test_export_to_an_unusable_out_is_a_usage_error(tmp_path, capsys, monkeypatc
 
 @st.composite
 def blocks(draw):
-    """A phi block of either family, with any commuting psi, tags and c values."""
+    """A phi block of either family, in codes, with any commuting psi, tags and c values."""
     if draw(st.booleans()):
         G = Cyclic(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 2)))
-        autos, tags = units(G.p, G.k), [CASE_TAG_CYCLIC]
+        autos, tags = units(G.p, G.k).tolist(), [CASE_TAG_CYCLIC]
         phi = draw(st.sampled_from(autos))
     else:
         G = ElemAbelianRank2(draw(st.sampled_from([2, 3, 5])))
-        phi = draw(st.sampled_from(gl2_elements(G.p)))
-        autos, tags = as_matrices(centralizer(phi), G.p), CASE_TAGS_RANK2
+        phi = int(draw(st.sampled_from(gl2_elements(G.p))))
+        autos, tags = centralizer(G.p, phi).tolist(), CASE_TAGS_RANK2
     row = st.tuples(
         st.sampled_from(autos),
         st.sampled_from(tags),
         st.lists(st.sampled_from(G.elements()), min_size=1, max_size=4).map(tuple),
     )
-    return G, (phi, tuple(draw(st.lists(row, max_size=4))))
+    rows = draw(st.lists(row, max_size=4))
+    psis = np.array([psi for psi, _, _ in rows], dtype=np.int64)
+    return G, (phi, psis, tuple(tag for _, tag, _ in rows), tuple(cs for _, _, cs in rows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -677,7 +723,7 @@ def test_block_templates_print_the_reference_bytes(gb, tables):
 
     G, block = gb
     jsonl = text = ""
-    for t in block_triples([block]):
+    for t in block_triples(G, [block]):
         table = build_table(AffineForm(G, t.phi, t.psi, t.c)) if tables else None
         jsonl += json.dumps(jsonl_record(G, t, table)) + "\n"
         r = jsonl_record(G, t)

@@ -8,6 +8,7 @@ The core must agree with them exactly, ordering included.
 """
 
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from medialq import enumeration, gl2, groups
 from medialq.enumeration import (
     _one_minus,
     _orbit_reps,
+    closed_form_cyclic,
     enumerate_forms,
     orbit_reps_c,
     reps_x,
@@ -26,8 +28,8 @@ from medialq.enumeration import (
 )
 from medialq.fp import Prime
 from medialq.gl2 import (
+    SCALAR,
     Mat2,
-    Subgroup,
     Unit,
     _assert_commutative,
     _span_basis,
@@ -43,11 +45,17 @@ from reference import (
     add,
     apply,
     as_matrices,
+    automorphism,
+    det,
     identity_matrix,
     inv,
+    is_scalar,
     mul,
     partition_classes,
     rank,
+    ref_reps_x,
+    ref_reps_y,
+    ref_stabilizer,
     sub,
     zero_matrix,
 )
@@ -74,7 +82,7 @@ def plain(f):
 def one_minus(G, phi, psi):
     """1 - phi - psi as `apply` takes it, checked against the code `_one_minus` returns."""
     M = (1 - phi.value - psi.value) % G.order if isinstance(G, Cyclic) else sub(sub(identity_matrix(G.p), phi), psi)
-    assert _one_minus(G, phi, psi) == int(M)
+    assert _one_minus(G, int(phi), (int(psi),))[0] == int(M)
     return M
 
 
@@ -138,18 +146,23 @@ def ref_partition(p):
     )
 
 
-def ref_stabilizer(G, phi, psi):
-    if isinstance(G, Cyclic):
-        return units(G.p, G.k)
-    return tuple(
-        B
-        for B in gl2_elements(G.p)
-        if mul(B, phi) == mul(phi, B) and mul(B, psi) == mul(psi, B)
-    )
-
-
 def enumeration_pairs(G):
-    return [(phi, psi) for phi in reps_x(G) for psi in reps_y(G, phi)]
+    """Every (phi, psi) of the enumeration, as `Unit` or `Mat2` objects."""
+    return [
+        (automorphism(G, phi), automorphism(G, psi))
+        for phi in reps_x(G).tolist()
+        for psi in reps_y(G, phi).tolist()
+    ]
+
+
+def code_bytes(maps) -> bytes:
+    """The int64 bytes of the maps' codes, as `_orbit_reps` takes them."""
+    return np.array([int(m) for m in maps], dtype=np.int64).tobytes()
+
+
+def as_maps(G, codes) -> list:
+    """What `apply` takes for each code: the residue itself, or the matrix."""
+    return codes.tolist() if isinstance(G, Cyclic) else list(as_matrices(codes, G.p))
 
 
 # ---------------------------------------------------------------- equivalence
@@ -165,14 +178,14 @@ def test_every_pair_matches_the_reference_algorithms(G):
         assert cosets.subgroup_order == order
         assert [coset_index[g] for g in G.elements()] == cosets.coset_of.tolist()
         stab = ref_stabilizer(G, phi, psi)
-        assert stabilizer(G, phi, psi) == stab
+        assert stabilizer(G, int(phi), int(psi)).tolist() == [int(h) for h in stab]
         expected = (G.zero,) if len(reps) == 1 else ref_orbit_reps(
             G, [plain(h) for h in stab], M
         )
-        assert orbit_reps_c(G, phi, psi) == expected
+        assert orbit_reps_c(G, int(phi), int(psi)) == expected
         if isinstance(G, ElemAbelianRank2):
-            assert centralizer(phi).tolist() == [int(B) for B in ref_centralizer(phi)]
-            assert centralizer(psi).tolist() == [int(B) for B in ref_centralizer(psi)]
+            assert centralizer(phi.p, int(phi)).tolist() == [int(B) for B in ref_centralizer(phi)]
+            assert centralizer(psi.p, int(psi)).tolist() == [int(B) for B in ref_centralizer(psi)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -195,7 +208,7 @@ def test_conjugacy_partition_matches_object_conjugation(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_every_centralizer_matches_the_mul_filter(p):
     for A in gl2_elements(p):
-        assert centralizer(A).tolist() == [int(B) for B in ref_centralizer(A)]
+        assert centralizer(A.p, int(A)).tolist() == [int(B) for B in ref_centralizer(A)]
 
 
 def test_partition_raises_on_a_non_transversal(monkeypatch):
@@ -234,25 +247,55 @@ def test_partition_raises_on_a_key_coarser_than_the_class(monkeypatch, drop):
 
 def test_partition_raises_on_a_centralizer_one_member_short(monkeypatch):
     real = gl2.centralizer
-    monkeypatch.setattr(gl2, "centralizer", lambda A: real(A)[1:])
+    monkeypatch.setattr(gl2, "centralizer", lambda p, A: real(p, A)[1:])
     with pytest.raises(ValueError, match="orbit-stabilizer fails"):
         conjugacy_partition.__wrapped__(5)
+
+
+def as_entries(members) -> np.ndarray:
+    """The entry rows of the matrices, as `_assert_commutative` takes them."""
+    return np.array([M.entries for M in members], dtype=np.int64).reshape(-1, 4)
+
+
+def first_clash(members):
+    """The first pair (X, Y), X before Y, that does not commute, or None."""
+    return next(
+        ((X, Y) for i, X in enumerate(members) for Y in members[i + 1 :] if mul(X, Y) != mul(Y, X)),
+        None,
+    )
 
 
 def test_commutativity_check_names_the_first_failing_pair():
     I = identity_matrix(3)
     A, B, C = Mat2(1, 1, 0, 1, 3), Mat2(1, 0, 1, 1, 3), Mat2(2, 0, 0, 1, 3)
     members = (I, A, C, B)
-    first = next(
-        (X, Y)
-        for i, X in enumerate(members)
-        for Y in members[i + 1 :]
-        if mul(X, Y) != mul(Y, X)
-    )
+    first = first_clash(members)
     with pytest.raises(ValueError) as err:
-        _assert_commutative(members)
+        _assert_commutative(as_entries(members), 3)
     assert str(err.value) == f"centralizer is not commutative: {first[0]} vs {first[1]}"
-    assert _assert_commutative((I, A, Mat2(2, 2, 0, 2, 3))) is True
+    assert _assert_commutative(as_entries((I, A, Mat2(2, 2, 0, 2, 3))), 3) is True
+
+
+def test_a_centralizer_with_a_stranger_raises_the_commutativity_message(monkeypatch):
+    # one more basis vector, [[1,0],[1,1]], which does not commute with the
+    # Jordan block, puts non-commuting members into its listed centralizer
+    real, bases, p = gl2._null_space, [], 5
+
+    def widened(rows, p):
+        bases.append(np.vstack([real(rows, p), [1, 0, 1, 1]]))
+        return bases[-1]
+
+    monkeypatch.setattr(gl2, "_null_space", widened)
+    centralizer.cache_clear()
+    try:
+        with pytest.raises(ValueError) as err:
+            centralizer(p, int(Mat2(1, 1, 0, 1, p)))
+    finally:
+        centralizer.cache_clear()
+    (basis,) = bases
+    span = (Mat2(*(np.array(c) @ basis % p).tolist(), p) for c in np.ndindex((p,) * len(basis)))
+    first = first_clash(as_matrices(sorted(int(M) for M in span if det(M)), p))
+    assert str(err.value) == f"centralizer is not commutative: {first[0]} vs {first[1]}"
 
 
 @st.composite
@@ -278,8 +321,8 @@ def centralizers_with_a_stranger(draw):
     # the members of a non-scalar centralizer, maybe with one more invertible
     # matrix put in at some place
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    A = draw(st.sampled_from([A for A in gl2_elements(p) if not A.is_scalar()]))
-    members = list(as_matrices(centralizer(A), p))
+    A = draw(st.sampled_from([A for A in gl2_elements(p) if not is_scalar(A)]))
+    members = list(as_matrices(centralizer(A.p, int(A)), p))
     if draw(st.booleans()):
         members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(gl2_elements(p))))
     return tuple(members)
@@ -288,15 +331,12 @@ def centralizers_with_a_stranger(draw):
 @settings(max_examples=150, deadline=None)
 @given(centralizers_with_a_stranger())
 def test_the_basis_check_decides_what_every_pair_decides(members):
-    first = next(
-        ((X, Y) for i, X in enumerate(members) for Y in members[i + 1 :] if mul(X, Y) != mul(Y, X)),
-        None,
-    )
+    first = first_clash(members)
     if first is None:
-        assert _assert_commutative(members) is True
+        assert _assert_commutative(as_entries(members), members[0].p) is True
     else:
         with pytest.raises(ValueError) as err:
-            _assert_commutative(members)
+            _assert_commutative(as_entries(members), members[0].p)
         assert str(err.value) == f"centralizer is not commutative: {first[0]} vs {first[1]}"
 
 
@@ -324,11 +364,11 @@ def commuting_matrix_pairs(draw):
 @given(commuting_matrix_pairs())
 def test_stabilizer_is_the_brute_force_intersection_for_any_commuting_pair(case):
     G, phi, psi = case
-    if phi.det() == 0 or psi.det() == 0:
+    if det(phi) == 0 or det(psi) == 0:
         with pytest.raises(ValueError, match="must both be invertible"):
-            stabilizer(G, phi, psi)
+            stabilizer(G, int(phi), int(psi))
     else:
-        assert stabilizer(G, phi, psi) == ref_stabilizer(G, phi, psi)
+        assert stabilizer(G, int(phi), int(psi)).tolist() == [int(B) for B in ref_stabilizer(G, phi, psi)]
 
 
 def rep_id(rep):
@@ -346,33 +386,30 @@ def test_stabilizer_rejects_a_singular_matrix_of_every_kind(rep):
         S
         for e in np.ndindex((3,) * 4)
         for S in [Mat2(*e, 3)]
-        if S.det() == 0 and mul(S, R) == mul(R, S)
+        if det(S) == 0 and mul(S, R) == mul(R, S)
     ]
     assert zero_matrix(3) in singular
     for S in singular:
         for phi, psi in ((R, S), (S, R), (S, S)):
             with pytest.raises(ValueError, match="must both be invertible"):
-                stabilizer(G, phi, psi)
+                stabilizer(G, int(phi), int(psi))
 
 
 def test_commutativity_is_checked_once_per_non_scalar_matrix(monkeypatch):
     G = ElemAbelianRank2(Prime(5))
     real, checked = gl2._assert_commutative, []
 
-    def counting(members):
-        checked.append(members)
-        return real(members)
+    def counting(x, p):
+        checked.append(groups._matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p).tolist())
+        return real(x, p)
 
     monkeypatch.setattr(gl2, "_assert_commutative", counting)
     centralizer.cache_clear()
-    gl2._members.cache_clear()
     enumerate_forms(G)
-    non_scalar = {A for pair in enumeration_pairs(G) for A in pair if not A.is_scalar()}
-    # once per distinct centralizer: matrices that share one share its check
-    distinct = {centralizer(A).tobytes() for A in non_scalar}
-    assert len(distinct) < len(non_scalar)
-    assert len(set(checked)) == len(checked)
-    assert 0 < len(checked) <= len(distinct)
+    # the enumeration takes the centralizers of the representatives alone, and
+    # checks each non-scalar one once, on its members; a scalar's is GL(2,5)
+    non_scalar = [int(R) for R, kind in conj_class_reps(5).items() if kind != SCALAR]
+    assert sorted(checked) == sorted(centralizer(5, A).tolist() for A in non_scalar)
     before = len(checked)
     enumerate_forms(G)  # every centralizer is cached now, so nothing is checked again
     assert len(checked) == before
@@ -426,10 +463,10 @@ def test_orbits_of_arbitrary_map_lists_match_union_find(case, data):
             lambda e: Mat2(*e, G.p),
             st.lists(st.integers(0, G.p - 1), min_size=4, max_size=4),
         )
-    maps = Subgroup(data.draw(st.lists(map_strategy, max_size=6)))
+    maps = data.draw(st.lists(map_strategy, max_size=6))
     expected = ref_orbit_reps(G, maps, M)
     try:  # exact components, or refused: the least images are checked, not trusted
-        assert _orbit_reps(G, maps.codes.tobytes(), cosets) == expected
+        assert _orbit_reps(G, code_bytes(maps), cosets) == expected
     except ValueError as err:
         assert "moves a least image" in str(err)
 
@@ -443,9 +480,9 @@ def test_orbits_do_not_depend_on_the_block_size(G, monkeypatch):
         for phi, psi in enumeration_pairs(G):
             M = one_minus(G, phi, psi)
             cosets = quotient_cosets(G, M)
-            stab = stabilizer(G, phi, psi)
-            expected = ref_orbit_reps(G, [plain(h) for h in stab], M)
-            assert _orbit_reps(G, stab.codes.tobytes(), cosets) == expected
+            stab = stabilizer(G, int(phi), int(psi))
+            expected = ref_orbit_reps(G, as_maps(G, stab), M)
+            assert _orbit_reps(G, stab.tobytes(), cosets) == expected
     finally:
         enumeration._orbit_reps.cache_clear()
 
@@ -456,10 +493,10 @@ def test_orbits_of_a_projection_join_its_tails(p):
     # component lies on a tail, which no least image reaches, so it is refused
     G = ElemAbelianRank2(Prime(p))
     cosets = quotient_cosets(G, zero_matrix(p))
-    maps = Subgroup((Mat2(1, 1, 0, 0, p),))
+    maps = (Mat2(1, 1, 0, 0, p),)
     assert len(ref_orbit_reps(G, maps, zero_matrix(p))) == p
     with pytest.raises(ValueError, match="moves a least image"):
-        _orbit_reps(G, maps.codes.tobytes(), cosets)
+        _orbit_reps(G, code_bytes(maps), cosets)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -472,8 +509,8 @@ def test_orbits_refuse_an_order_three_matrix_without_its_powers(p):
     cosets = quotient_cosets(G, zero)
     for alone in (A, A2):
         with pytest.raises(ValueError, match="moves a least image"):
-            _orbit_reps(G, Subgroup((alone,)).codes.tobytes(), cosets)
-    assert _orbit_reps(G, Subgroup((I, A, A2)).codes.tobytes(), cosets) == ref_orbit_reps(G, (I, A, A2), zero)
+            _orbit_reps(G, code_bytes((alone,)), cosets)
+    assert _orbit_reps(G, code_bytes((I, A, A2)), cosets) == ref_orbit_reps(G, (I, A, A2), zero)
 
 
 @lru_cache(maxsize=None)
@@ -487,7 +524,7 @@ def generated_subgroups(draw):
     and an endomorphism M commuting with the generators, so it acts on G / Im(M)."""
     G = draw(st.sampled_from([g for g in SMALL_GROUPS if g.p <= 5] + [ElemAbelianRank2(Prime(5))]))
     if isinstance(G, Cyclic):
-        gens = draw(st.lists(st.sampled_from(units(G.p, G.k)), min_size=1, max_size=2))
+        gens = draw(st.lists(st.sampled_from(ref_reps_x(G)), min_size=1, max_size=2))
         M = draw(st.integers(0, G.order - 1))
         times = lambda a, b: Unit(a.value * b.value, G.order)
     else:
@@ -498,7 +535,7 @@ def generated_subgroups(draw):
     while frontier:
         frontier = [h for h in dict.fromkeys(times(a, g) for a in frontier for g in gens) if h not in members]
         members.update(dict.fromkeys(frontier))
-    return G, Subgroup(members), M
+    return G, tuple(members), M
 
 
 @settings(max_examples=300, deadline=None)
@@ -506,7 +543,7 @@ def generated_subgroups(draw):
 def test_orbits_of_a_generated_subgroup_match_union_find(case):
     G, maps, M = case
     expected = ref_orbit_reps(G, [plain(h) for h in maps], M)
-    assert _orbit_reps(G, maps.codes.tobytes(), quotient_cosets(G, M)) == expected
+    assert _orbit_reps(G, code_bytes(maps), quotient_cosets(G, M)) == expected
 
 
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)
@@ -518,9 +555,9 @@ def test_index_level_arithmetic_matches_element_level(G):
             assert table[G.index(a), G.index(b)] == G.index(add(G, a, b))
     # every multiplier and every unit, or 50 invertible and 50 singular matrices
     if isinstance(G, Cyclic):
-        maps = list(range(G.order)) + list(units(G.p, G.k))
+        maps = list(range(G.order)) + units(G.p, G.k).tolist()
     else:
-        singular = [M for e in np.ndindex((G.p,) * 4) for M in [Mat2(*e, G.p)] if M.det() == 0]
+        singular = [M for e in np.ndindex((G.p,) * 4) for M in [Mat2(*e, G.p)] if det(M) == 0]
         maps = list(gl2_elements(G.p)[:50]) + singular[:50]
     action = G.index_action([int(m) for m in maps], np.arange(G.order))
     for row, m in zip(action.tolist(), maps):
@@ -539,56 +576,90 @@ def test_a_matrix_code_acts_as_the_matrix(M):
     assert int(M) == sum(e * M.p ** (3 - i) for i, e in enumerate(M.entries))  # base-p digits, m00 first
 
 
-SUBGROUPS = {
+V5, Z9, Z25 = ElemAbelianRank2(Prime(5)), Cyclic(Prime(3), 2), Cyclic(Prime(5), 2)
+JORDAN5, SCALAR5 = int(Mat2(1, 1, 0, 1, 5)), int(Mat2(2, 0, 0, 2, 5))
+
+CODE_ARRAYS = {
     "units": lambda: units(5, 2),
-    "centralizer-jordan": lambda: reps_y(ElemAbelianRank2(Prime(5)), Mat2(1, 1, 0, 1, 5)),
-    "centralizer-scalar": lambda: stabilizer(
-        ElemAbelianRank2(Prime(5)), Mat2(2, 0, 0, 2, 5), Mat2(2, 0, 0, 2, 5)
-    ),
-    "stabilizer-rank2": lambda: stabilizer(
-        ElemAbelianRank2(Prime(5)), Mat2(2, 0, 0, 2, 5), Mat2(1, 1, 0, 1, 5)
-    ),
-    "stabilizer-cyclic": lambda: stabilizer(Cyclic(Prime(5), 2), Unit(2, 25), Unit(3, 25)),
+    "centralizer-jordan": lambda: reps_y(V5, JORDAN5),
+    "centralizer-scalar": lambda: stabilizer(V5, SCALAR5, SCALAR5),
+    "stabilizer-rank2": lambda: stabilizer(V5, SCALAR5, JORDAN5),
+    "stabilizer-cyclic": lambda: stabilizer(Z25, 2, 3),
 }
 
 
-@pytest.mark.parametrize("make", SUBGROUPS.values(), ids=SUBGROUPS.keys())
-def test_subgroups_are_plain_tuples_with_read_only_codes(make):
+@pytest.mark.parametrize("make", CODE_ARRAYS.values(), ids=CODE_ARRAYS.keys())
+def test_code_arrays_are_cached_and_read_only(make):
     S = make()
-    members = tuple(S)
-    assert type(S) is Subgroup
-    assert S == members and hash(S) == hash(members)
+    assert type(S) is np.ndarray and S.dtype == np.int64 and S.ndim == 1
     assert make() is S
-    assert S.codes.tolist() == [int(f) for f in members]
-    assert not S.codes.flags.writeable
+    assert not S.flags.writeable
     with pytest.raises(ValueError):
-        S.codes[0] = 0
+        S[0] = 0
+
+
+# every (Z_p)^2 with p <= 7, and every Z_{p^k} of order at most 49
+CODE_GROUPS = [ElemAbelianRank2(Prime(p)) for p in (2, 3, 5, 7)] + [
+    Cyclic(Prime(p), k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47) for k in range(1, 6) if p ** k <= 49
+]
+
+
+@st.composite
+def representative_pairs(draw):
+    # any pair (phi, psi) the enumeration lists, as reference objects
+    G = draw(st.sampled_from(CODE_GROUPS))
+    phi = draw(st.sampled_from(ref_reps_x(G)))
+    return G, phi, draw(st.sampled_from(ref_reps_y(G, phi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(representative_pairs())
+def test_code_arrays_are_the_codes_of_the_reference_lists(case):
+    G, phi, psi = case
+    listed = [
+        (reps_x(G), ref_reps_x(G)),
+        (reps_y(G, int(phi)), ref_reps_y(G, phi)),
+        (stabilizer(G, int(phi), int(psi)), ref_stabilizer(G, phi, psi)),
+    ]
+    for codes, objects in listed:
+        assert codes.dtype == np.int64 and not codes.flags.writeable
+        assert codes.tolist() == [int(f) for f in objects]  # in order
 
 
 def test_a_cold_cyclic_enumeration_computes_each_unit_code_once(monkeypatch):
+    # the codes are the residues of one units(5, 2) array, made once; no Unit
+    # is ever turned back into its code
     real, coded = Unit.__int__, []
     monkeypatch.setattr(Unit, "__int__", lambda u: coded.append(u) or real(u))
     units.cache_clear()
     enumeration._orbit_reps.cache_clear()
-    enumerate_forms(Cyclic(Prime(5), 2))
-    assert sorted(coded, key=real) == list(units(5, 2))
+    enumerate_forms(Z25)
+    assert units.cache_info().misses == 1
+    assert coded == []
+
+
+def test_a_cold_cyclic_enumeration_builds_no_unit(monkeypatch):
+    real, built = Unit.__post_init__, []
+    monkeypatch.setattr(Unit, "__post_init__", lambda u: built.append(1) or real(u))
+    for cache in (units, enumeration._orbit_reps, groups._cosets):
+        cache.cache_clear()
+    blocks = list(enumeration.enumerate_blocks(Z25))
+    assert built == []
+    assert sum(len(c_reps) for _, _, _, cs in blocks for c_reps in cs) == closed_form_cyclic(5, 2)
 
 
 def test_a_cold_rank2_enumeration_builds_no_gl2_list_of_mat2(monkeypatch):
-    # Each of the 24 class representatives of GL(2,5) once (conj_class_reps,
-    # which both conjugacy_partition and the blocks read), and each member of the distinct non-scalar
-    # centralizers once, as the psi lists of reps_y: the diagonal torus, shared
-    # by every distinct-diagonal phi, (p-1)^2 = 16; the Jordan centralizer,
-    # shared by every Jordan phi, p(p-1) = 20; and p^2 - 1 = 24 for each of the
-    # (p^2 - p)/2 = 10 irreducible phi.  No GL(2,5) list, and no pair check, builds one.
+    # Each of the 24 class representatives of GL(2,5) once, in conj_class_reps,
+    # which conjugacy_partition, reps_x and the blocks' tags read.  Centralizer
+    # members and psi stay codes, and no GL(2,5) list and no pair check builds one.
     real, built = Mat2.__post_init__, []
     monkeypatch.setattr(Mat2, "__post_init__", lambda M: built.append(1) or real(M))
-    caches = (gl2.gl2_elements, gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer, gl2._members, gl2._acting)
-    for cache in caches + (enumeration._class_reps,):
+    for cache in (gl2.gl2_elements, gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer):
         cache.cache_clear()
-    enumerate_forms(ElemAbelianRank2(Prime(5)))
+    blocks = list(enumeration.enumerate_blocks(V5))
     assert gl2.gl2_elements.cache_info().currsize == 0
-    assert len(built) == 24 + 16 + 20 + 10 * 24
+    assert len(built) == 24
+    assert sum(len(c_reps) for _, _, _, cs in blocks for c_reps in cs) == 594
 
 
 class SquaringCyclic(Cyclic):
@@ -624,7 +695,7 @@ NEW_CACHES = (
     groups._add_table,
     groups._cosets,
     enumeration._orbit_reps,
-    gl2._gl2_entries,
+    enumeration.reps_x,
 )
 
 
@@ -643,13 +714,13 @@ def test_cache_sizes_are_bounded_by_what_they_are_keyed_on(G):
     pairs = enumeration_pairs(G)
     orbit_keys = set()
     for phi, psi in pairs:
-        cosets = quotient_cosets(G, _one_minus(G, phi, psi))
+        cosets = quotient_cosets(G, _one_minus(G, int(phi), (int(psi),))[0])
         if len(cosets) > 1:
-            orbit_keys.add((stabilizer(G, phi, psi), id(cosets)))
+            orbit_keys.add((stabilizer(G, int(phi), int(psi)).tobytes(), id(cosets)))
     assert groups._add_table.cache_info().currsize == 1
     assert groups._cosets.cache_info().currsize <= subgroup_count(G)
     assert enumeration._orbit_reps.cache_info().currsize == len(orbit_keys)
-    assert gl2._gl2_entries.cache_info().currsize <= 1
+    assert enumeration.reps_x.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------- blocks
@@ -659,11 +730,12 @@ def test_cache_sizes_are_bounded_by_what_they_are_keyed_on(G):
 def test_every_block_row_matches_the_per_pair_functions(G):
     # the blocks take codes, images and tags for all psi at once; the per-pair
     # functions, and the reference case tag, take one pair at a time
-    for phi, rows in enumeration.enumerate_blocks(G):
-        assert [psi for psi, _, _ in rows] == list(reps_y(G, phi))
-        for psi, tag, cs in rows:
-            assert tag == _case_tag(G, phi, psi)
-            assert cs == orbit_reps_c(G, phi, psi)
+    for phi, psis, tags, cs in enumeration.enumerate_blocks(G):
+        assert psis.tolist() == reps_y(G, phi).tolist()
+        assert len(psis) == len(tags) == len(cs)
+        for psi, tag, c_reps in zip(psis.tolist(), tags, cs):
+            assert tag == _case_tag(G, automorphism(G, phi), automorphism(G, psi))
+            assert c_reps == orbit_reps_c(G, phi, psi)
 
 
 def non_unit(value, modulus):
@@ -674,16 +746,17 @@ def non_unit(value, modulus):
     return u
 
 
-V5, Z9 = ElemAbelianRank2(Prime(5)), Cyclic(Prime(3), 2)
-JORDAN5 = Mat2(1, 1, 0, 1, 5)
-
 INJECTED = {
-    "not-commuting": (V5, JORDAN5, Mat2(1, 0, 1, 1, 5)),
-    "singular": (V5, JORDAN5, Mat2(0, 1, 0, 0, 5)),  # commutes with phi
-    "singular-to-a-scalar": (V5, Mat2(2, 0, 0, 2, 5), Mat2(1, 0, 0, 0, 5)),
-    "other-field": (V5, JORDAN5, Mat2(1, 0, 0, 1, 7)),
-    "non-unit": (Z9, Unit(2, 9), non_unit(3, 9)),
-    "other-modulus": (Z9, Unit(2, 9), Unit(2, 27)),
+    "not-commuting": (V5, JORDAN5, int(Mat2(1, 0, 1, 1, 5))),
+    "singular": (V5, JORDAN5, int(Mat2(0, 1, 0, 0, 5))),  # commutes with phi
+    "singular-to-a-scalar": (V5, SCALAR5, int(Mat2(1, 0, 0, 0, 5))),
+    "other-field": (V5, JORDAN5, 5 ** 4),  # a code past every matrix over F_5
+    "negative": (V5, JORDAN5, -1),
+    "non-unit": (Z9, 2, 3),
+    "other-modulus": (Z9, 2, 9),  # a residue past Z_9
+    # codes whose digits or residue, reduced, name a good psi: only the range check refuses them
+    "aliasing-matrix": (V5, JORDAN5, 5 ** 4 + JORDAN5),
+    "aliasing-residue": (Z9, 2, 9 + 2),
 }
 
 
@@ -691,11 +764,19 @@ INJECTED = {
 def test_a_bad_psi_injected_into_a_block_raises_check_pairs_message(case, monkeypatch):
     G, phi, bad = case
     with pytest.raises(ValueError) as expected:
-        gl2.check_pair(G, phi, bad)
+        gl2.check_pairs(G, phi, (bad,))
+    if 0 <= bad < (G.order if isinstance(G, Cyclic) else G.p ** 4):
+        # the code of a map of G: its message is check_pair's for the objects
+        objects = [non_unit(f, G.order) if isinstance(G, Cyclic) else as_matrices([f], G.p)[0] for f in (phi, bad)]
+        with pytest.raises(ValueError) as by_objects:
+            gl2.check_pair(G, *objects)
+        assert str(by_objects.value) == str(expected.value)
+    else:
+        assert str(expected.value) == f"{bad} is not the code of an automorphism of {G}"
     real = enumeration.reps_y
-    good = real(G, phi)
+    good = real(G, phi).tolist()
     for at in (0, 2, len(good)):
-        psis = Subgroup(good[:at] + (bad,) + good[at:])
+        psis = np.array(good[:at] + [bad] + good[at:], dtype=np.int64)
         monkeypatch.setattr(enumeration, "reps_y", lambda G, f: psis if f == phi else real(G, f))
         with pytest.raises(ValueError) as err:
             list(enumeration.enumerate_blocks(G))
@@ -703,14 +784,16 @@ def test_a_bad_psi_injected_into_a_block_raises_check_pairs_message(case, monkey
 
 
 def test_the_block_check_names_the_first_failing_pair_in_list_order():
-    good = reps_y(V5, JORDAN5)
-    singular, clash = INJECTED["singular"][2], INJECTED["not-commuting"][2]
-    for first, second in ((singular, clash), (clash, singular)):
+    good = reps_y(V5, JORDAN5).tolist()
+    bad = [INJECTED[name][2] for name in ("singular", "not-commuting", "other-field")]
+    for first, second in permutations(bad, 2):
         with pytest.raises(ValueError) as expected:
-            gl2.check_pair(V5, JORDAN5, first)
+            gl2.check_pairs(V5, JORDAN5, (first,))
         with pytest.raises(ValueError) as err:
-            gl2.check_pairs(V5, JORDAN5, Subgroup(good[:3] + (first,) + good[3:] + (second,)))
+            gl2.check_pairs(V5, JORDAN5, good[:3] + [first] + good[3:] + [second])
         assert str(err.value) == str(expected.value)
     gl2.check_pairs(V5, JORDAN5, good)  # the real list passes
     with pytest.raises(ValueError, match="must both be invertible"):
-        gl2.check_pairs(V5, Mat2(1, 1, 1, 1, 5), Subgroup((identity_matrix(5),)))  # a singular phi
+        gl2.check_pairs(V5, int(Mat2(1, 1, 1, 1, 5)), (int(identity_matrix(5)),))  # a singular phi
+    with pytest.raises(ValueError, match="-1 is not the code of an automorphism"):
+        gl2.check_pairs(V5, -1, good)  # a phi out of range

@@ -88,44 +88,45 @@ def test_reps_x_checks_the_rank2_transversal_and_only_that(monkeypatch):
         raise ValueError("not a transversal")
 
     monkeypatch.setattr(enumeration, "conjugacy_partition", refuse)
+    reps_x.cache_clear()  # the check runs when a group's array is made
     with pytest.raises(ValueError, match="not a transversal"):
         reps_x(ElemAbelianRank2(Prime(3)))
     # Aut of a cyclic group is abelian: nothing to check, and nothing runs
-    assert reps_x(Z9) == units(3, 2)
+    assert reps_x(Z9) is units(Z9.p, Z9.k)
     assert enumerate_forms(Z9).total == closed_form_cyclic(3, 2)
 
 
 def test_reps_y_sizes():
-    scalar = identity_matrix(3)
+    scalar = int(identity_matrix(3))
     assert len(reps_y(V3, scalar)) == 8
-    jordan = Mat2(1, 1, 0, 1, 3)
+    jordan = int(Mat2(1, 1, 0, 1, 3))
     assert len(reps_y(V3, jordan)) == 6
-    distinct = Mat2(1, 0, 0, 2, 3)
+    distinct = int(Mat2(1, 0, 0, 2, 3))
     assert len(reps_y(V3, distinct)) == 4
-    assert len(reps_y(Z9, Unit(2, 9))) == 6
+    assert len(reps_y(Z9, 2)) == 6
 
 
 def test_reps_y_rejects_non_representative():
     with pytest.raises(ValueError, match="designated representative"):
-        reps_y(V3, Mat2(2, 0, 0, 1, 3))  # conjugate to diag(1,2) but not the rep
-    with pytest.raises(ValueError):
-        reps_y(Z9, Unit(2, 3))
-    # a map of the other family is no representative either
-    with pytest.raises(ValueError, match="designated representative"):
-        reps_y(Z9, identity_matrix(3))
-    with pytest.raises(ValueError, match="designated representative"):
-        reps_y(V3, Unit(1, 9))
+        reps_y(V3, int(Mat2(2, 0, 0, 1, 3)))  # conjugate to diag(1,2) but not the rep
+    for phi in (3, 0, 9, -1):  # a non-unit, and residues outside 0 < phi < 9
+        with pytest.raises(ValueError, match="designated representative"):
+            reps_y(Z9, phi)
+    # a code outside the family, and an object in place of a code, are no representatives either
+    for G, phi in ((V3, 3 ** 4 + int(identity_matrix(3))), (Z9, Unit(2, 9)), (V3, identity_matrix(3)), (V3, 1.0)):
+        with pytest.raises(ValueError, match="designated representative"):
+            reps_y(G, phi)
 
 
 def test_stabilizer_examples():
-    scalar2 = Mat2(2, 0, 0, 2, 3)
-    assert set(stabilizer(V3, scalar2, scalar2)) == set(gl2_elements(3))
-    distinct = Mat2(1, 0, 0, 2, 3)
-    for psi in as_matrices(centralizer(distinct), 3):
-        assert set(stabilizer(V3, distinct, psi)) == set(as_matrices(centralizer(distinct), 3))
-    jordan = Mat2(1, 1, 0, 1, 3)
-    assert len(stabilizer(V3, identity_matrix(3), jordan)) == 3 * 2
-    assert len(stabilizer(Z9, Unit(2, 9), Unit(5, 9))) == 6
+    scalar2 = int(Mat2(2, 0, 0, 2, 3))
+    assert set(as_matrices(stabilizer(V3, scalar2, scalar2), 3)) == set(gl2_elements(3))
+    distinct = int(Mat2(1, 0, 0, 2, 3))
+    for psi in centralizer(3, distinct).tolist():
+        assert stabilizer(V3, distinct, psi) is centralizer(3, distinct)
+    jordan = int(Mat2(1, 1, 0, 1, 3))
+    assert len(stabilizer(V3, int(identity_matrix(3)), jordan)) == 3 * 2
+    assert len(stabilizer(Z9, 2, 5)) == 6
 
 
 def test_stabilizer_is_the_brute_force_intersection():
@@ -138,7 +139,7 @@ def test_stabilizer_is_the_brute_force_intersection():
         for B in gl
         if mul(B, jordan) == mul(jordan, B) and mul(B, scalar) == mul(scalar, B)
     }
-    assert set(stabilizer(V3, scalar, jordan)) == expected
+    assert set(as_matrices(stabilizer(V3, int(scalar), int(jordan)), 3)) == expected
 
 
 # ---------------------------------------------------------------- one pair rule
@@ -150,7 +151,7 @@ PAIR_GROUPS += [ElemAbelianRank2(Prime(p)) for p in (2, 3, 5)]
 def own_maps(G):
     """Any unit of a cyclic G; for Z_p x Z_p, an invertible matrix or any matrix over F_p."""
     if isinstance(G, Cyclic):
-        return st.sampled_from(units(G.p, G.k))
+        return st.sampled_from(units(G.p, G.k).tolist()).map(lambda u: Unit(u, G.order))
     matrices = st.lists(st.integers(0, G.p - 1), min_size=4, max_size=4).map(lambda e: Mat2(*e, G.p))
     return st.one_of(st.sampled_from(gl2_elements(G.p)), matrices)
 
@@ -187,15 +188,18 @@ def verdict(call):
 @example((V3, Unit(2, 9), Mat2(2, 0, 0, 2, 3)))  # a unit given to (Z_3)^2
 def test_affine_form_stabilizer_and_orbit_reps_share_one_pair_rule(case):
     G, phi, psi = case
-    verdicts = {
-        verdict(lambda: AffineForm(G, phi, psi, G.zero)),
-        verdict(lambda: stabilizer(G, phi, psi)),
-        verdict(lambda: orbit_reps_c(G, phi, psi)),
-    }
+    verdicts = {verdict(lambda: AffineForm(G, phi, psi, G.zero))}
+    if all(isinstance(f, Unit) and f.modulus == G.order if isinstance(G, Cyclic) else isinstance(f, Mat2) and f.p == G.p
+           for f in (phi, psi)):
+        # the per-pair functions take codes, and a code names a map of G itself
+        verdicts |= {
+            verdict(lambda: stabilizer(G, int(phi), int(psi))),
+            verdict(lambda: orbit_reps_c(G, int(phi), int(psi))),
+        }
     assert len(verdicts) == 1  # all three accept, or all raise the same message
     (message,) = verdicts
     # independently: both maps lie in Aut(G) and commute as maps of its elements
-    aut = units(G.p, G.k) if isinstance(G, Cyclic) else gl2_elements(G.p)
+    aut = [Unit(u, G.order) for u in units(G.p, G.k).tolist()] if isinstance(G, Cyclic) else gl2_elements(G.p)
     plain = {f: f.value if isinstance(f, Unit) else f for f in (phi, psi)}
     good = phi in aut and psi in aut and all(
         apply(G, plain[phi], apply(G, plain[psi], g)) == apply(G, plain[psi], apply(G, plain[phi], g))
@@ -209,7 +213,7 @@ def test_orbit_reps_regular_case():
     # 1 - phi - psi invertible: only the zero orbit
     phi, psi = identity_matrix(3), identity_matrix(3)
     assert rank(sub(sub(identity_matrix(3), phi), psi)) == 2
-    assert orbit_reps_c(V3, phi, psi) == ((0, 0),)
+    assert orbit_reps_c(V3, int(phi), int(psi)) == ((0, 0),)
 
 
 def test_orbit_reps_rank_one_case():
@@ -217,7 +221,7 @@ def test_orbit_reps_rank_one_case():
     phi = Mat2(2, 0, 0, 2, 3)
     psi = Mat2(2, 0, 0, 1, 3)
     assert rank(sub(sub(identity_matrix(3), phi), psi)) == 1
-    reps = orbit_reps_c(V3, phi, psi)
+    reps = orbit_reps_c(V3, int(phi), int(psi))
     assert len(reps) == 2
     assert reps[0] == (0, 0)
     assert reps[1] != (0, 0)
@@ -230,7 +234,7 @@ def test_orbit_reps_rank_zero_diagonal_case():
     phi = Mat2(2, 0, 0, 3, p)
     psi = Mat2(1 - 2, 0, 0, 1 - 3, p)
     assert rank(sub(sub(identity_matrix(p), phi), psi)) == 0
-    reps = orbit_reps_c(G, phi, psi)
+    reps = orbit_reps_c(G, int(phi), int(psi))
     assert reps == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -242,7 +246,7 @@ def test_orbit_counts_in_rank_zero_cases():
     jordan = Mat2(2, 1, 0, 2, p)  # a = 2, so u = 1-a = 4, v = -1
     psi_j = Mat2(4, p - 1, 0, 4, p)
     assert rank(sub(sub(identity_matrix(p), jordan), psi_j)) == 0
-    assert orbit_reps_c(G, jordan, psi_j) == ((0, 0), (0, 1), (1, 0))
+    assert orbit_reps_c(G, int(jordan), int(psi_j)) == ((0, 0), (0, 1), (1, 0))
 
     from medialq.fp import is_irreducible_quadratic
 
@@ -255,7 +259,7 @@ def test_orbit_counts_in_rank_zero_cases():
     comp = Mat2(0, 1, a, b, p)
     psi_c = Mat2(1, p - 1, a * (p - 1), 1 + b * (p - 1), p)  # u = 1, v = -1
     assert rank(sub(sub(identity_matrix(p), comp), psi_c)) == 0
-    reps = orbit_reps_c(G, comp, psi_c)
+    reps = orbit_reps_c(G, int(comp), int(psi_c))
     assert len(reps) == 2 and reps[0] == (0, 0)
 
 
@@ -381,11 +385,17 @@ def test_count_composite_caps_the_order():
         count_composite(1000000000000000003)
 
 
+def plain_block(block):
+    """A block with its psi codes as a list, so blocks compare with ==."""
+    phi, psis, tags, cs = block
+    return phi, psis.tolist(), tags, cs
+
+
 def test_a_block_with_a_fresh_table_equals_the_shared_one():
     # each block filled from its own empty cyclic table, as against the one table enumerate_blocks shares
     for G in (V3, ElemAbelianRank2(Prime(2)), Cyclic(Prime(3), 3)):
-        fresh = [enumeration._block(G, phi, [None] * G.order) for phi in reps_x(G)]
-        assert fresh == list(enumeration.enumerate_blocks(G))
+        fresh = [plain_block(enumeration._block(G, phi, [None] * G.order)) for phi in reps_x(G).tolist()]
+        assert fresh == list(map(plain_block, enumeration.enumerate_blocks(G)))
 
 
 def test_blocks_are_made_one_at_a_time(monkeypatch):
@@ -394,7 +404,7 @@ def test_blocks_are_made_one_at_a_time(monkeypatch):
     monkeypatch.setattr(enumeration, "_block", lambda G, phi, table: made.append(phi) or real(G, phi, table))
     blocks = enumeration.enumerate_blocks(Z9)
     assert made == []
-    phi, rows = next(blocks)
-    assert made == [phi] == [Unit(1, 9)]
-    first = list(enumeration.block_triples([(phi, rows)]))
+    block = next(blocks)
+    assert made == [block[0]] == [1]
+    first = list(enumeration.block_triples(Z9, [block]))
     assert first == list(enumerate_forms(Z9).triples[: len(first)])

@@ -139,9 +139,9 @@ def test_quotient_cosets_rejects_a_map_of_another_group():
     line = Mat2(1, 0, 0, 0, 3)
     assert quotient_cosets(V3, line) is quotient_cosets(V3, int(line))
     assert quotient_cosets(V3, np.int64(int(line))) is quotient_cosets(V3, line)
-    u = units(3, 2).codes[2]  # a numpy int64, the code of Unit(4, 9)
+    u = units(3, 2)[2]  # a numpy int64, the code of Unit(4, 9)
     assert type(u) is np.int64 and quotient_cosets(Z9, u) is quotient_cosets(Z9, Unit(4, 9))
-    c = centralizer(Mat2(1, 1, 0, 1, 3))[-1]  # a member code of a centralizer
+    c = centralizer(3, int(Mat2(1, 1, 0, 1, 3)))[-1]  # a member code of a centralizer
     assert quotient_cosets(V3, c) is quotient_cosets(V3, int(c))
     assert len(quotient_cosets(V3, line)) == 3
     assert len(quotient_cosets(Z9, Unit(2, 9))) == 1

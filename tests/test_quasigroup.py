@@ -258,13 +258,13 @@ def medial_candidates(draw):
     elif kind == "cyclic":
         p, k = draw(st.sampled_from([(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]))
         G = Cyclic(Prime(p), k)
-        phi, psi = (draw(st.sampled_from(units(p, k))).value for _ in range(2))
+        phi, psi = (draw(st.sampled_from(units(p, k).tolist())) for _ in range(2))
         rows = affine_rows(G, phi, psi, draw(st.sampled_from(G.elements())))
     else:
         p = draw(st.sampled_from([2, 3, 5]))
         G = ElemAbelianRank2(Prime(p))
         phi = draw(st.sampled_from(gl2_elements(p)))
-        pool = gl2_elements(p) if kind == "any-pair" else as_matrices(centralizer(phi), p)
+        pool = gl2_elements(p) if kind == "any-pair" else as_matrices(centralizer(phi.p, int(phi)), p)
         rows = affine_rows(G, phi, draw(st.sampled_from(pool)), draw(st.sampled_from(G.elements())))
     n = len(rows)
     shape = draw(st.sampled_from(["as is", "relabelled", "isotope"]))
@@ -352,7 +352,7 @@ def _refuse_the_scan(monkeypatch):
 @pytest.mark.parametrize("G", [Cyclic(Prime(7), 2), ElemAbelianRank2(Prime(5))], ids=str)
 def test_every_exported_table_is_certified_without_the_scan(monkeypatch, G):
     # the tables `export` writes: build_table of each listed triple, as one stack
-    triples = list(block_triples(enumerate_blocks(G)))
+    triples = list(block_triples(G, enumerate_blocks(G)))
     cells = affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
     _refuse_the_scan(monkeypatch)
     assert all(is_medial(CayleyTable(G.order, table)) for table in cells)
@@ -384,10 +384,10 @@ def affine_forms(draw):
     p = Prime(draw(st.sampled_from([2, 3, 5, 7])))
     G = draw(st.sampled_from([Cyclic(p, 1), Cyclic(p, 2), ElemAbelianRank2(p)]))
     if isinstance(G, Cyclic):
-        phi, psi = (draw(st.sampled_from(units(p, G.k))) for _ in range(2))
+        phi, psi = (Unit(draw(st.sampled_from(units(p, G.k).tolist())), G.order) for _ in range(2))
     else:
         phi = draw(st.sampled_from(gl2_elements(p)))
-        psi = draw(st.sampled_from(as_matrices(centralizer(phi), p)))
+        psi = draw(st.sampled_from(as_matrices(centralizer(phi.p, int(phi)), p)))
     return AffineForm(G, phi, psi, draw(st.sampled_from(G.elements())))
 
 
