@@ -4,12 +4,15 @@ Exit codes: 0 on success/agreement, 1 on usage errors (including requests
 outside the supported parameter range), 2 when an internal cross-check
 disagrees -- so CI can tell a broken invocation from mathematics going wrong.
 All numeric output is exact decimal integers.
+
+Only what most commands share is imported here; a command that builds
+tables imports `quasigroup`, and `crosscheck` imports `oracle` and `json`,
+when it runs, so no command loads code it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -30,18 +33,6 @@ from .enumeration import (
     interpolate_count_polynomial,
 )
 from .groups import Cyclic, ElemAbelianRank2, _matrix_entries
-from .oracle import CLASSIFY_ORDER_CAP, all_affine_tables, assign_to_classes, classify
-from .quasigroup import (
-    CayleyTable,
-    _affine_cells,
-    _iter_tables,
-    affine_tables,
-    count_idempotents,
-    is_latin,
-    is_medial,
-    to_json,
-    to_text,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -244,6 +235,8 @@ def _pair(c) -> str:
 
 def _block_tables(G, block):
     """(case tag, table) of each triple of a block, in order, from its codes; `check_pairs` has checked every pair."""
+    from .quasigroup import CayleyTable, _affine_cells
+
     phi, psis, tags, cs = block
     for psi, tag, c_reps in zip(psis.tolist(), tags, cs):
         for cells in _affine_cells(G, [(phi, psi)], [[G.index(c) for c in c_reps]]):
@@ -273,6 +266,8 @@ def _render_block(G, block, text: bool, tables: bool) -> str:
         ])
     head = f'{{"group": "{group_label(G)}", "phi": {shown}, "psi": '
     if tables:
+        from .quasigroup import to_json
+
         made = _block_tables(G, block)  # in the order of the lines
         return "".join([
             f'{head}{psi}, "c": [{element(c)}], "case_tag": "{tag}", '
@@ -307,6 +302,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .quasigroup import to_text
+
     G = _group(args)
     _check_table_order(G.order)
     out = Path(args.out)
@@ -321,6 +318,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .quasigroup import _iter_tables, count_idempotents, is_latin, is_medial
+
     path = Path(args.infile)
     # Only a regular file is opened: a FIFO would block, a device read without end.
     if not stat.S_ISREG(_file_io(path.stat).st_mode):
@@ -339,6 +338,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    import json
+
+    from .oracle import CLASSIFY_ORDER_CAP, all_affine_tables, assign_to_classes, classify
+    from .quasigroup import affine_tables
+
     G = _group(args)
     if G.order > CLASSIFY_ORDER_CAP:
         raise UsageError(

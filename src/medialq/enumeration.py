@@ -17,13 +17,11 @@ image of that matrix, never from per-case algebraic shortcuts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .fp import Prime, _least_factor
+from .fp import Prime, _Frozen, _least_factor
 from .gl2 import (
     DISTINCT,
     JORDAN,
@@ -60,28 +58,32 @@ CASE_TAGS_RANK2 = (
 )
 
 
-@dataclass(frozen=True)
-class RepresentativeTriple:
-    phi: Automorphism
-    psi: Automorphism
-    c: object
-    case_tag: str
+class RepresentativeTriple(_Frozen):
+    _fields = ("phi", "psi", "c", "case_tag")
+
+    def __init__(self, phi: Automorphism, psi: Automorphism, c, case_tag: str):
+        _set = object.__setattr__
+        _set(self, "phi", phi)
+        _set(self, "psi", psi)
+        _set(self, "c", c)
+        _set(self, "case_tag", case_tag)
 
 
-@dataclass(frozen=True, eq=False)
-class EnumerationReport:
-    """The triples of G, with their tallies per case tag in the family's tag order."""
+class EnumerationReport(_Frozen):
+    """The triples of G, with their tallies per case tag in the family's tag order.  Reports compare by identity."""
 
-    group: GroupSpec
-    triples: tuple
-    tallies: dict = field(init=False)
+    _fields = ("group", "triples", "tallies")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        tags = (CASE_TAG_CYCLIC,) if isinstance(self.group, Cyclic) else CASE_TAGS_RANK2
+    def __init__(self, group: GroupSpec, triples: tuple):
+        tags = (CASE_TAG_CYCLIC,) if isinstance(group, Cyclic) else CASE_TAGS_RANK2
         tallies = dict.fromkeys(tags, 0)
-        for t in self.triples:
+        for t in triples:
             tallies[t.case_tag] += 1  # a KeyError for a tag outside the vocabulary
-        object.__setattr__(self, "tallies", tallies)
+        _set = object.__setattr__
+        _set(self, "group", group)
+        _set(self, "triples", triples)
+        _set(self, "tallies", tallies)
 
     @property
     def total(self) -> int:
@@ -328,11 +330,13 @@ def count_composite(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Frozen):
     """Polynomial with exact rational coefficients, ascending powers."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -342,7 +346,10 @@ class Polynomial:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def __call__(self, x) -> Fraction:
+    def __call__(self, x):
+        """The value at x, a `fractions.Fraction`."""
+        from fractions import Fraction
+
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -368,16 +375,10 @@ class Polynomial:
         return " ".join(terms) if terms else "0"
 
 
-def _poly_mul(a: list, b: list) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
 def interpolate_count_polynomial(points) -> Polynomial:
     """Unique Lagrange interpolant through the points, in exact rationals."""
+    from fractions import Fraction  # only the interpolation needs rationals: not loaded at start-up
+
     points = list(points)
     if not points:
         raise ValueError("at least one point is required")
@@ -391,7 +392,7 @@ def interpolate_count_polynomial(points) -> Polynomial:
         for xj in xs:
             if xj == xi:
                 continue
-            num = _poly_mul(num, [Fraction(-xj), Fraction(1)])
+            num = [hi - xj * lo for lo, hi in zip(num + [0], [0] + num)]  # times x - xj
             den *= xi - xj
         scale = Fraction(yi) / den
         for i, v in enumerate(num):

@@ -2,7 +2,9 @@
 
 Everything here is plain machine-integer arithmetic; there is no floating
 point anywhere in the package.  Scalars are ints reduced into [0, p-1] and
-the modulus travels alongside them.
+the modulus travels alongside them.  `_Frozen`, the base of the package's
+immutable value classes, lives here too, as every other module imports this
+one.
 """
 
 from __future__ import annotations
@@ -20,6 +22,42 @@ def as_integer(v) -> int:
         return operator.index(v)
     except TypeError:
         raise ValueError(f"{v!r} is not an integer") from None
+
+
+class _Frozen:
+    """Base of the package's immutable value classes, written out instead of generated at import.
+
+    A subclass names its fields in `_fields`, and its `__init__` stores them
+    with `object.__setattr__`; after that, assigning or deleting an
+    attribute raises AttributeError.  Instances are equal when they are of
+    the same class and their fields are equal, in order, and hash as the
+    tuple of their fields; a subclass that compares by identity sets
+    `__eq__` and `__hash__` back to `object`'s.  `repr` shows the fields as
+    `Name(field=value, ...)`.
+    """
+
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
 def _least_factor(n: int, cap: int | None = None) -> int:

@@ -17,14 +17,13 @@ The enumeration carries each automorphism as its code (a residue, or a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Union
 
 import numpy as np
 
-from .fp import Prime, as_integer, fp_inv, is_irreducible_quadratic, prime_power
+from .fp import Prime, _Frozen, as_integer, fp_inv, is_irreducible_quadratic, prime_power
 from .groups import Cyclic, GroupSpec, _matrix_code, _matrix_entries
 
 SCALAR = "scalar"
@@ -33,8 +32,7 @@ JORDAN = "jordan"
 IRREDUCIBLE = "irreducible"
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Frozen):
     """2x2 matrix over F_p, row-major entries reduced mod p.
 
     Singular matrices are deliberately representable (difference matrices of
@@ -43,17 +41,16 @@ class Mat2:
     p through `Prime` and every entry through `fp.as_integer`.
     """
 
-    m00: int
-    m01: int
-    m10: int
-    m11: int
-    p: int
+    _fields = ("m00", "m01", "m10", "m11", "p")
 
-    def __post_init__(self):
-        p = Prime(self.p)
-        object.__setattr__(self, "p", p)
-        for name in ("m00", "m01", "m10", "m11"):
-            object.__setattr__(self, name, as_integer(getattr(self, name)) % p)
+    def __init__(self, m00: int, m01: int, m10: int, m11: int, p: int):
+        _set = object.__setattr__
+        p = Prime(p)
+        _set(self, "m00", as_integer(m00) % p)
+        _set(self, "m01", as_integer(m01) % p)
+        _set(self, "m10", as_integer(m10) % p)
+        _set(self, "m11", as_integer(m11) % p)
+        _set(self, "p", p)
 
     @property
     def entries(self) -> tuple:
@@ -76,19 +73,20 @@ def _product(A: Mat2, B: Mat2) -> tuple:
     return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Frozen):
     """Automorphism of Z_{p^k}: multiplication by a residue coprime to p."""
 
-    value: int
-    modulus: int
+    _fields = ("value", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", as_integer(self.modulus))
-        prime_power(self.modulus)  # raises unless the modulus is p^k
-        object.__setattr__(self, "value", as_integer(self.value) % self.modulus)
-        if math.gcd(self.value, self.modulus) != 1:
-            raise ValueError(f"{self.value} is not a unit mod {self.modulus}")
+    def __init__(self, value: int, modulus: int):
+        _set = object.__setattr__
+        modulus = as_integer(modulus)
+        prime_power(modulus)  # raises unless the modulus is p^k
+        value = as_integer(value) % modulus
+        if math.gcd(value, modulus) != 1:
+            raise ValueError(f"{value} is not a unit mod {modulus}")
+        _set(self, "value", value)
+        _set(self, "modulus", modulus)
 
     def __int__(self) -> int:
         return self.value
@@ -213,6 +211,8 @@ def centralizer(p: int, A: int) -> np.ndarray:
     B -> AB - BA on the 2x2 matrices over F_p.  Its span is listed from a
     basis, and the singular matrices are dropped.  Unless A is scalar, C(A)
     is checked to be commutative, which `reps_y` and `stabilizer` rely on.
+    For a scalar A, C(A) is all of GL(2,p): every scalar gets the identity's
+    array, so the p - 1 scalars of a prime hold one copy of GL(2,p).
     """
     p = Prime(p)
     if not 0 <= A < p ** 4:
@@ -220,6 +220,8 @@ def centralizer(p: int, A: int) -> np.ndarray:
     a, b, c, d = _matrix_entries([A], p)[0].tolist()
     if (a * d - b * c) % p == 0:
         raise ValueError(f"{Mat2(a, b, c, d, p)} is singular; centralizers are taken in GL(2,p)")
+    if b == c == 0 and a == d != 1:
+        return centralizer(p, p ** 3 + 1)  # the identity's code, digits (1, 0, 0, 1)
     # row i holds entry i of AB - BA as a linear form in B's entries
     basis = _null_space([[0, -c, b, 0], [-b, a - d, 0, b], [c, 0, d - a, -c], [0, c, -b, 0]], p)
     x = np.indices((p,) * len(basis)).reshape(len(basis), -1).T @ basis % p

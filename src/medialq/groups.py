@@ -10,36 +10,34 @@ that order, which makes enumeration output reproducible run to run.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
-from .fp import Prime, as_integer
+from .fp import Prime, _Frozen, as_integer
 
 Element = Union[int, tuple]
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(_Frozen):
     """Z_{p^k}: residues 0 .. p^k - 1 under addition mod p^k."""
 
-    p: Prime
-    k: int = 1
+    _fields = ("p", "k")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Prime(self.p))
+    def __init__(self, p: Prime, k: int = 1):
+        _set = object.__setattr__
+        _set(self, "p", Prime(p))
         try:
-            if isinstance(self.k, bool):
+            if isinstance(k, bool):
                 raise ValueError
-            object.__setattr__(self, "k", as_integer(self.k))
+            _set(self, "k", as_integer(k))
         except ValueError:
-            raise ValueError(f"exponent k must be an int, not {self.k!r}") from None
+            raise ValueError(f"exponent k must be an int, not {k!r}") from None
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
         # Stored once: every cache keyed on the group hashes it on each lookup.
-        object.__setattr__(self, "_hash", hash((self.p, self.k)))
+        _set(self, "_hash", hash((self.p, self.k)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -77,14 +75,13 @@ class Cyclic:
         return f"Z_{self.p}^{self.k}" if self.k > 1 else f"Z_{self.p}"
 
 
-@dataclass(frozen=True)
-class ElemAbelianRank2:
+class ElemAbelianRank2(_Frozen):
     """Z_p x Z_p: pairs (x, y) under componentwise addition mod p."""
 
-    p: Prime
+    _fields = ("p",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Prime(self.p))
+    def __init__(self, p: Prime):
+        object.__setattr__(self, "p", Prime(p))
         object.__setattr__(self, "_hash", hash((self.p,)))
 
     def __hash__(self) -> int:
@@ -160,20 +157,25 @@ def _matrix_entries(codes, p: int) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)[:, None] // np.array([p ** 3, p * p, p, 1]) % p
 
 
-@dataclass(frozen=True, eq=False)
-class CosetList:
+class CosetList(_Frozen):
     """Cosets of an image subgroup Im(M) inside G.
 
     `representatives` holds one element per coset, chosen greedily in the
     deterministic element order (so the zero coset always comes first).
     `rep_index` holds the element index of each representative, and
-    `coset_of` the coset position of each element index.
+    `coset_of` the coset position of each element index.  Lists compare by
+    identity: `_cosets` makes one per image subgroup.
     """
 
-    representatives: tuple
-    subgroup_order: int
-    rep_index: np.ndarray
-    coset_of: np.ndarray
+    _fields = ("representatives", "subgroup_order", "rep_index", "coset_of")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, representatives: tuple, subgroup_order: int, rep_index: np.ndarray, coset_of: np.ndarray):
+        _set = object.__setattr__
+        _set(self, "representatives", representatives)
+        _set(self, "subgroup_order", subgroup_order)
+        _set(self, "rep_index", rep_index)
+        _set(self, "coset_of", coset_of)
 
     def __len__(self) -> int:
         return len(self.representatives)

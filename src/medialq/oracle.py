@@ -18,10 +18,9 @@ with the enumerator is genuine cross-validation, not a tautology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .fp import _Frozen
 from .gl2 import Unit, commutes, gl2_elements, units
 from .groups import Cyclic, GroupSpec
 from .quasigroup import AffineForm, CayleyTable, affine_tables
@@ -33,19 +32,24 @@ _GENERATOR_CAP = 3  # a class representative of more generators is searched tabl
 _ROW_CHUNK = 1 << 14  # candidate rows per step of `_matches`
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(_Frozen):
     """Cheap relabeling-invariant data of a table, kept on each `IsoClass`: its order and its diagonal's cycle type."""
 
-    order: int
-    diagonal_cycle_type: tuple
+    _fields = ("order", "diagonal_cycle_type")
+
+    def __init__(self, order: int, diagonal_cycle_type: tuple):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "diagonal_cycle_type", diagonal_cycle_type)
 
 
-@dataclass(frozen=True)
-class IsoClass:
-    canonical_member: CayleyTable
-    members: int
-    fingerprint: Fingerprint
+class IsoClass(_Frozen):
+    _fields = ("canonical_member", "members", "fingerprint")
+
+    def __init__(self, canonical_member: CayleyTable, members: int, fingerprint: Fingerprint):
+        _set = object.__setattr__
+        _set(self, "canonical_member", canonical_member)
+        _set(self, "members", members)
+        _set(self, "fingerprint", fingerprint)
 
 
 def _cycle_points(maps: np.ndarray) -> np.ndarray:

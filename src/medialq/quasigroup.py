@@ -8,33 +8,33 @@ diffed across runs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Optional
 
 import numpy as np
 
+from .fp import _Frozen
 from .gl2 import Automorphism, _codes, check_pair, check_pairs
 from .groups import GroupSpec, _add_table
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(_Frozen):
     """A quintuple (G, +, phi, psi, c) with commuting automorphisms phi, psi."""
 
-    group: GroupSpec
-    phi: Automorphism
-    psi: Automorphism
-    c: object
+    _fields = ("group", "phi", "psi", "c")
 
-    def __post_init__(self):
-        check_pair(self.group, self.phi, self.psi)
-        self.group.check(self.c)
+    def __init__(self, group: GroupSpec, phi: Automorphism, psi: Automorphism, c):
+        check_pair(group, phi, psi)
+        group.check(c)
+        _set = object.__setattr__
+        _set(self, "group", group)
+        _set(self, "phi", phi)
+        _set(self, "psi", psi)
+        _set(self, "c", c)
 
 
-@dataclass(frozen=True, eq=False)
-class CayleyTable:
+class CayleyTable(_Frozen):
     """An n x n operation table over the symbols 0 .. n-1.
 
     `cells` is a read-only (n, n) array of the smallest unsigned dtype that
@@ -45,15 +45,13 @@ class CayleyTable:
     tuples, derived on first use, for pure-Python indexing.
     """
 
-    n: int
-    cells: np.ndarray
+    _fields = ("n", "cells")
 
-    def __post_init__(self):
-        n = self.n
-        if n < 1 or len(self.cells) != n:
+    def __init__(self, n: int, cells):
+        if n < 1 or len(cells) != n:
             raise ValueError("table shape does not match its order")
         try:
-            a = np.asarray(self.cells)
+            a = np.asarray(cells)
         except ValueError:  # ragged rows
             a = None
         if (
@@ -66,6 +64,7 @@ class CayleyTable:
             raise ValueError("table entries must be indices in [0, n)")
         cells = a.astype(np.min_scalar_type(n - 1))
         cells.setflags(write=False)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "cells", cells)
 
     @cached_property

@@ -379,14 +379,16 @@ def test_rank2_series_names_its_bound(capsys):
 
 
 def refuse_work(monkeypatch):
-    """Make every expensive step of the CLI fail the test if it is reached."""
-    from medialq import cli
+    """Make every expensive step of the CLI fail the test if it is reached, where the CLI reads it."""
+    from medialq import cli, quasigroup
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an input over a bound")
 
-    for name in ("enumerate_forms", "enumerate_blocks", "_block_tables", "is_latin", "is_medial"):
+    for name in ("enumerate_forms", "enumerate_blocks", "_block_tables"):
         monkeypatch.setattr(cli, name, refuse)
+    for name in ("is_latin", "is_medial"):  # `verify` imports them when it runs
+        monkeypatch.setattr(quasigroup, name, refuse)
 
 
 @pytest.mark.parametrize(
@@ -528,7 +530,7 @@ def test_verify_holds_one_table_at_a_time(tmp_path, monkeypatch):
     # Held until the first line, every parsed order-1 table adds about 250
     # bytes of peak; read one at a time, only the text grows, 4 bytes a
     # table.  The table checks are stubbed, to keep the test short.
-    from medialq import cli
+    from medialq import quasigroup
 
     class Lines:
         def __init__(self):
@@ -541,8 +543,8 @@ def test_verify_holds_one_table_at_a_time(tmp_path, monkeypatch):
         def flush(self):
             pass
 
-    monkeypatch.setattr(cli, "is_latin", lambda t: True)
-    monkeypatch.setattr(cli, "is_medial", lambda t: True)
+    monkeypatch.setattr(quasigroup, "is_latin", lambda t: True)
+    monkeypatch.setattr(quasigroup, "is_medial", lambda t: True)
     peaks = []
     for tables in (5000, 15000):
         path = tmp_path / f"{tables}.txt"

@@ -125,6 +125,20 @@ def test_centralizer_sizes():
     assert len(centralizer(2, int(Mat2(0, 1, 1, 1, 2)))) == 2 * 2 - 1
 
 
+def test_every_scalar_matrix_shares_one_centralizer_array():
+    assert centralizer(5, int(Mat2(2, 0, 0, 2, 5))) is centralizer(5, int(Mat2(3, 0, 0, 3, 5)))
+    centralizer.cache_clear()
+    conjugacy_partition.cache_clear()
+    conjugacy_partition(13)
+    misses = centralizer.cache_info().misses
+    scalars = [centralizer(13, int(R)) for R, kind in conj_class_reps(13).items() if kind == "scalar"]
+    assert centralizer.cache_info().misses == misses  # each was made by the partition
+    assert len(scalars) == 12 and all(C is scalars[0] for C in scalars)
+    assert len(scalars[0]) == gl2_order(13) and not scalars[0].flags.writeable
+    # one copy of GL(2,13)'s codes, 0.2 MB; one per scalar held 2.4 MB
+    assert sum({id(C): C.nbytes for C in scalars}.values()) < 0.5 * 2 ** 20
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_the_null_space_centralizer_is_the_filter_for_every_element(p):
     for row in gl2._gl2_entries(p).tolist():
@@ -302,13 +316,13 @@ def test_gl2_elements_match_the_loop_and_build_no_singular_matrix(p, monkeypatch
     reference = loop_gl2_elements(p)
     assert gl2_elements(p) == reference
     built = []
-    post_init = Mat2.__post_init__
+    init = Mat2.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(Mat2, "__post_init__", counting)
+    monkeypatch.setattr(Mat2, "__init__", counting)
     assert gl2_elements.__wrapped__(Prime(p)) == reference
     assert len(built) == gl2_order(p)  # one Mat2 per element, none for a singular matrix
 

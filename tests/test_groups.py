@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 import re
 
@@ -173,10 +172,11 @@ def test_equal_groups_hash_equal_and_share_cache_entries(make):
     from medialq import groups
 
     G, twin = make()
-    copies = [twin, pickle.loads(pickle.dumps(G)), dataclasses.replace(G)]
+    fields = (G.p, G.k) if isinstance(G, Cyclic) else (G.p,)
+    copies = [twin, pickle.loads(pickle.dumps(G)), type(G)(*fields)]
     assert all(H == G and H is not G and hash(H) == hash(G) for H in copies)
-    assert hash(G) == hash(dataclasses.astuple(G))  # the dataclass's own hash, stored once
-    assert hash(dataclasses.replace(G, p=Prime(5))) != hash(G)
+    assert hash(G) == hash(fields)  # the field-wise hash, stored once
+    assert hash(type(G)(Prime(5), *fields[1:])) != hash(G)
     code = 2 if isinstance(G, Cyclic) else int(Mat2(1, 0, 0, 0, 3))
     cosets = quotient_cosets(G, code)
     sizes = [f.cache_info().currsize for f in (groups._add_table, groups._cosets)]
