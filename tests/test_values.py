@@ -79,7 +79,8 @@ def test_groups_matrices_and_units_are_equal_and_hash_equal_by_fields():
         assert not a != b
     assert Cyclic(3, 2) != Cyclic(3, 1) and Cyclic(3) != ElemAbelianRank2(3)
     assert Mat2(1, 2, 0, 1, 3) != Mat2(1, 2, 0, 1, 5) and Unit(2, 9) != Unit(2, 27)
-    assert Cyclic(3, 2) != (Prime(3), 2)  # another class is never equal, whatever its fields
+    # another class is never equal, whatever its fields
+    assert Cyclic(3, 2) != (Prime(3), 2) and Unit(2, 9) != Fingerprint(2, 9)
 
 
 def test_coset_lists_and_reports_compare_by_identity_and_tables_by_cells():
