@@ -233,14 +233,16 @@ def _pair(c) -> str:
     return f"{c[0]}, {c[1]}"
 
 
-def _block_tables(G, block):
-    """(case tag, table) of each triple of a block, in order, from its codes; `check_pairs` has checked every pair."""
+def _block_tables(G, block) -> list:
+    """(case tag, table) of each triple of a block, in order, from its codes in one `_affine_cells` call; `check_pairs` has checked every pair."""
     from .quasigroup import CayleyTable, _affine_cells
 
     phi, psis, tags, cs = block
-    for psi, tag, c_reps in zip(psis.tolist(), tags, cs):
-        for cells in _affine_cells(G, [(phi, psi)], [[G.index(c) for c in c_reps]]):
-            yield tag, CayleyTable(G.order, cells)
+    rows = [(psi, tag, G.index(c)) for psi, tag, c_reps in zip(psis.tolist(), tags, cs) for c in c_reps]
+    if not rows:  # `_affine_cells` reads its cs as rows of at least one pair
+        return []
+    cells = _affine_cells(G, [(phi, psi) for psi, _, _ in rows], [[c] for _, _, c in rows])
+    return [(tag, CayleyTable(G.order, t)) for (_, tag, _), t in zip(rows, cells)]
 
 
 def _render_block(G, block, text: bool, tables: bool) -> str:
@@ -268,7 +270,7 @@ def _render_block(G, block, text: bool, tables: bool) -> str:
     if tables:
         from .quasigroup import to_json
 
-        made = _block_tables(G, block)  # in the order of the lines
+        made = iter(_block_tables(G, block))  # in the order of the lines
         return "".join([
             f'{head}{psi}, "c": [{element(c)}], "case_tag": "{tag}", '
             f'"table": {to_json(next(made)[1])}}}\n'
@@ -341,14 +343,13 @@ def _cmd_crosscheck(args) -> int:
     import json
 
     from .oracle import CLASSIFY_ORDER_CAP, all_affine_tables, assign_to_classes, classify
-    from .quasigroup import affine_tables
 
     G = _group(args)
     if G.order > CLASSIFY_ORDER_CAP:
         raise UsageError(
             f"group of order {G.order} exceeds the oracle cap {CLASSIFY_ORDER_CAP}"
         )
-    report = enumerate_forms(G)
+    rep_tables = [table for block in enumerate_blocks(G) for _, table in _block_tables(G, block)]
     tables = all_affine_tables(G)
     classes = classify(tables)
     print(f"affine forms over {G}: {len(tables)}")
@@ -358,11 +359,9 @@ def _cmd_crosscheck(args) -> int:
         "class_sizes": [c.members for c in classes],
     }
     print(json.dumps(summary))
-    print(f"enumerator representatives: {report.total}")
-    ok = len(classes) == report.total
+    print(f"enumerator representatives: {len(rep_tables)}")
+    ok = len(classes) == len(rep_tables)
     if ok:
-        triples = report.triples
-        rep_tables = affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
         try:
             assignment = assign_to_classes(classes, rep_tables)
             bijective = sorted(assignment) == list(range(len(classes)))
@@ -371,7 +370,7 @@ def _cmd_crosscheck(args) -> int:
         print(f"representative-to-class match: {'bijective' if bijective else 'BROKEN'}")
         ok = bijective
     verdict = "OK" if ok else "MISMATCH"
-    print(f"{len(classes)} = {report.total} {verdict}")
+    print(f"{len(classes)} = {len(rep_tables)} {verdict}")
     return EXIT_OK if ok else EXIT_MISMATCH
 
 

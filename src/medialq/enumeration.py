@@ -27,8 +27,7 @@ from .gl2 import (
     JORDAN,
     SCALAR,
     Automorphism,
-    Mat2,
-    Unit,
+    _automorphisms,
     centralizer,
     check_pairs,
     conj_class_reps,
@@ -259,11 +258,7 @@ def enumerate_forms(G: GroupSpec) -> EnumerationReport:
 def block_triples(G: GroupSpec, blocks):
     """Yield the `RepresentativeTriple`s of a stream of blocks of G, in order: a `Unit` or `Mat2` built once per phi and per psi."""
     for phi, psis, tags, cs in blocks:
-        codes = [phi, *psis.tolist()]
-        if isinstance(G, Cyclic):
-            autos = [Unit(code, G.order) for code in codes]
-        else:
-            autos = [Mat2(*entries, G.p) for entries in _matrix_entries(codes, G.p).tolist()]
+        autos = _automorphisms(G, [phi, *psis.tolist()])
         for psi, tag, c_reps in zip(autos[1:], tags, cs):
             for c in c_reps:
                 yield RepresentativeTriple(autos[0], psi, c, tag)

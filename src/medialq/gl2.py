@@ -10,8 +10,9 @@ and its singular members dropped; the conjugacy partition follows from
 trace, determinant and orbit-stabilizer, conjugating nothing.  Both run on
 integer arrays of matrix entries (one row per matrix, columns m00, m01,
 m10, m11) or of matrix codes, and build no `Mat2` per element of GL(2, p).
-The enumeration carries each automorphism as its code (a residue, or a
-`groups._matrix_code`); `Unit` and `Mat2` are for library callers.
+The enumeration and the oracle carry each automorphism as its code (a
+residue, or a `groups._matrix_code`), and `_commute` is the one test of
+AB = BA; `Unit` and `Mat2` are for library callers.
 """
 
 from __future__ import annotations
@@ -63,16 +64,6 @@ class Mat2(_Frozen):
         return f"[[{self.m00},{self.m01}],[{self.m10},{self.m11}]] mod {self.p}"
 
 
-def _product(A: Mat2, B: Mat2) -> tuple:
-    """The entries of AB, reduced mod p; raises for matrices over different fields."""
-    if A.p != B.p:
-        raise ValueError("matrices over different fields")
-    p = A.p
-    a, b, c, d = A.m00, A.m01, A.m10, A.m11
-    e, f, g, h = B.m00, B.m01, B.m10, B.m11
-    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
-
-
 class Unit(_Frozen):
     """Automorphism of Z_{p^k}: multiplication by a residue coprime to p."""
 
@@ -103,6 +94,11 @@ def _mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     e, f, g, h = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     return np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), axis=-1) % p
+
+
+def _commute(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Whether the matrices over F_p with entry arrays x and y, shape (..., 4) broadcast, commute: AB = BA."""
+    return (_mul(x, y, p) == _mul(y, x, p)).all(axis=-1)
 
 
 def _class_key(x: np.ndarray, p: int) -> np.ndarray:
@@ -137,11 +133,9 @@ def _assert_commutative(x: np.ndarray, p: int) -> bool:
     failing pair, whose two `Mat2` are the only ones built.
     """
     basis = x[_span_basis(x, p)]
-    if (_mul(x[:, None], basis, p) == _mul(basis, x[:, None], p)).all():
+    if _commute(x[:, None], basis, p).all():
         return True
-    products = _mul(x[:, None], x[None, :], p)  # [i, j] = x[i] x[j]
-    # the first failing pair in row-major order, so i < j
-    i, j = np.argwhere((products != products.transpose(1, 0, 2)).any(axis=-1))[0]
+    i, j = np.argwhere(~_commute(x[:, None], x, p))[0]  # the first failing pair in row-major order, so i < j
     raise ValueError(f"centralizer is not commutative: {Mat2(*x[i].tolist(), p)} vs {Mat2(*x[j].tolist(), p)}")
 
 
@@ -274,7 +268,9 @@ def commutes(A: Automorphism, B: Automorphism) -> bool:
             raise ValueError("units of different cyclic groups")
         return True
     if isinstance(A, Mat2) and isinstance(B, Mat2):
-        return _product(A, B) == _product(B, A)
+        if A.p != B.p:
+            raise ValueError("matrices over different fields")
+        return bool(_commute(np.array(A.entries), np.array(B.entries), A.p))
     raise TypeError("cannot mix a unit with a matrix")
 
 
@@ -285,6 +281,13 @@ def _codes(G: GroupSpec, maps) -> list:
         if not (isinstance(f, Unit) and f.modulus == G.order if cyclic else isinstance(f, Mat2) and f.p == G.p):
             raise ValueError(f"{f} does not act on {G}")
     return [int(f) for f in maps]
+
+
+def _automorphisms(G: GroupSpec, codes) -> list:
+    """The `Unit` of G's modulus or the `Mat2` over G's field of each automorphism code, in order: `_codes` undone."""
+    if isinstance(G, Cyclic):
+        return [Unit(code, G.order) for code in codes]
+    return [Mat2(*entries, G.p) for entries in _matrix_entries(codes, G.p).tolist()]
 
 
 def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
@@ -323,7 +326,7 @@ def check_pairs(G: GroupSpec, phi, codes) -> None:
     else:
         e = _matrix_entries(x.ravel(), p).reshape(-1, 2, 4)
         singular = (e[..., 0] * e[..., 3] - e[..., 1] * e[..., 2]) % p == 0
-        clash = (_mul(e[:, 0], e[:, 1], p) != _mul(e[:, 1], e[:, 0], p)).any(axis=-1)
+        clash = ~_commute(e[:, 0], e[:, 1], p)
     if not ((outside | singular).any() or clash.any()):
         return
     i = int(((outside | singular).any(axis=1) | clash).argmax())

@@ -190,16 +190,6 @@ def _add_table(G: GroupSpec) -> np.ndarray:
     return table
 
 
-def _images(G: GroupSpec, codes) -> np.ndarray:
-    """Im(M) for every endomorphism code M of `codes`: one row per code, a bool mask over element indices.
-
-    Every M is applied to every element, in one `index_action` call.
-    """
-    masks = np.zeros((len(codes), G.order), dtype=bool)
-    np.put_along_axis(masks, G.index_action(codes, np.arange(G.order)), True, axis=1)
-    return masks
-
-
 @lru_cache(maxsize=None)
 def _cosets(G: GroupSpec, image: bytes) -> CosetList | None:
     """Greedy coset list of the element set `image` (a byte mask) in G.
@@ -235,9 +225,10 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
 
     The image subgroup is computed by exhaustive application of M; structural
     shortcuts (gcd for cyclic groups, column spaces for matrices) are used
-    only as cross-check properties in the tests.  Nothing is memoised per
-    code: coset lists are, per image subgroup, so the list returned for one
-    subgroup is the same object every time.
+    only as cross-check properties in the tests.  This is `quotients` of the
+    one code: nothing is memoised per code, but coset lists are, per image
+    subgroup, so the list returned for one subgroup is the same object every
+    time.
     """
     try:
         code = operator.index(M)
@@ -249,20 +240,19 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
         if foreign:
             raise ValueError(f"{M} does not act on {G}") from None
         code = int(M)
-    cosets = _cosets(G, _images(G, (code,)).tobytes())
-    if cosets is None:
-        raise ValueError(f"{M!r} is not an endomorphism of {G}")
-    return cosets
+    return quotients(G, [code])[0]
 
 
-def quotients(G: GroupSpec, codes: np.ndarray) -> list:
-    """`quotient_cosets(G, m)` for every endomorphism code m of an array, in its order.
+def quotients(G: GroupSpec, codes) -> list:
+    """The coset list of Im(m) in G for every endomorphism code m of a sequence, in its order.
 
-    All codes are imaged in one `index_action` call, and one `_cosets` is
-    looked up per distinct image; nothing is memoised per code.
+    Every m is applied to every element in one `index_action` call, and one
+    `_cosets` is looked up per distinct image; nothing is memoised per code.
     """
-    masks, n = _images(G, codes).tobytes(), G.order
-    images = [masks[i : i + n] for i in range(0, len(masks), n)]
+    n = G.order
+    masks = np.zeros((len(codes), n), dtype=bool)
+    np.put_along_axis(masks, G.index_action(codes, np.arange(n)), True, axis=1)
+    images = [mask.tobytes() for mask in masks]
     lists = {image: _cosets(G, image) for image in set(images)}
     if None in lists.values():
         first = next(i for i, image in enumerate(images) if lists[image] is None)

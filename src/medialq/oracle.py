@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fp import _Frozen
-from .gl2 import Unit, commutes, gl2_elements, units
-from .groups import Cyclic, GroupSpec
-from .quasigroup import AffineForm, CayleyTable, affine_tables
+from .gl2 import _automorphisms, _commute, _gl2_entries, check_pairs, units
+from .groups import Cyclic, GroupSpec, _matrix_code
+from .quasigroup import AffineForm, CayleyTable, _affine_cells
 
 ISO_ORDER_CAP = 16
 CLASSIFY_ORDER_CAP = ISO_ORDER_CAP
@@ -195,23 +195,35 @@ def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
 
 
 def _affine_pairs(G: GroupSpec) -> list:
-    """Every ordered pair (phi, psi) of commuting automorphisms of G."""
+    """Every ordered pair (phi, psi) of codes of commuting automorphisms of G, phi-major, each in code order.
+
+    Units of one modulus all commute; the pairs of GL(2, p) are kept by
+    `gl2._commute`, all tested in one array pass.
+    """
     if G.order > CLASSIFY_ORDER_CAP:
         raise ValueError(f"group of order {G.order} exceeds the cap {CLASSIFY_ORDER_CAP}")
-    auts = [Unit(u, G.order) for u in units(G.p, G.k).tolist()] if isinstance(G, Cyclic) else gl2_elements(G.p)
-    return [(phi, psi) for phi in auts for psi in auts if commutes(phi, psi)]
+    if isinstance(G, Cyclic):
+        auts = units(G.p, G.k)
+        keep = np.ones((len(auts), len(auts)), dtype=bool)
+    else:
+        x = _gl2_entries(G.p)
+        auts, keep = _matrix_code(*x.T, G.p), _commute(x[:, None], x, G.p)
+    phi, psi = np.nonzero(keep)
+    return list(zip(auts[phi].tolist(), auts[psi].tolist()))
 
 
 def all_affine_forms(G: GroupSpec) -> list:
     """Every affine form (phi, psi, c) with commuting automorphisms, unquotiented."""
-    els = G.elements()
-    return [AffineForm(G, phi, psi, c) for phi, psi in _affine_pairs(G) for c in els]
+    pairs, els = _affine_pairs(G), G.elements()
+    maps = _automorphisms(G, [f for pair in pairs for f in pair])
+    return [AffineForm(G, phi, psi, c) for phi, psi in zip(maps[0::2], maps[1::2]) for c in els]
 
 
 def all_affine_tables(G: GroupSpec) -> np.ndarray:
-    """The cells of every table of `all_affine_forms(G)`, in its order, as one (N, n, n) array."""
+    """The cells of every table of `all_affine_forms(G)`, in its order, as one (N, n, n) array; `check_pairs` checks every pair."""
     pairs = _affine_pairs(G)
-    return affine_tables(G, pairs, np.broadcast_to(np.arange(G.order), (len(pairs), G.order)))
+    check_pairs(G, [phi for phi, _ in pairs], [psi for _, psi in pairs])
+    return _affine_cells(G, pairs, np.broadcast_to(np.arange(G.order), (len(pairs), G.order)))
 
 
 def _as_stack(tables) -> tuple:

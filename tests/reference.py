@@ -17,7 +17,10 @@ templates), `relabel`, `all_latin_squares`, `_cycle_lengths` and
 classmethods `Mat2.identity` and `Mat2.zero`), `mul`, `sub`, `rank` and `inv`
 (the `Mat2` methods `mul`, `__sub__`, `rank` and `inv`), `det` and
 `is_scalar` (the `Mat2` methods of those names), and `add` and
-`apply` (the methods of `Cyclic` and `ElemAbelianRank2`).  `walk_fingerprint` and
+`apply` (the methods of `Cyclic` and `ElemAbelianRank2`).  `mul` (row
+times column) and `products` (numpy's `matmul` on entry arrays) multiply
+matrices by rules of their own, so no reference shares the package's
+product `gl2._mul`.  `walk_fingerprint` and
 `tuple_classify` are the oracle's fingerprint and `classify` as they were
 before its invariants came from one array pass: per-table walks and
 signature tuples, in one process.  `medial_scan` is `quasigroup.is_medial`
@@ -37,8 +40,6 @@ from medialq.gl2 import (
     Mat2,
     Unit,
     _gl2_entries,
-    _mul,
-    _product,
     conj_class_reps,
     conjugacy_partition,
     gl2_elements,
@@ -71,11 +72,17 @@ def _case_tag(G: GroupSpec, phi: Mat2, psi: Mat2) -> str:
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
+def products(x, y, p: int) -> np.ndarray:
+    """The entry rows of the matrix products over F_p of entry arrays x and y, shape (..., 4) broadcast, by numpy's matmul."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    xy = x.reshape(x.shape[:-1] + (2, 2)) @ y.reshape(y.shape[:-1] + (2, 2))
+    return xy.reshape(xy.shape[:-2] + (4,)) % p
+
+
 def filter_centralizer(A: Mat2) -> list:
     """The codes of {B in GL(2,p) : AB = BA}, ascending: every entry row of GL(2,p) multiplied both ways."""
     p, x = A.p, _gl2_entries(A.p)
-    a = np.array(A.entries, dtype=np.int32)
-    x = x[(_mul(a, x, p) == _mul(x, a, p)).all(axis=-1)]
+    x = x[(products(A.entries, x, p) == products(x, A.entries, p)).all(axis=-1)]
     return _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p).tolist()
 
 
@@ -239,8 +246,11 @@ def zero_matrix(p: int) -> Mat2:
 
 
 def mul(A: Mat2, B: Mat2) -> Mat2:
-    """AB; formerly `Mat2.mul`."""
-    return Mat2(*_product(A, B), A.p)
+    """AB, each entry a row of A times a column of B; formerly `Mat2.mul`."""
+    if A.p != B.p:
+        raise ValueError("matrices over different fields")
+    rows, columns = (A.entries[:2], A.entries[2:]), (B.entries[0::2], B.entries[1::2])
+    return Mat2(*(sum(a * b for a, b in zip(row, column)) for row in rows for column in columns), A.p)
 
 
 def sub(A: Mat2, B: Mat2) -> Mat2:

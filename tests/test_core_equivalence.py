@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialq import enumeration, gl2, groups
+from medialq import enumeration, gl2, groups, quasigroup
+from medialq.cli import main
 from medialq.enumeration import (
     _one_minus,
     _orbit_reps,
@@ -660,6 +661,22 @@ def test_a_cold_rank2_enumeration_builds_no_gl2_list_of_mat2(monkeypatch):
     assert gl2.gl2_elements.cache_info().currsize == 0
     assert len(built) == 24
     assert sum(len(c_reps) for _, _, _, cs in blocks for c_reps in cs) == 594
+
+
+def test_crosscheck_builds_no_triple_and_no_mat2_past_the_class_representatives(monkeypatch, capsys):
+    # Both sides of (Z_3)^2's crosscheck stay codes: the 8 class representatives
+    # of GL(2,3), in conj_class_reps, are its only objects of these classes.
+    built = {cls: [] for cls in (Mat2, Unit, enumeration.RepresentativeTriple, quasigroup.AffineForm)}
+    for cls, calls in built.items():
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda x, *args, real=real, calls=calls: calls.append(1) or real(x, *args))
+    for cache in (gl2.gl2_elements, gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer, reps_x):
+        cache.cache_clear()
+    assert main(["crosscheck", "--group", "zp2", "--p", "3"]) == 0
+    assert capsys.readouterr().out.endswith("68 = 68 OK\n")
+    assert {cls.__name__: len(calls) for cls, calls in built.items()} == {
+        "Mat2": 3 * 3 - 1, "Unit": 0, "RepresentativeTriple": 0, "AffineForm": 0,
+    }
 
 
 class SquaringCyclic(Cyclic):

@@ -1,10 +1,12 @@
-"""No module builds code at import, and the CLI loads the oracle and the tables only in the commands that use them.
+"""No module builds code at import, the CLI loads the oracle and the tables only in the commands that use them, and the oracle never loads the enumeration.
 
 `dataclasses`, `collections.namedtuple` and `typing.NamedTuple` generate
 each class's methods by compiling source when the module is imported, which
 every CLI process pays at start-up; the value classes are written out on
 `fp._Frozen` instead.  `cli.py` imports `.oracle` and `.quasigroup` inside
-the commands that use them, never at module level.
+the commands that use them, never at module level.  `oracle.py` imports
+`.enumeration` nowhere, not even inside a function: the oracle consults no
+affine theory, so its agreement with the enumerator is a cross-check.
 """
 
 import ast
@@ -48,16 +50,26 @@ def module_level(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def eager_imports(path) -> list:
-    """The package modules of DEFERRED that `path` imports at module level, sorted."""
+def package_imports(nodes, modules) -> list:
+    """The package modules among `modules` that the import statements among `nodes` load, sorted."""
     found = set()
-    for node in module_level(ast.parse(path.read_text(), str(path))):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("medialq")):
-            found |= DEFERRED & ({*(node.module or "").split(".")} | {alias.name for alias in node.names})
+            found |= modules & ({*(node.module or "").split(".")} | {alias.name for alias in node.names})
         elif isinstance(node, ast.Import):
             parts = {part for alias in node.names if alias.name.startswith("medialq.") for part in alias.name.split(".")}
-            found |= DEFERRED & parts
+            found |= modules & parts
     return sorted(found)
+
+
+def eager_imports(path) -> list:
+    """The package modules of DEFERRED that `path` imports at module level, sorted."""
+    return package_imports(module_level(ast.parse(path.read_text(), str(path))), DEFERRED)
+
+
+def theory_imports(path) -> list:
+    """`["enumeration"]` if `path` imports the enumeration anywhere, function bodies included, else `[]`."""
+    return package_imports(ast.walk(ast.parse(path.read_text(), str(path))), {"enumeration"})
 
 
 def test_no_module_imports_a_code_generator():
@@ -66,6 +78,10 @@ def test_no_module_imports_a_code_generator():
 
 def test_the_cli_imports_the_oracle_and_the_tables_only_inside_commands():
     assert eager_imports(ROOT / "src" / "medialq" / "cli.py") == []
+
+
+def test_the_oracle_imports_nothing_from_the_enumeration():
+    assert theory_imports(ROOT / "src" / "medialq" / "oracle.py") == []
 
 
 def test_the_guards_see_every_module_and_flag_offending_source(tmp_path):
@@ -86,3 +102,8 @@ def test_the_guards_see_every_module_and_flag_offending_source(tmp_path):
     assert eager_imports(extra) == ["oracle", "quasigroup"]
     extra.write_text("def command():\n    from .oracle import classify\n    from .quasigroup import is_latin\n")
     assert eager_imports(extra) == []
+    assert theory_imports(extra) == []
+    for source in ("from .enumeration import reps_x\n", "def pairs():\n    from . import enumeration\n",
+                   "import medialq.enumeration\n"):
+        extra.write_text(source)
+        assert theory_imports(extra) == ["enumeration"]

@@ -1,8 +1,9 @@
+import math
 import random
 import re
 import time
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from medialq import oracle, quasigroup
 from medialq.cli import main
 from medialq.enumeration import enumerate_forms
 from medialq.fp import Prime
-from medialq.gl2 import Mat2, Unit, check_pair, gl2_elements
+from medialq.gl2 import Mat2, check_pairs, gl2_elements
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import (
     IsoClass,
@@ -33,7 +34,17 @@ from medialq.quasigroup import (
     tables_from_text,
     to_text,
 )
-from reference import _cycle_lengths, _signatures, add, all_latin_squares, mul, relabel, tuple_classify, walk_fingerprint
+from reference import (
+    _cycle_lengths,
+    _signatures,
+    add,
+    all_latin_squares,
+    mul,
+    products,
+    relabel,
+    tuple_classify,
+    walk_fingerprint,
+)
 
 Z4 = Cyclic(Prime(2), 2)
 V2 = ElemAbelianRank2(Prime(2))
@@ -209,6 +220,31 @@ def test_all_affine_forms_counts():
     assert len(all_affine_forms(V3)) == pairs3 * 9 == 3456
 
 
+@pytest.mark.parametrize(
+    "G",
+    [Cyclic(Prime(p), k) for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4))]
+    + [V2, V3],
+    ids=str,
+)
+def test_the_affine_pairs_are_the_commuting_pairs_found_by_brute_force(G):
+    # in order: phi-major, each over Aut(G) ascending, residues or matrix codes (base-p digits, m00 first)
+    n = G.order
+    if isinstance(G, Cyclic):
+        auts = [u for u in range(n) if math.gcd(u, n) == 1]
+        want = [(u, v) for u in auts for v in auts if u * v % n == v * u % n]
+    else:
+        p = G.p
+        rows = [e for e in product(range(p), repeat=4) if (e[0] * e[3] - e[1] * e[2]) % p]
+        codes = [((a * p + b) * p + c) * p + d for a, b, c, d in rows]
+        want = [
+            (codes[i], codes[j])
+            for i, x in enumerate(rows)
+            for j, y in enumerate(rows)
+            if (products(x, y, p) == products(y, x, p)).all()
+        ]
+    assert oracle._affine_pairs(G) == want
+
+
 def test_all_affine_forms_rejects_large_groups():
     with pytest.raises(ValueError, match="exceeds the cap 16"):
         all_affine_forms(Cyclic(Prime(17), 1))
@@ -243,16 +279,18 @@ def non_commuting_pair(p):
 @pytest.mark.parametrize(
     "G, bad",
     [
-        (V3, non_commuting_pair(3)),
-        (V3, (Mat2(1, 0, 0, 1, 3), Mat2(1, 1, 1, 1, 3))),  # singular psi
-        (V2, (Mat2(1, 0, 0, 1, 3), Mat2(1, 0, 0, 1, 3))),  # over another field
-        (Z9, (Unit(2, 9), Unit(2, 27))),  # a unit of another modulus
+        (V3, tuple(map(int, non_commuting_pair(3)))),
+        (V3, (int(Mat2(1, 0, 0, 1, 3)), int(Mat2(1, 1, 1, 1, 3)))),  # singular psi
+        (V2, (int(Mat2(1, 0, 0, 1, 2)), 2 ** 4)),  # p^4, a code past every matrix over F_2
+        (Z9, (2, 9)),  # the residue 9, past Z_9
     ],
     ids=["non-commuting", "singular", "other-field", "other-modulus"],
 )
 def test_a_bad_pair_in_the_pair_list_raises_check_pairs_message(monkeypatch, G, bad):
     with pytest.raises(ValueError) as want:
-        check_pair(G, *bad)
+        check_pairs(G, bad[0], bad[1:])
+    if bad[1] >= (G.order if isinstance(G, Cyclic) else G.p ** 4):
+        assert str(want.value) == f"{bad[1]} is not the code of an automorphism of {G}"
     pairs = oracle._affine_pairs(G)
     for at in (0, len(pairs) // 2, len(pairs)):
         monkeypatch.setattr(oracle, "_affine_pairs", lambda G: pairs[:at] + [bad] + pairs[at:])
