@@ -27,6 +27,7 @@ from .gl2 import (
     JORDAN,
     SCALAR,
     Automorphism,
+    _aut_codes,
     _automorphisms,
     centralizer,
     check_pairs,
@@ -34,7 +35,7 @@ from .gl2 import (
     conjugacy_partition,
     units,
 )
-from .groups import CosetList, Cyclic, GroupSpec, _matrix_code, _matrix_entries, quotient_cosets, quotients
+from .groups import CosetList, Cyclic, GroupSpec, quotient_cosets, quotients
 
 CASE_TAG_CYCLIC = "cyclic"
 
@@ -91,10 +92,8 @@ class EnumerationReport(_Frozen):
 
 def _one_minus(G: GroupSpec, phi: int, psis) -> np.ndarray:
     """The codes of the endomorphisms 1 - phi - psi, one per psi code of `psis`: residues, or (possibly singular) matrix codes."""
-    if isinstance(G, Cyclic):
-        return (1 - phi - np.asarray(psis, dtype=np.int64)) % G.order
-    x = np.array([1, 0, 0, 1]) - _matrix_entries([phi], G.p) - _matrix_entries(psis, G.p)
-    return _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], G.p)
+    one, f = G._entries([G._identity, phi])
+    return G._code(one - f - G._entries(psis))
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +105,7 @@ def reps_x(G: GroupSpec) -> np.ndarray:
     checked (once per prime, by `conjugacy_partition`) to be a transversal.
     Every block reads this array, to check its phi and to find its kind.
     """
-    if isinstance(G, Cyclic):
+    if isinstance(G, Cyclic):  # Aut(G) is abelian
         return units(G.p, G.k)
     conjugacy_partition(G.p)  # raises unless the list is a transversal of GL(2,p)
     codes = np.array([int(R) for R in conj_class_reps(G.p)], dtype=np.int64)
@@ -117,28 +116,28 @@ def reps_x(G: GroupSpec) -> np.ndarray:
 def reps_y(G: GroupSpec, phi: int) -> np.ndarray:
     """The codes of the conjugacy-class representatives of C(phi), conjugating inside C(phi).
 
-    For a unit or a scalar phi the centralizer is all of Aut(G), so the
-    `reps_x` transversal is reused.  For the other kinds `gl2.centralizer`
+    For a scalar phi (every unit is one) the centralizer is all of Aut(G),
+    so the `reps_x` transversal is reused.  For the other kinds `gl2.centralizer`
     has verified C(phi) to be commutative, so it is its own transversal.
     phi must be the code of a representative in `reps_x(G)`.
     """
     reps = reps_x(G)  # checks the transversal
-    cyclic = isinstance(G, Cyclic)
-    if not (isinstance(phi, (int, np.integer)) and (0 < phi < G.order and phi % G.p if cyclic else phi in reps.tolist())):
+    if not (isinstance(phi, (int, np.integer)) and (reps == phi).any()):
         raise ValueError(f"{phi!r} is not the code of a designated representative of {G}")
-    if cyclic or phi % (G.p ** 3 + 1) == 0:  # the scalar codes a(p^3 + 1), digits (a, 0, 0, a)
-        return reps
-    return centralizer(G.p, phi)
+    return reps if phi % G._identity == 0 else centralizer(G.p, phi)
 
 
 def stabilizer(G: GroupSpec, phi: int, psi: int) -> np.ndarray:
-    """The codes of C(phi) & C(psi), every automorphism commuting with both, in a read-only array."""
+    """The codes of C(phi) & C(psi), every automorphism commuting with both, in a read-only array.
+
+    The scalars are the multiples of the identity's code, every unit among
+    them.  A scalar phi is central, so this is C(psi), all of Aut(G) for a
+    scalar psi.  Otherwise psi lies in C(phi), which `centralizer` checks to
+    be commutative, so this is C(phi).
+    """
     check_pairs(G, phi, (psi,))
-    if isinstance(G, Cyclic):
-        return units(G.p, G.k)
-    # A scalar phi is central, so this is C(psi).  Otherwise psi lies in C(phi),
-    # which `centralizer` checks to be commutative, so this is C(phi).
-    return centralizer(G.p, psi if phi % (G.p ** 3 + 1) == 0 else phi)
+    fixed = psi if phi % G._identity == 0 else phi
+    return _aut_codes(G) if fixed % G._identity == 0 else centralizer(G.p, fixed)
 
 
 _ACTION_CHUNK = 1 << 14  # action-array entries held at a time by _orbit_reps
@@ -209,22 +208,27 @@ def _block(G: GroupSpec, phi: int, table: list) -> tuple:
 
     psis holds the psi codes, `reps_y(G, phi)`.  The pair check, 1 - phi -
     psi and its image are computed for all psi at once, from their codes.
-    For Z_{p^k} every stabilizer is all of Aut(G), so the c representatives
-    depend on the residue m = 1 - phi - psi alone: `table`, shared by one
-    enumeration's blocks, holds them by m, each found by `orbit_reps_c` for
-    the first pair that reaches m.  Rank-2 blocks do not read it.
+    Aut(Z_{p^k}) is abelian, so every stabilizer is all of it, and the c
+    representatives depend on the code m = 1 - phi - psi alone: `table`,
+    shared by one enumeration's blocks, holds them by m.  The images of a
+    block's new m are taken at once, and `orbit_reps_c` finds the orbits of
+    a pair reaching m where the quotient is not trivial.  Rank-2 blocks do not read it.
     """
     psis = reps_y(G, phi)
     check_pairs(G, phi, psis)
-    if isinstance(G, Cyclic):
-        ms = _one_minus(G, phi, psis).tolist()
-        cs = list(map(table.__getitem__, ms))
-        for i in [i for i, c in enumerate(cs) if c is None]:
-            cs[i] = table[ms[i]] = orbit_reps_c(G, phi, int(psis[i]))
-        return phi, psis, (CASE_TAG_CYCLIC,) * len(psis), tuple(cs)
+    ms = _one_minus(G, phi, psis)
+    if isinstance(G, Cyclic):  # Aut(G) is abelian
+        ms = ms.tolist()
+        cs = tuple(map(table.__getitem__, ms))
+        if None in cs:
+            new = {m: psi for m, psi, c in zip(ms, psis.tolist(), cs) if c is None}
+            for (m, psi), quotient in zip(new.items(), quotients(G, list(new))):
+                table[m] = (G.zero,) if len(quotient) == 1 else orbit_reps_c(G, phi, psi)
+            cs = tuple(map(table.__getitem__, ms))
+        return phi, psis, (CASE_TAG_CYCLIC,) * len(psis), cs
     p, kinds = G.p, tuple(conj_class_reps(G.p).values())
     kind = kinds[reps_x(G).tolist().index(phi)]
-    cosets = quotients(G, _one_minus(G, phi, psis))
+    cosets = quotients(G, ms)
 
     # C(phi) & C(psi) is C(fixed): C(psi) for a scalar phi, else C(phi), as in `stabilizer`
     def tail(psi_kind, quotient, fixed):

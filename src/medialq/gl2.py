@@ -1,4 +1,7 @@
-"""Automorphism groups: units of Z_{p^k} and GL(2, p).
+"""Automorphism groups: units of Z_{p^k} and GL(2, p), the invertible r x r matrices over Z_q.
+
+`_aut_codes` lists both, as codes (see `groups`); `_mul`, `_commute` and
+`_det` are the one product, commutation test and determinant of either size.
 
 The four kinds of conjugacy-class representatives of GL(2, p) -- scalar
 matrices, diagonal matrices with distinct eigenvalues, Jordan blocks, and
@@ -10,9 +13,8 @@ and its singular members dropped; the conjugacy partition follows from
 trace, determinant and orbit-stabilizer, conjugating nothing.  Both run on
 integer arrays of matrix entries (one row per matrix, columns m00, m01,
 m10, m11) or of matrix codes, and build no `Mat2` per element of GL(2, p).
-The enumeration and the oracle carry each automorphism as its code (a
-residue, or a `groups._matrix_code`), and `_commute` is the one test of
-AB = BA; `Unit` and `Mat2` are for library callers.
+The enumeration and the oracle carry each automorphism as its code; `Unit`
+and `Mat2` are for library callers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .fp import Prime, _Frozen, as_integer, fp_inv, is_irreducible_quadratic, prime_power
-from .groups import Cyclic, GroupSpec, _matrix_code, _matrix_entries
+from .groups import Cyclic, ElemAbelianRank2, GroupSpec
 
 SCALAR = "scalar"
 DISTINCT = "distinct"
@@ -58,7 +60,7 @@ class Mat2(_Frozen):
         return (self.m00, self.m01, self.m10, self.m11)
 
     def __int__(self) -> int:
-        return _matrix_code(self.m00, self.m01, self.m10, self.m11, self.p)
+        return int(ElemAbelianRank2(self.p)._code(self.entries))
 
     def __str__(self) -> str:
         return f"[[{self.m00},{self.m01}],[{self.m10},{self.m11}]] mod {self.p}"
@@ -89,23 +91,50 @@ class Unit(_Frozen):
 Automorphism = Union[Unit, Mat2]
 
 
-def _mul(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Matrix products of entry arrays x, y of shape (..., 4), broadcast, reduced mod p."""
-    a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    e, f, g, h = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    return np.stack((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h), axis=-1) % p
+def _mul(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """Matrix products of the r x r matrices with entry arrays x, y of shape (..., r*r), broadcast, reduced mod q."""
+    r = math.isqrt(x.shape[-1])
+    out = [sum(x[..., i + j] * y[..., j * r + k] for j in range(r)) for i in range(0, r * r, r) for k in range(r)]
+    return np.stack(out, axis=-1) % q
 
 
-def _commute(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Whether the matrices over F_p with entry arrays x and y, shape (..., 4) broadcast, commute: AB = BA."""
-    return (_mul(x, y, p) == _mul(y, x, p)).all(axis=-1)
+def _commute(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """Whether the r x r matrices over Z_q with entry arrays x and y, shape (..., r*r) broadcast, commute: AB = BA."""
+    if x.shape[-1] == 1:  # 1 x 1 matrices commute
+        return np.ones(np.broadcast_shapes(x.shape, y.shape)[:-1], dtype=bool)
+    return (_mul(x, y, q) == _mul(y, x, q)).all(axis=-1)
+
+
+def _det(x: np.ndarray) -> np.ndarray:
+    """Determinants of the 1 x 1 or 2 x 2 matrices with entry arrays x of shape (..., r*r); a unit mod p iff invertible."""
+    if x.shape[-1] == 1:
+        return x[..., 0]
+    return x[..., 0] * x[..., 3] - x[..., 1] * x[..., 2]
+
+
+_MAX_AUT_CODES = 1 << 20  # matrix codes listed for Aut(G): some 50 MB of arrays at most
+
+
+@lru_cache(maxsize=None)
+def _aut_codes(G: GroupSpec) -> np.ndarray:
+    """The codes of Aut(G), the invertible r x r matrices over Z_q, ascending, in a read-only int64 array.
+
+    All q^(r*r) matrix codes are listed: over `_MAX_AUT_CODES`, ValueError is raised first.
+    """
+    count = G.q ** (G.r * G.r)
+    if count > _MAX_AUT_CODES:
+        raise ValueError(f"Aut({G}) is listed from {count} matrix codes, over the bound {_MAX_AUT_CODES}")
+    codes = np.arange(count, dtype=np.int64)
+    codes = codes[_det(G._entries(codes)) % G.p != 0]
+    codes.setflags(write=False)
+    return codes
 
 
 def _class_key(x: np.ndarray, p: int) -> np.ndarray:
     """Trace, determinant and scalarness of entry arrays (..., 4) as one int; conjugates share it."""
     a, b, c, d = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
     scalar = (b == 0) & (c == 0) & (a == d)
-    return (((a + d) % p) * p + (a * d - b * c) % p) * 2 + scalar
+    return (((a + d) % p) * p + _det(x) % p) * 2 + scalar
 
 
 def _span_basis(x: np.ndarray, p: int) -> list:
@@ -159,23 +188,11 @@ def conj_class_reps(p: int) -> MappingProxyType:
     return MappingProxyType(reps)
 
 
-def _gl2_entries(p: int) -> np.ndarray:
-    """Entry rows of every invertible 2x2 matrix over F_p, lexicographic by entries.
-
-    Not cached: its callers, `gl2_elements` and `conjugacy_partition`, cache their own results.
-    """
-    p = Prime(p)
-    x = np.indices((p,) * 4, dtype=np.int32).reshape(4, -1).T
-    x = x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
-    x.setflags(write=False)
-    return x
-
-
 @lru_cache(maxsize=None)
 def gl2_elements(p: int) -> tuple:
-    """All invertible 2x2 matrices over F_p, lexicographic by entries: `_gl2_entries` as `Mat2`."""
-    p = Prime(p)
-    return tuple(Mat2(*row, p) for row in _gl2_entries(p).tolist())
+    """All invertible 2x2 matrices over F_p, lexicographic by entries: `_aut_codes` of (Z_p)^2 as `Mat2`."""
+    V = ElemAbelianRank2(p)
+    return tuple(Mat2(*row, V.p) for row in V._entries(_aut_codes(V)).tolist())
 
 
 def _null_space(rows: list, p: int) -> np.ndarray:
@@ -205,25 +222,26 @@ def centralizer(p: int, A: int) -> np.ndarray:
     B -> AB - BA on the 2x2 matrices over F_p.  Its span is listed from a
     basis, and the singular matrices are dropped.  Unless A is scalar, C(A)
     is checked to be commutative, which `reps_y` and `stabilizer` rely on.
-    For a scalar A, C(A) is all of GL(2,p): every scalar gets the identity's
-    array, so the p - 1 scalars of a prime hold one copy of GL(2,p).
+    A scalar A is central, so C(A) is all of GL(2,p): every scalar gets the
+    `_aut_codes` array, so the p - 1 scalars of a prime hold no copy of their own.
     """
-    p = Prime(p)
+    V = ElemAbelianRank2(p)
+    p = V.p
     if not 0 <= A < p ** 4:
         raise ValueError(f"{A} is not the code of a 2x2 matrix over F_{p}")
-    a, b, c, d = _matrix_entries([A], p)[0].tolist()
-    if (a * d - b * c) % p == 0:
-        raise ValueError(f"{Mat2(a, b, c, d, p)} is singular; centralizers are taken in GL(2,p)")
-    if b == c == 0 and a == d != 1:
-        return centralizer(p, p ** 3 + 1)  # the identity's code, digits (1, 0, 0, 1)
+    e = V._entries([A])
+    if _det(e)[0] % p == 0:
+        raise ValueError(f"{Mat2(*e[0].tolist(), p)} is singular; centralizers are taken in GL(2,p)")
+    if A % V._identity == 0:
+        return _aut_codes(V)
+    a, b, c, d = e[0].tolist()
     # row i holds entry i of AB - BA as a linear form in B's entries
     basis = _null_space([[0, -c, b, 0], [-b, a - d, 0, b], [c, 0, d - a, -c], [0, c, -b, 0]], p)
     x = np.indices((p,) * len(basis)).reshape(len(basis), -1).T @ basis % p
-    x = x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
-    codes = _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p)
+    x = x[_det(x) % p != 0]
+    codes = V._code(x)
     order = np.argsort(codes)
-    if len(basis) < 4:  # else A is scalar and C(A) all of GL(2,p)
-        _assert_commutative(x[order], p)
+    _assert_commutative(x[order], p)
     codes = codes[order]
     codes.setflags(write=False)
     return codes
@@ -233,7 +251,7 @@ def centralizer(p: int, A: int) -> np.ndarray:
 def conjugacy_partition(p: int) -> np.ndarray:
     """The class of every element of GL(2, p), as a position in `conj_class_reps(p)`.
 
-    One entry per entry row of `_gl2_entries(p)`, in a read-only array.  The
+    One entry per code of `_aut_codes` of (Z_p)^2, in its order, in a read-only array.  The
     class of a representative R is the set of matrices sharing R's
     `_class_key`, which holds the class; orbit-stabilizer, |Cl(R)| = |GL| /
     |C(R)|, proves it no larger.  Raises if that count fails or the
@@ -241,8 +259,9 @@ def conjugacy_partition(p: int) -> np.ndarray:
     matrix uncovered), so downstream code may rely on the partition rather
     than assume it.
     """
-    p = Prime(p)
-    keys = _class_key(_gl2_entries(p), p)
+    V = ElemAbelianRank2(p)
+    p = V.p
+    keys = _class_key(V._entries(_aut_codes(V)), p)
     classes = np.full(len(keys), -1, dtype=np.int32)
     for i, R in enumerate(conj_class_reps(p)):
         cls = keys == _class_key(np.array(R.entries), p)
@@ -287,7 +306,7 @@ def _automorphisms(G: GroupSpec, codes) -> list:
     """The `Unit` of G's modulus or the `Mat2` over G's field of each automorphism code, in order: `_codes` undone."""
     if isinstance(G, Cyclic):
         return [Unit(code, G.order) for code in codes]
-    return [Mat2(*entries, G.p) for entries in _matrix_entries(codes, G.p).tolist()]
+    return [Mat2(*entries, G.p) for entries in G._entries(codes).tolist()]
 
 
 def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
@@ -304,29 +323,25 @@ def _shown(G: GroupSpec, code: int) -> str:
     """The automorphism of a code as its `Unit` or `Mat2` prints."""
     if isinstance(G, Cyclic):
         return f"{code} mod {G.order}"
-    return str(Mat2(*_matrix_entries([code], G.p)[0].tolist(), G.p))
+    return str(Mat2(*G._entries([code])[0].tolist(), G.p))
 
 
 def check_pairs(G: GroupSpec, phi, codes) -> None:
     """Raise ValueError unless each (phi, psi), psi in `codes`, codes a pair of invertible, commuting automorphisms of G.
 
-    phi is one code, or one code per psi: a residue for Z_{p^k}, a
-    `groups._matrix_code` for Z_p x Z_p.  One numpy pass checks every pair;
-    the message names the first failing pair, in list order, by the first
-    clause it fails: a code out of range (phi's first), a map that is not
-    invertible, a pair that does not commute.
+    phi is one code, or one code per psi, of an r x r matrix over Z_q: a
+    residue for Z_{p^k}, the base-p digits of the entries for Z_p x Z_p.
+    One numpy pass checks every pair; the message names the first failing
+    pair, in list order, by the first clause it fails: a code out of range
+    (phi's first), a map that is not invertible, a pair that does not commute.
     """
     psis = np.asarray(codes, dtype=np.int64)
     x = np.empty((len(psis), 2), dtype=np.int64)  # row i: (phi, psi) of pair i
     x[:, 0], x[:, 1] = phi, psis
-    cyclic, p = isinstance(G, Cyclic), G.p
-    outside = (x < 0) | (x >= (G.order if cyclic else p ** 4))
-    if cyclic:  # units of one modulus commute
-        singular, clash = x % p == 0, np.zeros(len(x), dtype=bool)
-    else:
-        e = _matrix_entries(x.ravel(), p).reshape(-1, 2, 4)
-        singular = (e[..., 0] * e[..., 3] - e[..., 1] * e[..., 2]) % p == 0
-        clash = ~_commute(e[:, 0], e[:, 1], p)
+    outside = (x < 0) | (x >= G.q ** (G.r * G.r))
+    e = G._entries(x.ravel()).reshape(len(x), 2, G.r * G.r)
+    singular = _det(e) % G.p == 0
+    clash = ~_commute(e[:, 0], e[:, 1], G.q)
     if not ((outside | singular).any() or clash.any()):
         return
     i = int(((outside | singular).any(axis=1) | clash).argmax())
@@ -338,11 +353,6 @@ def check_pairs(G: GroupSpec, phi, codes) -> None:
     raise ValueError("phi and psi do not commute")
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: units(3, True) must reach the check, not hit units(3, 1)
 def units(p: int, k: int = 1) -> np.ndarray:
-    """Aut(Z_{p^k}) as the residues coprime to p, ascending, in a read-only int64 array; count p^k - p^(k-1)."""
-    G = Cyclic(p, k)  # checks p and k
-    residues = np.arange(1, G.order, dtype=np.int64)
-    residues = residues[residues % G.p != 0]
-    residues.setflags(write=False)
-    return residues
+    """Aut(Z_{p^k}) as the residues coprime to p, ascending, in a read-only int64 array; count p^k - p^(k-1): `_aut_codes`."""
+    return _aut_codes(Cyclic(p, k))  # checks p and k

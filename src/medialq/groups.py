@@ -1,16 +1,18 @@
-"""The ambient abelian groups: Z_{p^k} and Z_p x Z_p.
+"""The ambient abelian groups: Z_{p^k} and Z_p x Z_p, both (Z_q)^r for q = p^k.
 
 Group elements are plain values -- residues (int) for the cyclic family and
 coordinate pairs (x, y) for the rank-2 elementary abelian family.  Every
 group fixes a deterministic element order (ascending residue, respectively
 lexicographic by components); all index-based artifacts downstream inherit
-that order, which makes enumeration output reproducible run to run.
+that order, which makes enumeration output reproducible run to run.  Both
+are (Z_q)^r under the r x r matrices over Z_q, on one base class: Z_{p^k}
+with q = p^k and r = 1, and Z_p x Z_p with q = p and r = 2.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -20,8 +22,68 @@ from .fp import Prime, _Frozen, as_integer
 Element = Union[int, tuple]
 
 
-class Cyclic(_Frozen):
-    """Z_{p^k}: residues 0 .. p^k - 1 under addition mod p^k."""
+class _Homocyclic(_Frozen):
+    """(Z_q)^r for q = p^k under the r x r matrices over Z_q, set up by `_shape` once a subclass stores p and its zero.
+
+    An element's index is the base-q number of its coordinates, and an
+    endomorphism's code that of its entries, row-major, most significant first.
+    """
+
+    def _shape(self, k: int, r: int, zero) -> None:
+        _set, q = object.__setattr__, self.p ** k
+        places = np.array([q ** i for i in range(r * r - 1, -1, -1)], dtype=np.int64)  # of the entries' digits
+        _set(self, "q", q)
+        _set(self, "r", r)
+        _set(self, "order", q ** r)
+        _set(self, "zero", zero)
+        _set(self, "_places", places)
+        _set(self, "_identity", int(places[:: r + 1].sum()))  # 1 for r = 1, q^3 + 1 for r = 2
+        # Stored once: every cache keyed on the group hashes it on each lookup.
+        _set(self, "_hash", hash(self._values()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _entries(self, codes) -> np.ndarray:
+        """Entry rows of endomorphism codes, shape (len(codes), r*r): each code's base-q digits, row-major."""
+        return np.asarray(codes, dtype=np.int64)[:, None] // self._places % self.q
+
+    def _code(self, x) -> np.ndarray:
+        """The codes of entry arrays x of shape (..., r*r), each entry reduced mod q: `_entries` undone."""
+        return (np.asarray(x, dtype=np.int64) % self.q) @ self._places
+
+    def index_add(self, a, b) -> np.ndarray:
+        """Index of a + b for element-index arrays a and b (broadcast): coordinates add mod q."""
+        q, a, b = self.q, np.asarray(a), np.asarray(b)
+        return sum((a // w + b // w) % q * w for w in self._places[-self.r :].tolist())
+
+    def index_action(self, ms, idx) -> np.ndarray:
+        """Indices of m(g) for every endomorphism code m in ms (rows) and element index g in idx (columns).
+
+        Coordinate i of m(g) is row i of m's entries times g's coordinates,
+        mod q.  int32 holds every intermediate while r q^2 < 2^31.
+        """
+        q, r = self.q, self.r
+        dtype = np.int32 if r * q * q < 2 ** 31 else np.int64
+        e = self._entries(ms).astype(dtype)
+        idx = np.asarray(idx, dtype=dtype)
+        g = [idx // w % q for w in self._places[-r:].tolist()]
+        out = None
+        for i in range(r):
+            row = e[:, i * r, None] * g[0]
+            for j in range(1, r):
+                row += e[:, i * r + j, None] * g[j]
+            row %= q
+            if out is None:
+                out = row
+            else:
+                out *= q
+                out += row
+        return out
+
+
+class Cyclic(_Homocyclic):
+    """Z_{p^k}: residues 0 .. p^k - 1 under addition mod p^k; (Z_q)^1 for q = p^k."""
 
     _fields = ("p", "k")
 
@@ -36,19 +98,7 @@ class Cyclic(_Frozen):
             raise ValueError(f"exponent k must be an int, not {k!r}") from None
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
-        # Stored once: every cache keyed on the group hashes it on each lookup.
-        _set(self, "_hash", hash((self.p, self.k)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property  # read on every pair check and every 1 - phi - psi
-    def order(self) -> int:
-        return self.p ** self.k
-
-    @property
-    def zero(self) -> int:
-        return 0
+        self._shape(self.k, 1, 0)
 
     def elements(self) -> list:
         return list(range(self.order))
@@ -61,43 +111,21 @@ class Cyclic(_Frozen):
     def index(self, a) -> int:
         return self.check(a)
 
-    def index_add(self, a, b) -> np.ndarray:
-        """Index of a + b for element-index arrays a and b (broadcast)."""
-        return (np.asarray(a) + np.asarray(b)) % self.order
-
-    def index_action(self, ms, idx) -> np.ndarray:
-        """Indices of m*g for every multiplier m in ms (rows) and element index g in idx (columns)."""
-        n = self.order
-        m = np.array([x % n for x in ms], dtype=np.int64)
-        return m[:, None] * np.asarray(idx, dtype=np.int64)[None, :] % n
-
     def __str__(self) -> str:
         return f"Z_{self.p}^{self.k}" if self.k > 1 else f"Z_{self.p}"
 
 
-class ElemAbelianRank2(_Frozen):
-    """Z_p x Z_p: pairs (x, y) under componentwise addition mod p."""
+class ElemAbelianRank2(_Homocyclic):
+    """Z_p x Z_p: pairs (x, y) under componentwise addition mod p; (Z_p)^2."""
 
     _fields = ("p",)
 
     def __init__(self, p: Prime):
         object.__setattr__(self, "p", Prime(p))
-        object.__setattr__(self, "_hash", hash((self.p,)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def order(self) -> int:
-        return self.p * self.p
-
-    @property
-    def zero(self) -> tuple:
-        return (0, 0)
+        self._shape(1, 2, (0, 0))
 
     def elements(self) -> list:
-        p = self.p
-        return [(x, y) for x in range(p) for y in range(p)]
+        return [(x, y) for x in range(self.p) for y in range(self.p)]
 
     def check(self, a) -> tuple:
         if (
@@ -112,49 +140,11 @@ class ElemAbelianRank2(_Frozen):
         self.check(a)
         return a[0] * self.p + a[1]
 
-    def index_add(self, a, b) -> np.ndarray:
-        """Index of a + b for element-index arrays a and b (broadcast)."""
-        p = self.p
-        a, b = np.asarray(a), np.asarray(b)
-        return (a // p + b // p) % p * p + (a + b) % p
-
-    def index_action(self, ms, idx) -> np.ndarray:
-        """Indices of m(g) for every matrix code m (`_matrix_code`) in ms (rows) and element index g in idx (columns).
-
-        int32 suffices: every intermediate is below 2p^2 <= 2^31 for p up to MAX_PRIME.
-        """
-        p = self.p
-        e = _matrix_entries(ms, p).astype(np.int32)
-        idx = np.asarray(idx, dtype=np.int32)
-        x, y = idx // p, idx % p
-        out = e[:, 0, None] * x
-        out += e[:, 1, None] * y
-        out %= p
-        out *= p
-        low = e[:, 2, None] * x
-        low += e[:, 3, None] * y
-        low %= p
-        out += low
-        return out
-
     def __str__(self) -> str:
         return f"(Z_{self.p})^2"
 
 
 GroupSpec = Union[Cyclic, ElemAbelianRank2]
-
-
-def _matrix_code(m00: int, m01: int, m10: int, m11: int, p: int) -> int:
-    """The code of the 2x2 matrix over F_p with these entries: each reduced mod p, read as base-p digits, m00 first.
-
-    Entries may be numpy arrays of equal shape: then so is the code.
-    """
-    return ((m00 % p * p + m01 % p) * p + m10 % p) * p + m11 % p
-
-
-def _matrix_entries(codes, p: int) -> np.ndarray:
-    """Entry rows (m00, m01, m10, m11) of matrix codes, shape (len(codes), 4): `_matrix_code` undone."""
-    return np.asarray(codes, dtype=np.int64)[:, None] // np.array([p ** 3, p * p, p, 1]) % p
 
 
 class CosetList(_Frozen):
@@ -233,11 +223,7 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
     try:
         code = operator.index(M)
     except TypeError:
-        if isinstance(G, Cyclic):
-            foreign = getattr(M, "modulus", None) != G.order
-        else:
-            foreign = getattr(M, "p", None) != G.p
-        if foreign:
+        if getattr(M, "modulus" if isinstance(G, Cyclic) else "p", None) != G.q:
             raise ValueError(f"{M} does not act on {G}") from None
         code = int(M)
     return quotients(G, [code])[0]

@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fp import _Frozen
-from .gl2 import _automorphisms, _commute, _gl2_entries, check_pairs, units
-from .groups import Cyclic, GroupSpec, _matrix_code
+from .gl2 import _aut_codes, _automorphisms, _commute, check_pairs
+from .groups import GroupSpec
 from .quasigroup import AffineForm, CayleyTable, _affine_cells
 
 ISO_ORDER_CAP = 16
@@ -197,18 +197,13 @@ def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
 def _affine_pairs(G: GroupSpec) -> list:
     """Every ordered pair (phi, psi) of codes of commuting automorphisms of G, phi-major, each in code order.
 
-    Units of one modulus all commute; the pairs of GL(2, p) are kept by
-    `gl2._commute`, all tested in one array pass.
+    Every pair of Aut(G) is tested by `gl2._commute` in one array pass.
     """
     if G.order > CLASSIFY_ORDER_CAP:
         raise ValueError(f"group of order {G.order} exceeds the cap {CLASSIFY_ORDER_CAP}")
-    if isinstance(G, Cyclic):
-        auts = units(G.p, G.k)
-        keep = np.ones((len(auts), len(auts)), dtype=bool)
-    else:
-        x = _gl2_entries(G.p)
-        auts, keep = _matrix_code(*x.T, G.p), _commute(x[:, None], x, G.p)
-    phi, psi = np.nonzero(keep)
+    auts = _aut_codes(G)
+    x = G._entries(auts)
+    phi, psi = np.nonzero(_commute(x[:, None], x, G.q))
     return list(zip(auts[phi].tolist(), auts[psi].tolist()))
 
 

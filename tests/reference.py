@@ -18,15 +18,19 @@ classmethods `Mat2.identity` and `Mat2.zero`), `mul`, `sub`, `rank` and `inv`
 (the `Mat2` methods `mul`, `__sub__`, `rank` and `inv`), `det` and
 `is_scalar` (the `Mat2` methods of those names), and `add` and
 `apply` (the methods of `Cyclic` and `ElemAbelianRank2`).  `mul` (row
-times column) and `products` (numpy's `matmul` on entry arrays) multiply
-matrices by rules of their own, so no reference shares the package's
-product `gl2._mul`.  `walk_fingerprint` and
+times column) and `products` (numpy's `matmul` on entry arrays of r x r
+matrices, 1 x 1 ones included) multiply matrices by rules of their own, so
+no reference shares the package's product `gl2._mul`.  `gl2_entries` lists
+GL(2, p) from every row of F_p^4 by its own determinant, and `matrix_codes`
+writes the base-p digits of entry rows, so neither shares the package's
+`gl2._aut_codes` or its code conversion.  `walk_fingerprint` and
 `tuple_classify` are the oracle's fingerprint and `classify` as they were
 before its invariants came from one array pass: per-table walks and
 signature tuples, in one process.  `medial_scan` is `quasigroup.is_medial`
 as it was before the affine certificate: every quadruple, one x at a time.
 """
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -39,12 +43,11 @@ from medialq.gl2 import (
     SCALAR,
     Mat2,
     Unit,
-    _gl2_entries,
     conj_class_reps,
     conjugacy_partition,
     gl2_elements,
 )
-from medialq.groups import Cyclic, GroupSpec, _matrix_code, quotient_cosets
+from medialq.groups import Cyclic, GroupSpec, quotient_cosets
 from medialq.oracle import Fingerprint, IsoClass, _iso_search
 from medialq.quasigroup import CayleyTable
 
@@ -72,18 +75,31 @@ def _case_tag(G: GroupSpec, phi: Mat2, psi: Mat2) -> str:
     return "case4.irreducible." + ("regular" if rank == 2 else "singular")
 
 
-def products(x, y, p: int) -> np.ndarray:
-    """The entry rows of the matrix products over F_p of entry arrays x and y, shape (..., 4) broadcast, by numpy's matmul."""
+def products(x, y, q: int) -> np.ndarray:
+    """The entry rows of the r x r matrix products over Z_q of entry arrays x and y, shape (..., r*r) broadcast, by numpy's matmul."""
     x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-    xy = x.reshape(x.shape[:-1] + (2, 2)) @ y.reshape(y.shape[:-1] + (2, 2))
-    return xy.reshape(xy.shape[:-2] + (4,)) % p
+    r = math.isqrt(x.shape[-1])
+    xy = x.reshape(x.shape[:-1] + (r, r)) @ y.reshape(y.shape[:-1] + (r, r))
+    return xy.reshape(xy.shape[:-2] + (r * r,)) % q
+
+
+def gl2_entries(p: int) -> np.ndarray:
+    """Entry rows (m00, m01, m10, m11) of every invertible 2x2 matrix over F_p, lexicographic: every row of F_p^4 with ad - bc != 0."""
+    x = np.indices((p,) * 4).reshape(4, -1).T
+    return x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
+
+
+def matrix_codes(x, p: int) -> np.ndarray:
+    """The codes of entry rows x, shape (..., 4): the entries, each reduced mod p, as base-p digits, m00 first."""
+    x = np.asarray(x) % p
+    return ((x[..., 0] * p + x[..., 1]) * p + x[..., 2]) * p + x[..., 3]
 
 
 def filter_centralizer(A: Mat2) -> list:
     """The codes of {B in GL(2,p) : AB = BA}, ascending: every entry row of GL(2,p) multiplied both ways."""
-    p, x = A.p, _gl2_entries(A.p)
+    p, x = A.p, gl2_entries(A.p)
     x = x[(products(A.entries, x, p) == products(x, A.entries, p)).all(axis=-1)]
-    return _matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p).tolist()
+    return matrix_codes(x, p).tolist()
 
 
 def as_matrices(codes, p: int) -> tuple:

@@ -385,7 +385,7 @@ def refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started on an input over a bound")
 
-    for name in ("enumerate_forms", "enumerate_blocks", "_block_tables"):
+    for name in ("enumerate_blocks", "_block_tables"):
         monkeypatch.setattr(cli, name, refuse)
     for name in ("is_latin", "is_medial"):  # `verify` imports them when it runs
         monkeypatch.setattr(quasigroup, name, refuse)
@@ -609,7 +609,7 @@ def test_count_cyclic_over_its_bound_is_rejected_before_any_work(capsys, monkeyp
     from medialq import cli
 
     refuse_work(monkeypatch)
-    monkeypatch.setattr(cli, "closed_form_cyclic", cli.enumerate_forms)  # now a refusing stub
+    monkeypatch.setattr(cli, "closed_form_cyclic", cli.enumerate_blocks)  # now a refusing stub
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "bound p^k <= 1000000000000" in err
@@ -659,18 +659,16 @@ def test_interpolate_cyclic_bounds_a_huge_exponent_before_any_power(
 
 
 def test_interpolate_cyclic_at_its_bound_is_admitted(capsys, monkeypatch):
-    from types import SimpleNamespace
-
     from medialq import cli
 
     orders = []
 
-    def empty_report(G, jobs=1):
+    def no_blocks(G):
         orders.append(G.order)
-        return SimpleNamespace(triples=(), total=0)
+        return iter(())
 
     guard_primes(monkeypatch)
-    monkeypatch.setattr(cli, "enumerate_forms", empty_report)
+    monkeypatch.setattr(cli, "enumerate_blocks", no_blocks)
     code, _, _ = run(capsys, "interpolate", "--series", "cyclic", "--k", "8", "--primes", "1")
     assert code == EXIT_OK
     assert orders == [256]

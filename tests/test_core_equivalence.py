@@ -51,6 +51,7 @@ from reference import (
     identity_matrix,
     inv,
     is_scalar,
+    matrix_codes,
     mul,
     partition_classes,
     rank,
@@ -401,7 +402,7 @@ def test_commutativity_is_checked_once_per_non_scalar_matrix(monkeypatch):
     real, checked = gl2._assert_commutative, []
 
     def counting(x, p):
-        checked.append(groups._matrix_code(x[:, 0], x[:, 1], x[:, 2], x[:, 3], p).tolist())
+        checked.append(matrix_codes(x, p).tolist())
         return real(x, p)
 
     monkeypatch.setattr(gl2, "_assert_commutative", counting)
@@ -628,21 +629,22 @@ def test_code_arrays_are_the_codes_of_the_reference_lists(case):
 
 
 def test_a_cold_cyclic_enumeration_computes_each_unit_code_once(monkeypatch):
-    # the codes are the residues of one units(5, 2) array, made once; no Unit
-    # is ever turned back into its code
+    # the codes are the residues of one Aut(Z_25) array, made once and shared
+    # by reps_x, units and every stabilizer; no Unit is ever turned back into its code
     real, coded = Unit.__int__, []
     monkeypatch.setattr(Unit, "__int__", lambda u: coded.append(u) or real(u))
-    units.cache_clear()
-    enumeration._orbit_reps.cache_clear()
+    for cache in (gl2._aut_codes, reps_x, enumeration._orbit_reps):
+        cache.cache_clear()
     enumerate_forms(Z25)
-    assert units.cache_info().misses == 1
+    assert gl2._aut_codes.cache_info().misses == 1
+    assert reps_x(Z25) is units(5, 2) is stabilizer(Z25, 2, 3)
     assert coded == []
 
 
 def test_a_cold_cyclic_enumeration_builds_no_unit(monkeypatch):
     real, built = Unit.__init__, []
     monkeypatch.setattr(Unit, "__init__", lambda u, *args: built.append(1) or real(u, *args))
-    for cache in (units, enumeration._orbit_reps, groups._cosets):
+    for cache in (gl2._aut_codes, enumeration._orbit_reps, groups._cosets):
         cache.cache_clear()
     blocks = list(enumeration.enumerate_blocks(Z25))
     assert built == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medialq import enumeration
+from medialq import enumeration, gl2
 from medialq.enumeration import (
     CASE_TAGS_RANK2,
     MAX_COMPOSITE_ORDER,
@@ -47,7 +47,7 @@ def test_units_and_closed_form_cyclic_take_an_int_k(k, bad_first):
         assert len(units(3, int(k))) == 3 ** int(k) - 3 ** (int(k) - 1)
         assert closed_form_cyclic(3, int(k)) == {1: 5, 2: 48}[int(k)]
 
-    units.cache_clear()
+    gl2._aut_codes.cache_clear()
     for check in (rejected, taken) if bad_first else (taken, rejected):
         check()
 

@@ -22,6 +22,7 @@ from reference import (
     as_matrices,
     det,
     filter_centralizer,
+    gl2_entries,
     gl2_order,
     identity_matrix,
     inv,
@@ -141,7 +142,7 @@ def test_every_scalar_matrix_shares_one_centralizer_array():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_the_null_space_centralizer_is_the_filter_for_every_element(p):
-    for row in gl2._gl2_entries(p).tolist():
+    for row in gl2_entries(p).tolist():
         A = Mat2(*row, p)
         C = centralizer(A.p, int(A))
         assert C.tolist() == filter_centralizer(A)  # as a set, and ascending

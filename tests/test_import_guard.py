@@ -7,6 +7,11 @@ every CLI process pays at start-up; the value classes are written out on
 the commands that use them, never at module level.  `oracle.py` imports
 `.enumeration` nowhere, not even inside a function: the oracle consults no
 affine theory, so its agreement with the enumerator is a cross-check.
+
+Both group families are (Z_q)^r under r x r matrices over Z_q, and share one
+arithmetic.  A test of the family, `isinstance(..., Cyclic)` or
+`ElemAbelianRank2`, stays only at the sites of FAMILY_BRANCHES, each with
+its reason.
 """
 
 import ast
@@ -17,6 +22,19 @@ SOURCES = sorted((ROOT / "src" / "medialq").glob("*.py"))
 # (module, name) pairs that generate code at import; a name of None is the whole module
 CODE_GENERATORS = {("dataclasses", None), ("collections", "namedtuple"), ("typing", "NamedTuple")}
 DEFERRED = {"oracle", "quasigroup"}  # modules of the package that cli.py imports only in a command
+FAMILIES = {"Cyclic", "ElemAbelianRank2"}
+# module.function of each test of the group family, with its reason
+FAMILY_BRANCHES = {
+    "gl2._codes": "object layer: a map of G is a `Unit` of its modulus or a `Mat2` over its field",
+    "gl2._automorphisms": "object layer: a code becomes the `Unit` or the `Mat2` of its family",
+    "gl2._shown": "printing: a message shows an automorphism as its `Unit` or `Mat2` prints, singular ones too",
+    "groups.quotient_cosets": "object layer: a `Unit` acts on G by its modulus, a `Mat2` by its field",
+    "enumeration.EnumerationReport.__init__": "vocabulary: each family has its own case tags",
+    "enumeration.group_label": "output format: each family has its own label",
+    "cli._render_block": "output format: a residue prints as an int, a matrix as its entry list, an element as a pair",
+    "enumeration.reps_x": "Aut(Z_{p^k}) is abelian: every unit is its own class, and no transversal needs a check",
+    "enumeration._block": "Aut(Z_{p^k}) is abelian: every stabilizer is all of it, so c representatives depend on 1 - phi - psi alone",
+}
 
 
 def code_generator_imports(sources) -> list:
@@ -72,6 +90,33 @@ def theory_imports(path) -> list:
     return package_imports(ast.walk(ast.parse(path.read_text(), str(path))), {"enumeration"})
 
 
+def family_branches(sources) -> list:
+    """`module.function` of each `isinstance` call that names a group family, one per call, sorted."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance"
+                and len(child.args) == 2
+                and any(
+                    getattr(n, "id", None) in FAMILIES or getattr(n, "attr", None) in FAMILIES
+                    for n in ast.walk(child.args[1])
+                )
+            ):
+                found.append(scope)
+            visit(child, inner)
+
+    for path in sources:
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return sorted(found)
+
+
 def test_no_module_imports_a_code_generator():
     assert code_generator_imports(SOURCES) == []
 
@@ -82,6 +127,13 @@ def test_the_cli_imports_the_oracle_and_the_tables_only_inside_commands():
 
 def test_the_oracle_imports_nothing_from_the_enumeration():
     assert theory_imports(ROOT / "src" / "medialq" / "oracle.py") == []
+
+
+def test_every_family_branch_is_listed_with_its_reason():
+    found = family_branches(SOURCES)
+    assert [site for site in found if site not in FAMILY_BRANCHES] == []
+    assert sorted(set(FAMILY_BRANCHES) - set(found)) == []  # no stale entry
+    assert all(FAMILY_BRANCHES.values())
 
 
 def test_the_guards_see_every_module_and_flag_offending_source(tmp_path):
@@ -107,3 +159,10 @@ def test_the_guards_see_every_module_and_flag_offending_source(tmp_path):
                    "import medialq.enumeration\n"):
         extra.write_text(source)
         assert theory_imports(extra) == ["enumeration"]
+    extra.write_text(
+        "from . import groups\nfrom .groups import Cyclic\n\n\nclass Report:\n"
+        "    def tags(self, G):\n        return isinstance(G, (int, Cyclic))\n\n\n"
+        "def label(G):\n    def inner():\n        return isinstance(G, groups.ElemAbelianRank2)\n\n"
+        "    return isinstance(G, tuple) or isinstance(G, Cyclic | groups.ElemAbelianRank2) and inner()\n"
+    )
+    assert family_branches([extra]) == ["extra.Report.tags", "extra.label", "extra.label.inner"]
