@@ -21,23 +21,20 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _EXPORTS = {
     "fp": ("MAX_PRIME", "Prime", "fp_inv", "is_irreducible_quadratic"),
     "groups": ("CosetList", "Cyclic", "ElemAbelianRank2", "GroupSpec", "quotient_cosets"),
-    "gl2": (
-        "Mat2", "Unit", "centralizer", "commutes", "conj_class_reps", "conjugacy_partition",
-        "gl2_elements", "units",
-    ),
+    "gl2": ("Mat2", "Unit", "centralizer", "conj_class_reps", "conjugacy_partition", "units"),
     "quasigroup": (
-        "AffineForm", "CayleyTable", "affine_tables", "build_table", "count_idempotents",
-        "is_latin", "is_medial", "tables_from_text", "to_json", "to_text",
+        "AffineForm", "CayleyTable", "build_table", "count_idempotents", "is_latin", "is_medial", "to_json",
+        "to_text",
     ),
     "enumeration": (
-        "CASE_TAG_CYCLIC", "CASE_TAGS_RANK2", "EnumerationReport", "Polynomial",
-        "RepresentativeTriple", "block_triples", "closed_form_cyclic", "closed_form_order_p2",
-        "closed_form_zp2", "count_composite", "enumerate_blocks", "enumerate_forms", "group_label",
-        "interpolate_count_polynomial", "orbit_reps_c", "reps_x", "reps_y", "stabilizer",
+        "CASE_TAG_CYCLIC", "CASE_TAGS_RANK2", "EnumerationReport", "Polynomial", "RepresentativeTriple",
+        "closed_form_cyclic", "closed_form_order_p2", "closed_form_zp2", "count_composite", "enumerate_blocks",
+        "enumerate_forms", "group_label", "interpolate_count_polynomial", "orbit_reps_c", "reps_x", "reps_y",
+        "stabilizer",
     ),
     "oracle": (
-        "Fingerprint", "IsoClass", "all_affine_forms", "all_affine_tables", "are_isomorphic",
-        "assign_to_classes", "classify", "fingerprint",
+        "Fingerprint", "IsoClass", "all_affine_forms", "all_affine_tables", "assign_to_classes", "classify",
+        "fingerprint",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -255,17 +255,14 @@ def enumerate_blocks(G: GroupSpec):
 
 
 def enumerate_forms(G: GroupSpec) -> EnumerationReport:
-    """Full representative-triple list for G, with per-case tallies."""
-    return EnumerationReport(G, tuple(block_triples(G, enumerate_blocks(G))))
-
-
-def block_triples(G: GroupSpec, blocks):
-    """Yield the `RepresentativeTriple`s of a stream of blocks of G, in order: a `Unit` or `Mat2` built once per phi and per psi."""
-    for phi, psis, tags, cs in blocks:
+    """Full representative-triple list for G, with per-case tallies: a `Unit` or `Mat2` built once per phi and per psi."""
+    triples = []
+    for phi, psis, tags, cs in enumerate_blocks(G):
         autos = _automorphisms(G, [phi, *psis.tolist()])
-        for psi, tag, c_reps in zip(autos[1:], tags, cs):
-            for c in c_reps:
-                yield RepresentativeTriple(autos[0], psi, c, tag)
+        triples += [
+            RepresentativeTriple(autos[0], psi, c, tag) for psi, tag, c_reps in zip(autos[1:], tags, cs) for c in c_reps
+        ]
+    return EnumerationReport(G, tuple(triples))
 
 
 def closed_form_cyclic(p: int, k: int) -> int:

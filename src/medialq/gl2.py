@@ -188,13 +188,6 @@ def conj_class_reps(p: int) -> MappingProxyType:
     return MappingProxyType(reps)
 
 
-@lru_cache(maxsize=None)
-def gl2_elements(p: int) -> tuple:
-    """All invertible 2x2 matrices over F_p, lexicographic by entries: `_aut_codes` of (Z_p)^2 as `Mat2`."""
-    V = ElemAbelianRank2(p)
-    return tuple(Mat2(*row, V.p) for row in V._entries(_aut_codes(V)).tolist())
-
-
 def _null_space(rows: list, p: int) -> np.ndarray:
     """A basis of {v : rows v = 0} over F_p, one vector per row, by Gauss-Jordan elimination."""
     rows, n, pivots = [[x % p for x in row] for row in rows], len(rows[0]), []
@@ -280,43 +273,11 @@ def conjugacy_partition(p: int) -> np.ndarray:
     return classes
 
 
-def commutes(A: Automorphism, B: Automorphism) -> bool:
-    """Whether two automorphisms of the same group commute."""
-    if isinstance(A, Unit) and isinstance(B, Unit):
-        if A.modulus != B.modulus:
-            raise ValueError("units of different cyclic groups")
-        return True
-    if isinstance(A, Mat2) and isinstance(B, Mat2):
-        if A.p != B.p:
-            raise ValueError("matrices over different fields")
-        return bool(_commute(np.array(A.entries), np.array(B.entries), A.p))
-    raise TypeError("cannot mix a unit with a matrix")
-
-
-def _codes(G: GroupSpec, maps) -> list:
-    """The codes of the maps; ValueError names the first that is not a `Unit` of G's modulus or a `Mat2` over its field."""
-    cyclic = isinstance(G, Cyclic)
-    for f in maps:
-        if not (isinstance(f, Unit) and f.modulus == G.order if cyclic else isinstance(f, Mat2) and f.p == G.p):
-            raise ValueError(f"{f} does not act on {G}")
-    return [int(f) for f in maps]
-
-
 def _automorphisms(G: GroupSpec, codes) -> list:
-    """The `Unit` of G's modulus or the `Mat2` over G's field of each automorphism code, in order: `_codes` undone."""
+    """The `Unit` of G's modulus or the `Mat2` over G's field of each automorphism code, in order: `int` undone."""
     if isinstance(G, Cyclic):
         return [Unit(code, G.order) for code in codes]
     return [Mat2(*entries, G.p) for entries in G._entries(codes).tolist()]
-
-
-def check_pair(G: GroupSpec, phi: Automorphism, psi: Automorphism) -> None:
-    """Raise ValueError unless phi and psi are invertible, commuting automorphisms of G itself.
-
-    Each must be a `Unit` of G's modulus or a `Mat2` over G's field, and
-    `check_pairs` checks their codes.
-    """
-    phi, psi = _codes(G, (phi, psi))
-    check_pairs(G, phi, (psi,))
 
 
 def _shown(G: GroupSpec, code: int) -> str:

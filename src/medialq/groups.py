@@ -21,6 +21,8 @@ from .fp import Prime, _Frozen, as_integer
 
 Element = Union[int, tuple]
 
+_MAX_ORDER_BITS = 1 << 12  # p^k has at most k * bit_length(p) bits: at this bound, microseconds to compute
+
 
 class _Homocyclic(_Frozen):
     """(Z_q)^r for q = p^k under the r x r matrices over Z_q, set up by `_shape` once a subclass stores p and its zero.
@@ -98,6 +100,8 @@ class Cyclic(_Homocyclic):
             raise ValueError(f"exponent k must be an int, not {k!r}") from None
         if self.k < 1:
             raise ValueError("exponent k must be >= 1")
+        if self.k * self.p.bit_length() > _MAX_ORDER_BITS:  # checked before p^k is computed
+            raise ValueError(f"Z_{self.p}^{self.k} is over the bound k * bit_length(p) <= {_MAX_ORDER_BITS}")
         self._shape(self.k, 1, 0)
 
     def elements(self) -> list:
@@ -206,12 +210,7 @@ def _cosets(G: GroupSpec, image: bytes) -> CosetList | None:
 
 
 def quotient_cosets(G: GroupSpec, M) -> CosetList:
-    """Cosets of Im(M) in G, where M is any endomorphism of G.
-
-    M is an integer code (anything `operator.index` takes, numpy ints
-    included), taken as given, or an object whose `int(M)` is one: a
-    multiplier with the `modulus` of a cyclic G, or a matrix with the field
-    `p` of Z_p x Z_p.  An object of another group raises ValueError.
+    """Cosets of Im(M) in G, where M is the integer code of any endomorphism of G (numpy ints included).
 
     The image subgroup is computed by exhaustive application of M; structural
     shortcuts (gcd for cyclic groups, column spaces for matrices) are used
@@ -220,27 +219,26 @@ def quotient_cosets(G: GroupSpec, M) -> CosetList:
     subgroup, so the list returned for one subgroup is the same object every
     time.
     """
-    try:
-        code = operator.index(M)
-    except TypeError:
-        if getattr(M, "modulus" if isinstance(G, Cyclic) else "p", None) != G.q:
-            raise ValueError(f"{M} does not act on {G}") from None
-        code = int(M)
-    return quotients(G, [code])[0]
+    return quotients(G, [operator.index(M)])[0]
 
 
 def quotients(G: GroupSpec, codes) -> list:
     """The coset list of Im(m) in G for every endomorphism code m of a sequence, in its order.
 
-    Every m is applied to every element in one `index_action` call, and one
-    `_cosets` is looked up per distinct image; nothing is memoised per code.
+    Every code must lie in [0, q^(r*r)), or ValueError names the first that
+    does not.  Every m is applied to every element in one `index_action`
+    call, and one `_cosets` is looked up per distinct image; nothing is
+    memoised per code.
     """
-    n = G.order
+    n, codes = G.order, np.asarray(codes)
+    outside = (codes < 0) | (codes >= G.q ** (G.r * G.r))
+    if outside.any():
+        raise ValueError(f"{codes[outside.argmax()]} is not the code of an endomorphism of {G}")
     masks = np.zeros((len(codes), n), dtype=bool)
     np.put_along_axis(masks, G.index_action(codes, np.arange(n)), True, axis=1)
     images = [mask.tobytes() for mask in masks]
     lists = {image: _cosets(G, image) for image in set(images)}
     if None in lists.values():
         first = next(i for i, image in enumerate(images) if lists[image] is None)
-        raise ValueError(f"{int(codes[first])} is not an endomorphism of {G}")
+        raise ValueError(f"{codes[first]} is not an endomorphism of {G}")
     return [lists[image] for image in images]

@@ -9,11 +9,11 @@ an entry against one class representative at once: the images of the
 representative's generators fix an isomorphism through the words that reach
 every other symbol, so each code-respecting choice of images is extended and
 checked on every cell.  A representative of more than `_GENERATOR_CAP`
-generators, and `are_isomorphic`, go to `_iso_search`: backtracking over
-partial symbol bijections with invariant pruning and forced propagation.  A
-table joins a class only through a checked isomorphism.  Nothing in this
-module consults the affine theory -- it works on raw tables -- so agreement
-with the enumerator is genuine cross-validation, not a tautology.
+generators goes to `_iso_search`: backtracking over partial symbol
+bijections with invariant pruning and forced propagation.  A table joins a
+class only through a checked isomorphism.  Nothing in this module consults
+the affine theory -- it works on raw tables -- so agreement with the
+enumerator is genuine cross-validation, not a tautology.
 """
 
 from __future__ import annotations
@@ -184,14 +184,6 @@ def _iso_search(s, sig_s, t, sig_t) -> bool:
         return False
 
     return extend()
-
-
-def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
-    """Whether a bijection sigma exists with sigma(s[i][j]) = t[sigma(i)][sigma(j)]."""
-    if s.n != t.n:
-        return False
-    _, codes = _invariants(np.stack([s.cells, t.cells]))
-    return _iso_search(s.rows, codes[0].tolist(), t.rows, codes[1].tolist())
 
 
 def _affine_pairs(G: GroupSpec) -> list:

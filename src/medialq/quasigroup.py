@@ -15,17 +15,25 @@ from typing import Optional
 import numpy as np
 
 from .fp import _Frozen
-from .gl2 import Automorphism, _codes, check_pair, check_pairs
-from .groups import GroupSpec, _add_table
+from .gl2 import Automorphism, Mat2, Unit, check_pairs
+from .groups import Cyclic, GroupSpec, _add_table
 
 
 class AffineForm(_Frozen):
-    """A quintuple (G, +, phi, psi, c) with commuting automorphisms phi, psi."""
+    """A quintuple (G, +, phi, psi, c) with commuting automorphisms phi, psi.
+
+    phi and psi must each be a `Unit` of G's modulus or a `Mat2` over G's
+    field, and `check_pairs` checks their codes; c must be an element of G.
+    """
 
     _fields = ("group", "phi", "psi", "c")
 
     def __init__(self, group: GroupSpec, phi: Automorphism, psi: Automorphism, c):
-        check_pair(group, phi, psi)
+        cyclic = isinstance(group, Cyclic)
+        for f in (phi, psi):
+            if not (isinstance(f, Unit) and f.modulus == group.order if cyclic else isinstance(f, Mat2) and f.p == group.p):
+                raise ValueError(f"{f} does not act on {group}")
+        check_pairs(group, int(phi), (int(psi),))
         group.check(c)
         _set = object.__setattr__
         _set(self, "group", group)
@@ -93,25 +101,6 @@ def _affine_cells(G: GroupSpec, codes: list, cs) -> np.ndarray:
     sums = add[images[:, 0, :, None] * n + images[:, 1, None, :]]
     cells = add.astype(np.min_scalar_type(n - 1))[sums[:, None] * n + np.asarray(cs)[:, :, None, None]]
     return cells.reshape(-1, n, n)
-
-
-def affine_tables(G: GroupSpec, pairs, cs) -> np.ndarray:
-    """The tables of x*y = phi(x) + psi(y) + c, for each (phi, psi) of `pairs` and each element index c of its row of `cs`.
-
-    The pairs are checked as `check_pair` checks one, all their codes in one
-    `check_pairs` pass.  Table by table, the result is `build_table(AffineForm(G,
-    phi, psi, G.elements()[c])).cells`, pair after pair, and within a pair in
-    the order of its row of `cs`.
-    """
-    pairs = list(pairs)
-    codes = _codes(G, [f for pair in pairs for f in pair])
-    check_pairs(G, codes[0::2], codes[1::2])
-    if not pairs:
-        return np.empty((0, G.order, G.order), dtype=np.min_scalar_type(G.order - 1))
-    cs = np.asarray(cs, dtype=np.int64).reshape(len(pairs), -1)
-    if cs.size and not (0 <= cs.min() and cs.max() < G.order):
-        raise ValueError(f"element indices of {G} must lie in [0, {G.order})")
-    return _affine_cells(G, list(zip(codes[0::2], codes[1::2])), cs)
 
 
 def build_table(form: AffineForm) -> CayleyTable:
@@ -283,8 +272,3 @@ def _iter_tables(text: str, max_order: Optional[int] = None):
         except OverflowError:
             raise ValueError("table entries must be indices in [0, n)")
         yield CayleyTable(n, cells.reshape(n, n))
-
-
-def tables_from_text(text: str, max_order: Optional[int] = None) -> list:
-    """The tables of `_iter_tables(text, max_order)`, as a list."""
-    return list(_iter_tables(text, max_order))

@@ -23,7 +23,11 @@ matrices, 1 x 1 ones included) multiply matrices by rules of their own, so
 no reference shares the package's product `gl2._mul`.  `gl2_entries` lists
 GL(2, p) from every row of F_p^4 by its own determinant, and `matrix_codes`
 writes the base-p digits of entry rows, so neither shares the package's
-`gl2._aut_codes` or its code conversion.  `walk_fingerprint` and
+`gl2._aut_codes` or its code conversion; `gl2_elements` is that list as
+`Mat2` objects.  The package listed it so as `gl2.gl2_elements`, and
+`are_isomorphic` is the package's former `oracle.are_isomorphic`, one
+`_iso_search` on the symbol codes of one `_invariants` call: neither had a
+caller in the package.  `walk_fingerprint` and
 `tuple_classify` are the oracle's fingerprint and `classify` as they were
 before its invariants came from one array pass: per-table walks and
 signature tuples, in one process.  `medial_scan` is `quasigroup.is_medial`
@@ -31,6 +35,7 @@ as it was before the affine certificate: every quadruple, one x at a time.
 """
 
 import math
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -45,10 +50,9 @@ from medialq.gl2 import (
     Unit,
     conj_class_reps,
     conjugacy_partition,
-    gl2_elements,
 )
 from medialq.groups import Cyclic, GroupSpec, quotient_cosets
-from medialq.oracle import Fingerprint, IsoClass, _iso_search
+from medialq.oracle import Fingerprint, IsoClass, _invariants, _iso_search
 from medialq.quasigroup import CayleyTable
 
 LATIN_SCAN_CAP = 4
@@ -89,6 +93,12 @@ def gl2_entries(p: int) -> np.ndarray:
     return x[(x[:, 0] * x[:, 3] - x[:, 1] * x[:, 2]) % p != 0]
 
 
+@lru_cache(maxsize=None)
+def gl2_elements(p: int) -> tuple:
+    """Every invertible 2x2 matrix over F_p as a `Mat2`, lexicographic by entries: one per row of `gl2_entries`."""
+    return tuple(Mat2(*row, p) for row in gl2_entries(p).tolist())
+
+
 def matrix_codes(x, p: int) -> np.ndarray:
     """The codes of entry rows x, shape (..., 4): the entries, each reduced mod p, as base-p digits, m00 first."""
     x = np.asarray(x) % p
@@ -120,10 +130,14 @@ def ref_reps_x(G: GroupSpec) -> list:
 
 
 def ref_stabilizer(G: GroupSpec, phi, psi) -> list:
-    """Every automorphism of G commuting with phi and psi, in element order: all units, or a filter of GL(2, p)."""
+    """Every automorphism of G commuting with phi and psi, in element order: all units, or GL(2, p) filtered by `products`."""
     if isinstance(G, Cyclic):
         return ref_reps_x(G)
-    return [B for B in gl2_elements(G.p) if mul(B, phi) == mul(phi, B) and mul(B, psi) == mul(psi, B)]
+    p, x = G.p, gl2_entries(G.p)
+    keep = np.ones(len(x), dtype=bool)
+    for f in (phi, psi):
+        keep &= (products(x, f.entries, p) == products(f.entries, x, p)).all(axis=-1)
+    return [Mat2(*row, p) for row in x[keep].tolist()]
 
 
 def ref_reps_y(G: GroupSpec, phi) -> list:
@@ -366,6 +380,14 @@ def _signatures(rows) -> list:
         (_cycle_lengths(row), _cycle_lengths(col), row[i] == i)
         for i, (row, col) in enumerate(zip(rows, zip(*rows)))
     ]
+
+
+def are_isomorphic(s: CayleyTable, t: CayleyTable) -> bool:
+    """Whether a bijection sigma exists with sigma(s[i][j]) = t[sigma(i)][sigma(j)]: `_iso_search` on codes of one `_invariants` call."""
+    if s.n != t.n:
+        return False
+    _, codes = _invariants(np.stack([s.cells, t.cells]))
+    return _iso_search(s.rows, codes[0].tolist(), t.rows, codes[1].tolist())
 
 
 def walk_fingerprint(t: CayleyTable) -> Fingerprint:

@@ -17,14 +17,14 @@ from medialq.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from medialq.enumeration import (
     CASE_TAG_CYCLIC,
     CASE_TAGS_RANK2,
-    block_triples,
+    RepresentativeTriple,
     closed_form_cyclic,
     enumerate_forms,
 )
-from medialq.gl2 import centralizer, gl2_elements, units
+from medialq.gl2 import centralizer, units
 from medialq.groups import Cyclic, ElemAbelianRank2
-from medialq.quasigroup import AffineForm, CayleyTable, build_table, tables_from_text, to_text
-from reference import jsonl_record
+from medialq.quasigroup import AffineForm, CayleyTable, _iter_tables, build_table, to_text
+from reference import automorphism, gl2_elements, jsonl_record
 
 
 def run(capsys, *argv):
@@ -154,7 +154,7 @@ def test_export_then_verify(tmp_path, capsys):
     assert files[0].name.startswith("0000_case1.")
     combined = tmp_path / "all.txt"
     combined.write_text("".join(f.read_text() for f in files))
-    assert len(tables_from_text(combined.read_text())) == 9
+    assert len(list(_iter_tables(combined.read_text()))) == 9
 
     code, out, _ = run(capsys, "verify", "--in", str(combined))
     assert code == EXIT_OK
@@ -722,8 +722,14 @@ def test_block_templates_print_the_reference_bytes(gb, tables):
     from medialq import cli
 
     G, block = gb
+    phi, psis, tags, cs = block
+    triples = [
+        RepresentativeTriple(automorphism(G, phi), automorphism(G, psi), c, tag)
+        for psi, tag, c_reps in zip(psis.tolist(), tags, cs)
+        for c in c_reps
+    ]
     jsonl = text = ""
-    for t in block_triples(G, [block]):
+    for t in triples:
         table = build_table(AffineForm(G, t.phi, t.psi, t.c)) if tables else None
         jsonl += json.dumps(jsonl_record(G, t, table)) + "\n"
         r = jsonl_record(G, t)

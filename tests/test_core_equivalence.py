@@ -7,6 +7,7 @@ representatives by union-find over every (map, coset) pair, centralizers by
 The core must agree with them exactly, ordering included.
 """
 
+import re
 from functools import lru_cache
 from itertools import permutations
 
@@ -37,7 +38,6 @@ from medialq.gl2 import (
     centralizer,
     conj_class_reps,
     conjugacy_partition,
-    gl2_elements,
     units,
 )
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
@@ -48,6 +48,8 @@ from reference import (
     as_matrices,
     automorphism,
     det,
+    filter_centralizer,
+    gl2_elements,
     identity_matrix,
     inv,
     is_scalar,
@@ -162,6 +164,18 @@ def code_bytes(maps) -> bytes:
     return np.array([int(m) for m in maps], dtype=np.int64).tobytes()
 
 
+def as_codes(G, maps) -> list:
+    """The codes of `Unit` or `Mat2` objects: residues, or their entries' base-p digits (`matrix_codes`)."""
+    if isinstance(G, Cyclic):
+        return [u.value for u in maps]
+    return matrix_codes(np.array([M.entries for M in maps], dtype=np.int64).reshape(-1, 4), G.p).tolist()
+
+
+def code(G, M) -> int:
+    """The endomorphism code of a multiplier, reduced mod the order, or of a matrix."""
+    return M % G.order if isinstance(G, Cyclic) else int(M)
+
+
 def as_maps(G, codes) -> list:
     """What `apply` takes for each code: the residue itself, or the matrix."""
     return codes.tolist() if isinstance(G, Cyclic) else list(as_matrices(codes, G.p))
@@ -175,19 +189,19 @@ def test_every_pair_matches_the_reference_algorithms(G):
     for phi, psi in enumeration_pairs(G):
         M = one_minus(G, phi, psi)
         reps, order, coset_index = ref_quotient_cosets(G, M)
-        cosets = quotient_cosets(G, M)
+        cosets = quotient_cosets(G, code(G, M))
         assert cosets.representatives == reps
         assert cosets.subgroup_order == order
         assert [coset_index[g] for g in G.elements()] == cosets.coset_of.tolist()
         stab = ref_stabilizer(G, phi, psi)
-        assert stabilizer(G, int(phi), int(psi)).tolist() == [int(h) for h in stab]
+        assert stabilizer(G, int(phi), int(psi)).tolist() == as_codes(G, stab)
         expected = (G.zero,) if len(reps) == 1 else ref_orbit_reps(
             G, [plain(h) for h in stab], M
         )
         assert orbit_reps_c(G, int(phi), int(psi)) == expected
         if isinstance(G, ElemAbelianRank2):
-            assert centralizer(phi.p, int(phi)).tolist() == [int(B) for B in ref_centralizer(phi)]
-            assert centralizer(psi.p, int(psi)).tolist() == [int(B) for B in ref_centralizer(psi)]
+            assert centralizer(phi.p, int(phi)).tolist() == filter_centralizer(phi)
+            assert centralizer(psi.p, int(psi)).tolist() == filter_centralizer(psi)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -445,7 +459,10 @@ def endomorphisms(draw):
 def test_quotient_cosets_matches_plain_python(case):
     G, M = case
     reps, order, coset_index = ref_quotient_cosets(G, M)
-    cosets = quotient_cosets(G, M)
+    if isinstance(G, Cyclic) and not 0 <= M < G.order:  # a multiplier past the codes of Z_{p^k}: refused, not wrapped
+        with pytest.raises(ValueError, match=f"^{M} is not the code of an endomorphism of {re.escape(str(G))}$"):
+            quotient_cosets(G, M)
+    cosets = quotient_cosets(G, code(G, M))
     assert cosets.representatives == reps
     assert cosets.subgroup_order == order
     assert [G.index(r) for r in reps] == cosets.rep_index.tolist()
@@ -457,7 +474,7 @@ def test_quotient_cosets_matches_plain_python(case):
 def test_orbits_of_arbitrary_map_lists_match_union_find(case, data):
     # the maps need not form a group, nor even be invertible
     G, M = case
-    cosets = quotient_cosets(G, M)
+    cosets = quotient_cosets(G, code(G, M))
     if isinstance(G, Cyclic):
         map_strategy = st.integers(0, G.order - 1)
     else:
@@ -481,7 +498,7 @@ def test_orbits_do_not_depend_on_the_block_size(G, monkeypatch):
     try:
         for phi, psi in enumeration_pairs(G):
             M = one_minus(G, phi, psi)
-            cosets = quotient_cosets(G, M)
+            cosets = quotient_cosets(G, code(G, M))
             stab = stabilizer(G, int(phi), int(psi))
             expected = ref_orbit_reps(G, as_maps(G, stab), M)
             assert _orbit_reps(G, stab.tobytes(), cosets) == expected
@@ -494,7 +511,7 @@ def test_orbits_of_a_projection_join_its_tails(p):
     # (x, y) -> (x + y, 0) sends (0, 1) to (1, 0): the least element of that
     # component lies on a tail, which no least image reaches, so it is refused
     G = ElemAbelianRank2(Prime(p))
-    cosets = quotient_cosets(G, zero_matrix(p))
+    cosets = quotient_cosets(G, int(zero_matrix(p)))
     maps = (Mat2(1, 1, 0, 0, p),)
     assert len(ref_orbit_reps(G, maps, zero_matrix(p))) == p
     with pytest.raises(ValueError, match="moves a least image"):
@@ -508,7 +525,7 @@ def test_orbits_refuse_an_order_three_matrix_without_its_powers(p):
     A = Mat2(0, 1, -1, -1, p)  # the companion matrix of x^2 + x + 1
     I, A2 = identity_matrix(p), mul(A, A)
     assert A != I and mul(A2, A) == I
-    cosets = quotient_cosets(G, zero)
+    cosets = quotient_cosets(G, int(zero))
     for alone in (A, A2):
         with pytest.raises(ValueError, match="moves a least image"):
             _orbit_reps(G, code_bytes((alone,)), cosets)
@@ -545,7 +562,7 @@ def generated_subgroups(draw):
 def test_orbits_of_a_generated_subgroup_match_union_find(case):
     G, maps, M = case
     expected = ref_orbit_reps(G, [plain(h) for h in maps], M)
-    assert _orbit_reps(G, code_bytes(maps), quotient_cosets(G, M)) == expected
+    assert _orbit_reps(G, code_bytes(maps), quotient_cosets(G, code(G, M))) == expected
 
 
 @pytest.mark.parametrize("G", SMALL_GROUPS, ids=str)
@@ -657,27 +674,47 @@ def test_a_cold_rank2_enumeration_builds_no_gl2_list_of_mat2(monkeypatch):
     # members and psi stay codes, and no GL(2,5) list and no pair check builds one.
     real, built = Mat2.__init__, []
     monkeypatch.setattr(Mat2, "__init__", lambda M, *args: built.append(1) or real(M, *args))
-    for cache in (gl2.gl2_elements, gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer):
+    for cache in (gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer):
         cache.cache_clear()
     blocks = list(enumeration.enumerate_blocks(V5))
-    assert gl2.gl2_elements.cache_info().currsize == 0
     assert len(built) == 24
     assert sum(len(c_reps) for _, _, _, cs in blocks for c_reps in cs) == 594
 
 
-def test_crosscheck_builds_no_triple_and_no_mat2_past_the_class_representatives(monkeypatch, capsys):
-    # Both sides of (Z_3)^2's crosscheck stay codes: the 8 class representatives
-    # of GL(2,3), in conj_class_reps, are its only objects of these classes.
-    built = {cls: [] for cls in (Mat2, Unit, enumeration.RepresentativeTriple, quasigroup.AffineForm)}
+# Each command at a small size, with the primes whose (Z_p)^2 it enumerates
+COMMANDS = {
+    "enumerate-jsonl": (["enumerate", "--group", "zp2", "--p", "3"], [3]),
+    "enumerate-text": (["enumerate", "--group", "zp2", "--p", "3", "--format", "text"], [3]),
+    "enumerate-tables": (["enumerate", "--group", "zp2", "--p", "2", "--tables"], [2]),
+    "enumerate-cyclic": (["enumerate", "--group", "cyclic", "--p", "3", "--k", "2", "--tables"], []),
+    "export": (["export", "--group", "zp2", "--p", "2", "--out", "{tmp}/tables"], [2]),
+    "verify": (["verify", "--in", "{tmp}/z3.txt"], []),
+    "count": (["count", "--group", "order-p2", "--p", "3"], [3]),
+    "interpolate": (["interpolate", "--series", "order-p2", "--primes", "2"], [2, 3]),
+    "crosscheck": (["crosscheck", "--group", "zp2", "--p", "3"], [3]),
+}
+
+
+@pytest.mark.parametrize("argv, primes", COMMANDS.values(), ids=COMMANDS.keys())
+def test_commands_build_only_the_class_representatives(argv, primes, tmp_path, monkeypatch, capsys):
+    # Every command works on codes: the p^2 - 1 class representatives of
+    # GL(2,p), in conj_class_reps, are its only objects of these classes.
+    built = {
+        cls: []
+        for cls in (Mat2, Unit, enumeration.RepresentativeTriple, enumeration.EnumerationReport, quasigroup.AffineForm)
+    }
     for cls, calls in built.items():
         real = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda x, *args, real=real, calls=calls: calls.append(1) or real(x, *args))
-    for cache in (gl2.gl2_elements, gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer, reps_x):
+    for cache in (gl2.conj_class_reps, gl2.conjugacy_partition, gl2.centralizer, reps_x):
         cache.cache_clear()
-    assert main(["crosscheck", "--group", "zp2", "--p", "3"]) == 0
-    assert capsys.readouterr().out.endswith("68 = 68 OK\n")
+    (tmp_path / "z3.txt").write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 0
+    if argv[0] == "crosscheck":
+        assert capsys.readouterr().out.endswith("68 = 68 OK\n")
     assert {cls.__name__: len(calls) for cls, calls in built.items()} == {
-        "Mat2": 3 * 3 - 1, "Unit": 0, "RepresentativeTriple": 0, "AffineForm": 0,
+        "Mat2": sum(p * p - 1 for p in primes), "Unit": 0, "RepresentativeTriple": 0, "EnumerationReport": 0,
+        "AffineForm": 0,
     }
 
 
@@ -785,10 +822,10 @@ def test_a_bad_psi_injected_into_a_block_raises_check_pairs_message(case, monkey
     with pytest.raises(ValueError) as expected:
         gl2.check_pairs(G, phi, (bad,))
     if 0 <= bad < (G.order if isinstance(G, Cyclic) else G.p ** 4):
-        # the code of a map of G: its message is check_pair's for the objects
+        # the code of a map of G: its message is the one `AffineForm` raises for the objects
         objects = [non_unit(f, G.order) if isinstance(G, Cyclic) else as_matrices([f], G.p)[0] for f in (phi, bad)]
         with pytest.raises(ValueError) as by_objects:
-            gl2.check_pair(G, *objects)
+            quasigroup.AffineForm(G, *objects, G.zero)
         assert str(by_objects.value) == str(expected.value)
     else:
         assert str(expected.value) == f"{bad} is not the code of an automorphism of {G}"

@@ -8,28 +8,23 @@ from hypothesis import strategies as st
 from medialq import gl2
 from medialq.fp import Prime
 from medialq.fp import is_irreducible_quadratic
-from medialq.gl2 import (
-    Mat2,
-    Unit,
-    centralizer,
-    commutes,
-    conj_class_reps,
-    conjugacy_partition,
-    gl2_elements,
-    units,
-)
+from medialq.gl2 import Mat2, Unit, centralizer, conj_class_reps, conjugacy_partition, units
+from medialq.groups import ElemAbelianRank2
 from reference import (
     as_matrices,
     det,
     filter_centralizer,
+    gl2_elements,
     gl2_entries,
     gl2_order,
     identity_matrix,
     inv,
     is_scalar,
+    matrix_codes,
     mul,
     parametrized_centralizer,
     partition_classes,
+    products,
     rank,
     sub,
     zero_matrix,
@@ -189,51 +184,52 @@ def test_non_scalar_centralizers_are_commutative(p):
                 assert mul(A, B) == mul(B, A)
 
 
+def digits(codes, p: int) -> np.ndarray:
+    """The entry rows (m00, m01, m10, m11) of matrix codes over F_p: their base-p digits, m00 first."""
+    codes = np.asarray(codes)[:, None]
+    return codes // p ** np.arange(3, -1, -1) % p
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_centralizers_are_subgroups(p):
+    # every product of two members, by numpy's matmul, is a member, and so is the identity
+    identity = matrix_codes([1, 0, 0, 1], p)
     for R in conj_class_reps(p):
-        members = set(as_matrices(centralizer(R.p, int(R)), p))
-        assert identity_matrix(p) in members
-        for A in members:
-            assert inv(A) in members
-            assert all(mul(A, B) in members for B in members)
+        codes = centralizer(R.p, int(R))
+        x = digits(codes, p)
+        assert matrix_codes(x, p).tolist() == codes.tolist()
+        assert identity in codes
+        product_codes = matrix_codes(products(x[:, None], x[None, :], p), p)
+        assert np.isin(product_codes, codes).all()
+        assert (product_codes == identity).any(axis=1).all()  # every member has its inverse among them
 
 
 def test_commutes_examples():
-    assert commutes(Unit(2, 9), Unit(5, 9)) is True
-    for B in gl2_elements(3):
-        assert commutes(Mat2(2, 0, 0, 2, 3), B) is True
+    # `gl2._commute` on entry rows: 1 x 1 ones (units mod 9) and 2 x 2 ones over F_3
+    assert gl2._commute(np.array([2]), np.array([5]), 9)
+    assert gl2._commute(np.array(Mat2(2, 0, 0, 2, 3).entries), gl2_entries(3), 3).all()
     A = Mat2(1, 1, 0, 1, 3)
     B = Mat2(1, 0, 1, 1, 3)
     # independent check by multiplying both ways
     assert mul(A, B) != mul(B, A)
-    assert commutes(A, B) is False
+    assert not gl2._commute(np.array(A.entries), np.array(B.entries), 3)
 
 
-def test_commutes_rejects_mixed_variants():
-    with pytest.raises(TypeError):
-        commutes(Unit(1, 4), identity_matrix(2))
-    with pytest.raises(ValueError):
-        commutes(Unit(1, 4), Unit(1, 9))
-    with pytest.raises(ValueError):
-        commutes(identity_matrix(2), identity_matrix(3))
-
-
-any_matrix = st.sampled_from([2, 3, 5, 7]).flatmap(
-    lambda p: st.lists(st.integers(0, p - 1), min_size=4, max_size=4).map(lambda e: Mat2(*e, p))
+matrix_pairs = st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.lists(
+        st.lists(st.integers(0, p - 1), min_size=4, max_size=4).map(lambda e: Mat2(*e, p)), min_size=2, max_size=2
+    )
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(any_matrix, any_matrix)
-def test_commutes_is_equality_of_both_products(A, B):
-    # singular matrices included; the entry product must agree with mul both ways
-    if A.p != B.p:
-        with pytest.raises(ValueError, match="different fields"):
-            commutes(A, B)
-        return
-    assert commutes(A, B) == (mul(A, B) == mul(B, A))
-    assert commutes(A, A) and commutes(A, identity_matrix(A.p))
+@given(matrix_pairs)
+def test_commutes_is_equality_of_both_products(AB):
+    # singular matrices included; `gl2._commute` must agree with mul both ways
+    A, B = AB
+    x, y, I = (np.array(M.entries) for M in (A, B, identity_matrix(A.p)))
+    assert gl2._commute(x, y, A.p) == (mul(A, B) == mul(B, A))
+    assert gl2._commute(x, x, A.p) and gl2._commute(x, I, A.p)
 
 
 def test_units_listing():
@@ -314,8 +310,10 @@ def loop_gl2_elements(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gl2_elements_match_the_loop_and_build_no_singular_matrix(p, monkeypatch):
+    # the reference list, and GL(2,p)'s codes in the package as `Mat2`, are the loop's
     reference = loop_gl2_elements(p)
     assert gl2_elements(p) == reference
+    assert as_matrices(gl2._aut_codes(ElemAbelianRank2(p)), p) == reference
     built = []
     init = Mat2.__init__
 
@@ -324,7 +322,7 @@ def test_gl2_elements_match_the_loop_and_build_no_singular_matrix(p, monkeypatch
         init(self, *args)
 
     monkeypatch.setattr(Mat2, "__init__", counting)
-    assert gl2_elements.__wrapped__(Prime(p)) == reference
+    assert gl2_elements.__wrapped__(p) == reference
     assert len(built) == gl2_order(p)  # one Mat2 per element, none for a singular matrix
 
 

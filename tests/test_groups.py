@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from medialq import groups
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, Unit, centralizer, units
 from medialq.groups import Cyclic, ElemAbelianRank2, quotient_cosets
@@ -75,20 +76,20 @@ def test_group_axioms_exhaustive():
 
 
 def test_quotient_zero_matrix():
-    cosets = quotient_cosets(V3, zero_matrix(3))
+    cosets = quotient_cosets(V3, int(zero_matrix(3)))
     assert len(cosets) == 9
     assert cosets.subgroup_order == 1
     assert cosets.representatives[0] == (0, 0)
 
 
 def test_quotient_invertible_matrix():
-    cosets = quotient_cosets(V3, Mat2(1, 1, 0, 1, 3))
+    cosets = quotient_cosets(V3, int(Mat2(1, 1, 0, 1, 3)))
     assert len(cosets) == 1
     assert cosets.representatives == ((0, 0),)
 
 
 def test_quotient_rank_one_matrix():
-    cosets = quotient_cosets(V3, Mat2(1, 1, 2, 2, 3))
+    cosets = quotient_cosets(V3, int(Mat2(1, 1, 2, 2, 3)))
     assert len(cosets) == 3
     assert cosets.subgroup_order == 3
     assert cosets.representatives[0] == (0, 0)
@@ -102,7 +103,7 @@ def test_quotient_counts_match_rank_for_every_endomorphism():
             for m10 in range(p):
                 for m11 in range(p):
                     M = Mat2(m00, m01, m10, m11, p)
-                    cosets = quotient_cosets(V3, M)
+                    cosets = quotient_cosets(V3, int(M))
                     assert cosets.subgroup_order == p ** rank(M)
                     assert len(cosets) == p ** (2 - rank(M))
                     assert cosets.representatives[0] == (0, 0)
@@ -124,27 +125,30 @@ def test_coset_invariant_product():
             assert len(cosets) * cosets.subgroup_order == G.order
 
 
-def test_quotient_cosets_rejects_a_map_of_another_group():
-    foreign = [
-        (V3, Mat2(1, 0, 0, 0, 5)),  # a matrix over another field
-        (Z9, Mat2(1, 0, 0, 0, 3)),  # a matrix given to a cyclic group
-        (Z9, Unit(2, 25)),  # a unit of another modulus
-        (V3, Unit(2, 9)),  # a unit given to Z_p x Z_p
-    ]
-    for G, M in foreign:
-        with pytest.raises(ValueError, match=f"{re.escape(str(M))} does not act on {re.escape(str(G))}"):
-            quotient_cosets(G, M)
-    # its own maps are taken, and so is any integer code, numpy ints included, as given
-    line = Mat2(1, 0, 0, 0, 3)
-    assert quotient_cosets(V3, line) is quotient_cosets(V3, int(line))
-    assert quotient_cosets(V3, np.int64(int(line))) is quotient_cosets(V3, line)
+def test_quotient_cosets_takes_integer_codes_in_range_only():
+    # any integer code, numpy ints included, as given
+    line = int(Mat2(1, 0, 0, 0, 3))
+    assert quotient_cosets(V3, np.int64(line)) is quotient_cosets(V3, line)
     u = units(3, 2)[2]  # a numpy int64, the code of Unit(4, 9)
-    assert type(u) is np.int64 and quotient_cosets(Z9, u) is quotient_cosets(Z9, Unit(4, 9))
+    assert type(u) is np.int64 and quotient_cosets(Z9, u) is quotient_cosets(Z9, 4)
     c = centralizer(3, int(Mat2(1, 1, 0, 1, 3)))[-1]  # a member code of a centralizer
     assert quotient_cosets(V3, c) is quotient_cosets(V3, int(c))
     assert len(quotient_cosets(V3, line)) == 3
-    assert len(quotient_cosets(Z9, Unit(2, 9))) == 1
-    assert len(quotient_cosets(Z9, 3)) == len(quotient_cosets(Z9, 12)) == 3  # a code past the order is taken as given
+    assert len(quotient_cosets(Z9, 2)) == 1 and len(quotient_cosets(Z9, 3)) == 3
+    # an object is no code
+    for G, M in ((V3, Mat2(1, 0, 0, 0, 3)), (Z9, Unit(2, 9)), (Z9, 2.0)):
+        with pytest.raises(TypeError):
+            quotient_cosets(G, M)
+    # a code past q^(r*r), or below 0, is refused, not reduced to one in range
+    for G, M in ((Z9, 12), (Z9, 9), (Cyclic(3, 2), 10), (V3, 3 ** 4), (V3, 3 ** 4 + line), (Z9, -1), (V3, -1)):
+        with pytest.raises(ValueError, match=f"^{M} is not the code of an endomorphism of {re.escape(str(G))}$"):
+            quotient_cosets(G, M)
+    # `quotients` names the first code out of range, and takes numpy arrays too
+    with pytest.raises(ValueError, match=r"^-1 is not the code of an endomorphism of \(Z_3\)\^2$"):
+        groups.quotients(V3, np.array([line, -1, 3 ** 4]))
+    with pytest.raises(ValueError, match="^81 is not the code of an endomorphism of Z_3"):
+        groups.quotients(Z9, [2, 3, 81, -5])
+    assert groups.quotients(Z9, np.array([0, 8])) == [quotient_cosets(Z9, 0), quotient_cosets(Z9, 8)]
 
 
 def test_cyclic_takes_integers_only():
@@ -159,6 +163,24 @@ def test_cyclic_takes_integers_only():
 def test_cyclic_takes_a_numpy_integer_k():
     G = Cyclic(3, np.int64(2))
     assert G == Z9 and type(G.k) is int
+
+
+def test_cyclic_refuses_an_exponent_too_large_to_compute_before_computing_it():
+    # 3^(10^7) took seconds to compute and 3^(10^10) some 2 GB; each is refused first
+    from medialq.enumeration import closed_form_cyclic
+
+    refused = {
+        "Z_3^10000000": lambda: Cyclic(3, 10 ** 7),
+        "Z_3^10000000000": lambda: units(3, 10 ** 10),
+        "Z_5^10000000000": lambda: closed_form_cyclic(5, 10 ** 10),
+        "Z_2^2049": lambda: Cyclic(2, 2049),  # 2 * 2049 > 4096
+        "Z_32749^274": lambda: Cyclic(32749, 274),  # the largest prime admitted: 15 * 274 > 4096
+    }
+    for name, make in refused.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} is over the bound k \\* bit_length\\(p\\) <= 4096$"):
+            make()
+    assert Cyclic(2, 2048).order == 2 ** 2048 and Cyclic(32749, 273).order == 32749 ** 273
+    assert closed_form_cyclic(2, 100) == 2 ** 200 + 2 ** 198 - 2 ** 99 - sum(2 ** i for i in range(99, 200))
 
 
 @pytest.mark.parametrize(

@@ -14,13 +14,12 @@ from medialq import oracle, quasigroup
 from medialq.cli import main
 from medialq.enumeration import enumerate_forms
 from medialq.fp import Prime
-from medialq.gl2 import Mat2, check_pairs, gl2_elements
+from medialq.gl2 import Mat2, check_pairs
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import (
     IsoClass,
     all_affine_forms,
     all_affine_tables,
-    are_isomorphic,
     assign_to_classes,
     classify,
     fingerprint,
@@ -28,10 +27,10 @@ from medialq.oracle import (
 from medialq.quasigroup import (
     AffineForm,
     CayleyTable,
+    _iter_tables,
     build_table,
     count_idempotents,
     is_medial,
-    tables_from_text,
     to_text,
 )
 from reference import (
@@ -39,6 +38,8 @@ from reference import (
     _signatures,
     add,
     all_latin_squares,
+    are_isomorphic,
+    gl2_elements,
     mul,
     products,
     relabel,
@@ -260,15 +261,12 @@ def test_the_stack_is_every_built_table_in_order():
 
 
 def test_the_representative_stack_is_their_built_tables():
+    # `_affine_cells` of the triples' codes, one stack, as `export` and `crosscheck` build them
     for G in (Z4, V2, Z9, V3):
         triples = enumerate_forms(G).triples
-        stack = quasigroup.affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
+        pairs, cs = [(int(t.phi), int(t.psi)) for t in triples], [[G.index(t.c)] for t in triples]
+        stack = quasigroup._affine_cells(G, pairs, cs)
         assert np.array_equal(stack, [t.cells for t in rep_tables(G)])
-    assert quasigroup.affine_tables(V3, [], []).shape == (0, 9, 9)
-    I = Mat2(1, 0, 0, 1, 3)
-    for c in (-1, 9):
-        with pytest.raises(ValueError, match=re.escape("must lie in [0, 9)")):
-            quasigroup.affine_tables(V3, [(I, I)], [[0, c]])
 
 
 def non_commuting_pair(p):
@@ -457,9 +455,6 @@ def test_one_invariant_pass_per_call(monkeypatch, capsys):
     assign_to_classes(classes, reps)
     assert passes == [len(reps) + len(classes)]
     passes.clear()
-    assert are_isomorphic(reps[0], reps[1]) is False
-    assert passes == [2]
-    passes.clear()
     # 3456 affine tables, then 68 representatives and 68 classes
     assert main(["crosscheck", "--group", "zp2", "--p", "3"]) == 0
     assert "68 = 68 OK" in capsys.readouterr().out
@@ -535,7 +530,7 @@ def test_the_diagonal_cycle_type_counts_the_idempotents(t):
 @settings(max_examples=100, deadline=None)
 @given(affine_tables())
 def test_text_round_trip(t):
-    assert tables_from_text(to_text(t)) == [t]
+    assert list(_iter_tables(to_text(t))) == [t]
 
 
 @st.composite
@@ -562,17 +557,17 @@ def corrupted_text(draw):
 @given(corrupted_text())
 def test_garbage_text_is_rejected(text):
     with pytest.raises(ValueError):
-        tables_from_text(text)
+        list(_iter_tables(text))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.text())
 def test_any_text_parses_to_tables_or_raises_value_error(text):
     try:
-        tables = tables_from_text(text)
+        tables = list(_iter_tables(text))
     except ValueError:
         return
-    assert tables_from_text("".join(to_text(t) for t in tables)) == tables
+    assert list(_iter_tables("".join(to_text(t) for t in tables))) == tables
 
 
 def array_cycle_type(f) -> tuple:

@@ -9,25 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medialq import quasigroup
-from medialq.enumeration import block_triples, enumerate_blocks
+from medialq.cli import _block_tables
+from medialq.enumeration import closed_form_cyclic, closed_form_zp2, enumerate_blocks
 from medialq.fp import Prime
-from medialq.gl2 import Mat2, Unit, centralizer, gl2_elements, units
+from medialq.gl2 import Mat2, Unit, centralizer, units
 from medialq.groups import Cyclic, ElemAbelianRank2
 from medialq.oracle import all_affine_forms, all_affine_tables
 from medialq.quasigroup import (
     AffineForm,
     CayleyTable,
     _certificate_failure,
-    affine_tables,
+    _iter_tables,
     build_table,
     count_idempotents,
     is_latin,
     is_medial,
-    tables_from_text,
     to_json,
     to_text,
 )
-from reference import add, all_latin_squares, apply, as_matrices, identity_matrix, medial_scan, relabel
+from reference import add, all_latin_squares, apply, as_matrices, gl2_elements, identity_matrix, medial_scan, relabel
 
 Z3 = Cyclic(Prime(3), 1)
 V2 = ElemAbelianRank2(Prime(2))
@@ -166,15 +166,15 @@ def test_text_round_trip_and_exact_format():
     t = CayleyTable(3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
     text = to_text(t)
     assert text == "3\n0 1 2\n1 2 0\n2 0 1\n"
-    assert tables_from_text(text) == [t]
-    assert tables_from_text(text + text) == [t, t]
+    assert list(_iter_tables(text)) == [t]
+    assert list(_iter_tables(text + text)) == [t, t]
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
-        tables_from_text("2\n0 1\n1")
+        list(_iter_tables("2\n0 1\n1"))
     with pytest.raises(ValueError):
-        tables_from_text("x\n")
+        list(_iter_tables("x\n"))
 
 
 def test_table_shape_validation():
@@ -351,11 +351,11 @@ def _refuse_the_scan(monkeypatch):
 
 @pytest.mark.parametrize("G", [Cyclic(Prime(7), 2), ElemAbelianRank2(Prime(5))], ids=str)
 def test_every_exported_table_is_certified_without_the_scan(monkeypatch, G):
-    # the tables `export` writes: build_table of each listed triple, as one stack
-    triples = list(block_triples(G, enumerate_blocks(G)))
-    cells = affine_tables(G, [(t.phi, t.psi) for t in triples], [[G.index(t.c)] for t in triples])
+    # the tables `export` writes: the tables of each listed triple, block by block
+    tables = [table for block in enumerate_blocks(G) for _, table in _block_tables(G, block)]
     _refuse_the_scan(monkeypatch)
-    assert all(is_medial(CayleyTable(G.order, table)) for table in cells)
+    assert len(tables) == (closed_form_cyclic(G.p, G.k) if isinstance(G, Cyclic) else closed_form_zp2(G.p))
+    assert all(is_medial(table) for table in tables)
 
 
 def test_every_affine_table_of_order_9_is_certified_without_the_scan(monkeypatch):
@@ -370,7 +370,7 @@ def test_the_tokenizer_reads_no_more_than_it_needs():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="n <= 81"):
-            tables_from_text(text, max_order=81)
+            list(_iter_tables(text, max_order=81))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -461,8 +461,8 @@ def random_tables(draw, max_order=100):
 def test_to_text_prints_the_bytes_of_the_per_cell_join(t):
     text = to_text(t)
     assert text == ref_to_text(t.rows)
-    assert tables_from_text(text) == [t]
-    assert tables_from_text(text + text) == [t, t]
+    assert list(_iter_tables(text)) == [t]
+    assert list(_iter_tables(text + text)) == [t, t]
     assert to_json(t) == json.dumps(t.cells.tolist())
 
 

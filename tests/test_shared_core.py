@@ -22,7 +22,7 @@ from medialq.enumeration import _one_minus
 from medialq.fp import Prime
 from medialq.gl2 import Mat2, _aut_codes, _commute, _det, _mul
 from medialq.groups import Cyclic, ElemAbelianRank2
-from reference import apply, det, gl2_entries, identity_matrix, matrix_codes, mul, products, sub
+from reference import apply, as_matrices, det, gl2_entries, identity_matrix, matrix_codes, mul, products, sub
 
 # every Z_{p^k} of order at most 32, and (Z_p)^2 for p <= 7
 GROUPS = [Cyclic(Prime(p), k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for k in range(1, 6) if p ** k <= 32]
@@ -82,7 +82,7 @@ def test_the_automorphism_list_is_the_brute_force_list(G):
     if G.r == 1:
         assert gl2.units(G.p, G.k) is codes
     else:
-        assert [int(M) for M in gl2.gl2_elements(G.p)] == expected
+        assert [int(M) for M in as_matrices(codes, G.p)] == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,7 +126,7 @@ def test_listing_aut_refuses_a_group_over_its_bound_before_listing():
             _aut_codes(G)
     # the library entry points that list GL(2, p) or the units, scalar centralizers included
     for refused in (lambda: gl2.units(2, 40), lambda: gl2.conjugacy_partition(211),
-                    lambda: gl2.gl2_elements(37), lambda: gl2.centralizer(211, 211 ** 3 + 1)):
+                    lambda: gl2.conjugacy_partition(37), lambda: gl2.centralizer(211, 211 ** 3 + 1)):
         with pytest.raises(ValueError, match="over the bound 1048576"):
             refused()
     # every size the CLI admits, and (Z_p)^2 up to p = 31, stays within it
